@@ -84,6 +84,7 @@ fn bench_engine_shards(c: &mut Criterion) {
 /// exists for. Record a baseline with `BENCH_JSON=BENCH_incremental.json
 /// cargo bench --bench ablations ablate_incremental`.
 fn bench_incremental(c: &mut Criterion) {
+    use engine::partition::route;
     use stale_core::detector::key_compromise::{self, RevocationAnalysis};
     use stale_core::detector::managed_tls::{self, ManagedTlsDetector};
     use stale_core::detector::registrant_change::{
@@ -141,11 +142,14 @@ fn bench_incremental(c: &mut Criterion) {
     let mut kc = KcIncremental::new(cutoff);
     let mut rc = RcIncremental::new();
     let mut mtd = MtdIncremental::new(data.adns_window);
+    let sink = &obs::NullSink;
     for (from, to) in feed.batches(1, last.pred()) {
         let delta = feed.delta(from, to);
-        kc.ingest_day(to, &delta.certs, &delta.crl);
-        rc.ingest_day(to, &rc_detector, &delta.certs, &delta.whois);
-        mtd.ingest_day(to, &mtd_detector, &delta.certs, &delta.dns, |_| true);
+        let slices = route(&delta, psl, &mtd_detector, 1, 1);
+        let slice = &slices[0];
+        kc.ingest_day_observed(to, &slice.kc, &delta.crl, sink);
+        rc.ingest_day_observed(to, &rc_detector, &slice.rc, &slice.whois, sink);
+        mtd.ingest_day_observed(to, &mtd_detector, &slice.mtd, &slice.dns, sink);
     }
     let final_delta = feed.delta(last, last);
     let change_index: std::collections::HashMap<_, _> = enumerate_changes(&data.whois)
@@ -159,15 +163,11 @@ fn bench_incremental(c: &mut Criterion) {
         b.iter_batched(
             || (kc.clone(), rc.clone(), mtd.clone()),
             |(mut kc, mut rc, mut mtd)| {
-                kc.ingest_day(last, &final_delta.certs, &final_delta.crl);
-                rc.ingest_day(last, &rc_detector, &final_delta.certs, &final_delta.whois);
-                mtd.ingest_day(
-                    last,
-                    &mtd_detector,
-                    &final_delta.certs,
-                    &final_delta.dns,
-                    |_| true,
-                );
+                let slices = route(&final_delta, psl, &mtd_detector, 1, 1);
+                let slice = &slices[0];
+                kc.ingest_day_observed(last, &slice.kc, &final_delta.crl, sink);
+                rc.ingest_day_observed(last, &rc_detector, &slice.rc, &slice.whois, sink);
+                mtd.ingest_day_observed(last, &mtd_detector, &slice.mtd, &slice.dns, sink);
                 let revocations = key_compromise::merge_shards(
                     data.crl.records().len(),
                     cutoff,

@@ -15,9 +15,13 @@
 //! engine:      --shards N       partition width (default: available
 //!                               parallelism; results are byte-identical
 //!                               for every N)
-//!              --checkpoint F   JSON checkpoint; batch mode skips
-//!                               completed shards, incremental mode
+//!              --checkpoint F   JSON checkpoint of per-shard detector
+//!                               state; batch mode skips shards saved
+//!                               at the feed end, incremental mode
 //!                               resumes after the last ingested day
+//!                               (an unusable file is refused with the
+//!                               reason on stderr and the run starts
+//!                               fresh)
 //!              --fail-shard K   inject a persistent panic into shard K
 //!                               (testing; the run degrades and exits 1)
 //! incremental: --incremental    replay the world's day feed through
@@ -354,6 +358,9 @@ fn main() {
             std::process::exit(1);
         }
     };
+    if let Some(why) = &run.metrics.checkpoint_rejected {
+        eprintln!("{why}");
+    }
     eprintln!(
         "world + detection ready in {:.1}s\n",
         started.elapsed().as_secs_f64()

@@ -114,6 +114,11 @@ impl DnsHistory {
         self.changes.values().map(Vec::len).sum()
     }
 
+    /// Every domain with its raw change log, in domain order.
+    pub fn change_logs(&self) -> impl Iterator<Item = (&DomainName, &[(Date, DnsView)])> {
+        self.changes.iter().map(|(d, log)| (d, log.as_slice()))
+    }
+
     /// The raw change log for a domain.
     pub fn change_log(&self, domain: &DomainName) -> &[(Date, DnsView)] {
         self.changes.get(domain).map(Vec::as_slice).unwrap_or(&[])

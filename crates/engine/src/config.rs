@@ -11,12 +11,12 @@ pub struct EngineConfig {
     pub shards: usize,
     /// Worker threads draining the shard queue. Capped at `shards`.
     pub workers: usize,
-    /// Checkpoint file. Batch mode ([`crate::Engine::run`]): completed
-    /// shards are appended after each finish and skipped when re-running
-    /// against the same dataset bundle. Incremental mode
-    /// ([`crate::Engine::run_incremental`]): per-shard detector state is
-    /// snapshotted (schema v2) and the run resumes after the last
-    /// checkpointed day.
+    /// Checkpoint file ([`crate::checkpoint`], one schema for both
+    /// modes). Batch mode ([`crate::Engine::run`]): each shard's final
+    /// state is saved as it completes, and saved shards are skipped when
+    /// re-running against the same dataset bundle. Incremental mode
+    /// ([`crate::Engine::run_incremental`]): every shard's state is
+    /// snapshotted and the run resumes after the last checkpointed day.
     pub checkpoint: Option<PathBuf>,
     /// Fault injection (tests / `repro --fail-shard`): these shards panic
     /// on every attempt and end up degraded.

@@ -1,26 +1,30 @@
-//! The engine: partition → supervise → merge.
+//! The batch engine: route the whole window → fold each shard under the
+//! supervisor → merge.
 //!
 //! Self-timing with `Instant` is sanctioned here (stage metrics never
 //! feed detection results); the wall-clock rule still flags
 //! `SystemTime` in this file.
 // stale-lint: trusted-file(wallclock-in-detector)
 
-use crate::checkpoint::{
-    Checkpoint, CompletedShard, ResumeWorld, SavedShard, ShardAudit, ShardOutput,
-};
+use crate::checkpoint::{Checkpoint, Rejection, ShardStateSnapshot};
 use crate::config::EngineConfig;
 use crate::metrics::{DegradedShardMetrics, EngineMetrics, ShardMetrics, StageMetrics};
-use crate::partition::{cut_views, ShardView};
+use crate::partition::{route, ShardSlice};
+use crate::stream::{Detectors, FoldTimes, ShardAudit, ShardOutput, ShardState, StateView};
 use crate::supervisor::{run_shards, DegradedShard};
+use ca::scraper::RevocationRecord;
 use obs::{Obs, Registry, SpanId};
 use psl::SuffixList;
-use stale_core::detector::key_compromise::{self};
-use stale_core::detector::managed_tls::{self, ManagedTlsDetector};
-use stale_core::detector::registrant_change::{self, IndexedChange, RegistrantChangeDetector};
+use stale_core::detector::key_compromise::{self, RevocationAnalysis};
+use stale_core::detector::managed_tls;
+use stale_core::detector::registrant_change::{self, enumerate_changes};
 use stale_core::detector::DetectionSuite;
-use stale_core::views::RoutedWorld;
+use stale_core::staleness::StaleCertRecord;
+use stale_types::{Date, DomainName};
+use std::collections::HashMap;
+use std::path::Path;
 use std::time::Instant;
-use worldsim::WorldDatasets;
+use worldsim::{DayDelta, WorldDatasets};
 
 /// Errors the engine itself can raise (detector panics degrade shards
 /// instead of erroring; see [`EngineReport::degraded`]).
@@ -108,6 +112,11 @@ impl Engine {
 
     /// Run the three detectors over `data`, sharded per the
     /// configuration, and merge deterministically.
+    ///
+    /// Batch is the fold over the whole window: the bundle is routed once
+    /// as a single delta ([`DayDelta::whole`]), each shard folds its slice
+    /// into fresh state and finishes as one supervised job, and the
+    /// outputs go through the same merge as the incremental driver's.
     // stale-lint: entry(serial)
     pub fn run(&self, data: &WorldDatasets, psl: &SuffixList) -> Result<EngineReport, EngineError> {
         let obs = &self.obs;
@@ -115,57 +124,53 @@ impl Engine {
         let n = self.config.shards.max(1);
         root.count("shards", n as u64);
 
-        // Stage 1: partition — one shard-count-independent routing pass
-        // over the shared immutable world, then a linear bucket cut. No
-        // world data is copied: shard inputs are index views into the
-        // routed arrays, handed to workers by reference.
+        // Stage 1: partition — the whole window as one delta, routed once.
+        // Slices borrow the shared immutable world; nothing is copied.
         let partition_start = Instant::now();
         let mut partition_span = root.child("partition");
-        let routed = RoutedWorld::build(data, psl);
-        let views = cut_views(&routed, n);
-        let routed_items: usize = views.iter().map(ShardView::items).sum();
+        let delta = DayDelta::whole(data);
+        let dets = Detectors::new(data, psl);
+        let slices = route(&delta, psl, &dets.mtd, n, self.config.effective_workers());
+        let routed_items: usize = slices.iter().map(ShardSlice::items).sum();
         partition_span.count("routed", routed_items as u64);
         drop(partition_span);
         let stage_partition = StageMetrics {
             name: "partition".to_string(),
             wall_us: partition_start.elapsed().as_micros() as u64,
-            items_in: routed.arena.len() + routed.changes.len(),
+            items_in: delta.items(),
             items_out: routed_items,
         };
+        // The slices hold everything else; only the broadcast CRL stays.
+        let DayDelta {
+            to: through, crl, ..
+        } = delta;
         record_stage(&obs.registry, &stage_partition);
-        let cutoff = routed.cutoff;
-
-        // Checkpoint: restore completed shards, run the rest.
-        let fingerprint = data.fingerprint();
-        let mut restore_span = root.child("checkpoint.restore");
-        let mut checkpoint = match &self.config.checkpoint {
-            Some(path) => Checkpoint::load_or_new(path, fingerprint, n),
-            None => Checkpoint::new(fingerprint, n),
-        };
-        if self.config.audit {
-            // An audited run can only reuse shards that carry their audit
-            // contribution; older (or unaudited) completions are dropped
-            // and re-run so the merged audit stays complete.
-            checkpoint.completed.retain(|c| c.audit.is_some());
-        }
-        // Re-derive restored shard outputs from the shared world (the
-        // checkpoint stores indices, not records). An entry that no
-        // longer resolves marks the whole file as stale state.
-        let resume = ResumeWorld {
+        let cutoff = RevocationAnalysis::cutoff_for(data.crl_window.start);
+        let job = FoldJob {
             data,
-            psl,
-            changes: &routed.changes,
+            dets: &dets,
+            slices: &slices,
+            crl: &crl,
+            through,
             cutoff,
+            audit: self.config.audit,
+            snapshot: self.config.checkpoint.is_some(),
         };
+
+        // Checkpoint: finish the shards saved at the feed end from their
+        // saved state, fold the rest.
+        let mut restore_span = root.child("checkpoint.restore");
+        let mut checkpoint = Checkpoint::new(data.fingerprint(), n, through);
         let mut completed: Vec<CompletedShard> = Vec::with_capacity(n);
-        for saved in &checkpoint.completed {
-            match saved.to_completed(&resume) {
-                Some(c) => completed.push(c),
-                None => {
-                    checkpoint = Checkpoint::new(fingerprint, n);
-                    completed.clear();
-                    break;
+        let mut rejected = None;
+        if let Some(path) = &self.config.checkpoint {
+            match job.resume(path, n) {
+                Ok(Some((cp, resumed))) => {
+                    checkpoint = cp;
+                    completed = resumed;
                 }
+                Ok(None) => {}
+                Err(why) => rejected = Some(self.reject(path, &why)),
             }
         }
         let resumed_shards = completed.len();
@@ -177,58 +182,50 @@ impl Engine {
             obs.registry.add("checkpoint.restores", 1);
         }
 
-        // An empty view can only produce the empty output: synthesize its
-        // completion instead of paying supervisor setup for it. Shards
-        // with injected faults still spawn — the panic is the point of
-        // those runs.
+        // A fresh shard with an empty slice can only finish empty:
+        // synthesize its completion instead of paying supervisor setup for
+        // it. Shards with injected faults still spawn — the panic is the
+        // point of those runs.
         let mut skipped = 0u64;
-        for view in &views {
-            if checkpoint.has(view.id)
-                || !view.is_empty()
-                || self.config.fail_shards.contains(&view.id)
-                || self.config.fail_once_shards.contains(&view.id)
+        for (shard, slice) in slices.iter().enumerate() {
+            if checkpoint.has(shard)
+                || !slice.is_empty()
+                || self.config.fail_shards.contains(&shard)
+                || self.config.fail_once_shards.contains(&shard)
             {
                 continue;
             }
-            let c = CompletedShard {
-                shard: view.id,
-                output: ShardOutput {
-                    shard: view.id,
-                    kc: Vec::new(),
-                    rc: Vec::new(),
-                    mtd: Vec::new(),
-                    audit: self.config.audit.then(ShardAudit::default),
-                },
-                metrics: ShardMetrics {
-                    shard: view.id,
-                    wall_us: 0,
-                    kc_us: 0,
-                    rc_us: 0,
-                    mtd_us: 0,
-                    items_in: 0,
-                    items_out: 0,
-                    attempts: 0,
-                },
-            };
-            checkpoint.completed.push(SavedShard::from_completed(&c));
-            completed.push(c);
+            let done = job.finish(
+                shard,
+                ShardState::new(data, cutoff),
+                0,
+                &mut FoldTimes::default(),
+            );
+            if let Some(state) = done.state {
+                checkpoint.insert(state);
+            }
+            completed.push(CompletedShard {
+                state: None,
+                ..done
+            });
             skipped += 1;
         }
         if skipped > 0 {
             obs.registry.add("engine.shards_skipped", skipped);
         }
-        let jobs: Vec<usize> = (0..n).filter(|s| !checkpoint.has(*s)).collect();
+        let jobs: Vec<usize> = (0..n)
+            .filter(|s| !completed.iter().any(|c| c.metrics.shard == *s))
+            .collect();
 
-        // Stage 2: detect, on the worker pool. Each attempt runs under
-        // its own span (child of the detect span, created by the
-        // supervisor); the detector stages nest under the attempt.
+        // Stage 2: detect — one supervised fold job per remaining shard,
+        // on the worker pool. Each attempt runs under its own span (child
+        // of the detect span, created by the supervisor) and starts from
+        // fresh state, so a panicked attempt leaves nothing behind.
         let detect_start = Instant::now();
         let detect_span = root.child("detect");
         let detect_id = detect_span.id();
         let config = &self.config;
-        let views_ref = &views;
-        let routed_ref = &routed;
-        let run_shard = |shard: usize, attempt: u32, span: SpanId| -> (ShardOutput, ShardMetrics) {
+        let run_shard = |shard: usize, attempt: u32, _span: SpanId| -> CompletedShard {
             if config.fail_shards.contains(&shard)
                 || (config.fail_once_shards.contains(&shard) && attempt == 1)
             {
@@ -237,16 +234,7 @@ impl Engine {
                 // stale-lint: allow(panic-in-shard)
                 panic!("injected failure in shard {shard} (attempt {attempt})");
             }
-            run_one_shard(
-                &views_ref[shard],
-                routed_ref,
-                psl,
-                n,
-                attempt,
-                obs,
-                span,
-                config.audit,
-            )
+            job.fold(shard, attempt, &obs.registry)
         };
 
         let mut checkpoint_error: Option<std::io::Error> = None;
@@ -256,31 +244,23 @@ impl Engine {
             obs,
             detect_id,
             run_shard,
-            |shard, attempts, value: &(ShardOutput, ShardMetrics)| {
-                let (output, metrics) = value;
-                let mut metrics = metrics.clone();
-                metrics.attempts = attempts;
-                let c = CompletedShard {
-                    shard,
-                    output: output.clone(),
-                    metrics,
+            |_, _, done: &mut CompletedShard| {
+                let (Some(path), Some(state)) = (&config.checkpoint, done.state.take()) else {
+                    return;
                 };
-                checkpoint.completed.push(SavedShard::from_completed(&c));
-                completed.push(c);
-                if let Some(path) = &config.checkpoint {
-                    let save_start = Instant::now();
-                    if let Err(e) = checkpoint.save(path) {
-                        checkpoint_error.get_or_insert(e);
-                    }
-                    obs.registry.add("checkpoint.saves", 1);
-                    obs.registry.observe_latency_us(
-                        "checkpoint.save_us",
-                        save_start.elapsed().as_micros() as u64,
-                    );
+                checkpoint.insert(state);
+                let save_start = Instant::now();
+                if let Err(e) = checkpoint.save(path) {
+                    checkpoint_error.get_or_insert(e);
                 }
+                obs.registry.add("checkpoint.saves", 1);
+                obs.registry.observe_latency_us(
+                    "checkpoint.save_us",
+                    save_start.elapsed().as_micros() as u64,
+                );
             },
         );
-        drop(results); // completion order lives in `completed`
+        completed.extend(results.into_iter().flatten().map(|(_, _, done)| done));
         drop(detect_span);
         obs.registry
             .record_histogram("engine.queue.depth", &queue_depths);
@@ -288,13 +268,11 @@ impl Engine {
             return Err(EngineError::Checkpoint(e));
         }
         let stage_detect_wall = detect_start.elapsed().as_micros() as u64;
+        drop(slices);
 
         // Collect outputs (restored + synthesized + fresh) in shard order.
-        completed.sort_by_key(|c| c.shard);
-        let emitted: usize = completed
-            .iter()
-            .map(|c| c.output.kc.len() + c.output.rc.len() + c.output.mtd.len())
-            .sum();
+        completed.sort_by_key(|c| c.metrics.shard);
+        let emitted: usize = completed.iter().map(|c| c.output.items()).sum();
         let stage_detect = StageMetrics {
             name: "detect".to_string(),
             wall_us: stage_detect_wall,
@@ -306,26 +284,21 @@ impl Engine {
         // Stage 3: deterministic merge.
         let merge_start = Instant::now();
         let mut merge_span = root.child("merge");
-        let kc: Vec<_> = completed.iter().map(|c| c.output.kc.clone()).collect();
-        let rc: Vec<_> = completed.iter().map(|c| c.output.rc.clone()).collect();
-        let mtd: Vec<_> = completed.iter().map(|c| c.output.mtd.clone()).collect();
-        let audit = if self.config.audit {
-            let mut decisions = Vec::new();
-            let mut losers = Vec::new();
-            for c in &completed {
-                if let Some(a) = &c.output.audit {
-                    decisions.extend(a.decisions.iter().cloned());
-                    losers.extend(a.kc_losers.iter().copied());
-                }
+        let mut gathered = self.config.audit.then(ShardAudit::default);
+        let mut outputs = Vec::with_capacity(completed.len());
+        let mut shard_metrics = Vec::with_capacity(completed.len());
+        for c in completed {
+            if let (Some(all), Some(shard)) = (gathered.as_mut(), c.audit) {
+                all.decisions.extend(shard.decisions);
+                all.kc_losers.extend(shard.kc_losers);
             }
-            decisions.extend(key_compromise::audit_decisions(&data.crl, &kc, &losers));
-            let report = obs::AuditReport::from_decisions(decisions);
+            outputs.push(c.output);
+            shard_metrics.push(c.metrics);
+        }
+        let StateView { suite, audit } = merge_outputs(data, cutoff, outputs, gathered)?;
+        if let Some(report) = &audit {
             report.register_coverage(&obs.registry);
-            Some(report)
-        } else {
-            None
-        };
-        let suite = merge_suite(data.crl.records().len(), cutoff, kc, rc, mtd);
+        }
         let merged =
             suite.key_compromise.len() + suite.registrant_change.len() + suite.managed_tls.len();
         merge_span.count("merged", merged as u64);
@@ -340,7 +313,7 @@ impl Engine {
 
         let metrics = EngineMetrics {
             stages: vec![stage_partition, stage_detect, stage_merge],
-            shards: completed.iter().map(|c| c.metrics.clone()).collect(),
+            shards: shard_metrics,
             degraded: degraded
                 .iter()
                 .map(|d| DegradedShardMetrics {
@@ -351,6 +324,7 @@ impl Engine {
             queue_depth: queue_depths.snapshot(),
             resumed_shards,
             ingest: None,
+            checkpoint_rejected: rejected,
         };
         Ok(EngineReport {
             suite,
@@ -360,6 +334,16 @@ impl Engine {
             events: Vec::new(),
             audit,
         })
+    }
+
+    /// Account a refused checkpoint: count it and return the reason for
+    /// [`EngineMetrics::checkpoint_rejected`]. The run starts fresh.
+    pub(crate) fn reject(&self, path: &Path, why: &Rejection) -> String {
+        self.obs.registry.add("checkpoint.rejected", 1);
+        format!(
+            "checkpoint {} refused ({why}); starting fresh",
+            path.display()
+        )
     }
 }
 
@@ -380,141 +364,186 @@ pub(crate) fn record_stage(registry: &Registry, stage: &StageMetrics) {
     );
 }
 
-/// The shared deterministic merge: exactly the three per-detector merge
-/// functions, composed into a [`DetectionSuite`]. Both the batch and the
-/// incremental drivers end here, which is what makes their reports
-/// byte-identical.
+/// Merge finished shard outputs into the suite and, given the shards'
+/// gathered audit contributions, the decision audit. Batch, the incremental driver and the daemon's views
+/// all end here, which is what makes their reports byte-identical and
+/// shard-count-invariant: rc records are keyed by their global change
+/// index (the serial enumeration order), kc decisions are expanded from
+/// the global join, and every merge sorts canonically.
 // stale-lint: entry(serial)
-pub(crate) fn merge_suite(
+pub(crate) fn merge_outputs(
+    data: &WorldDatasets,
+    cutoff: Date,
+    outputs: Vec<ShardOutput>,
+    audit: Option<ShardAudit>,
+) -> Result<StateView, EngineError> {
+    let change_index: HashMap<(DomainName, Date), usize> = enumerate_changes(&data.whois)
+        .into_iter()
+        .map(|c| ((c.domain, c.creation), c.index))
+        .collect();
+    let mut kc = Vec::with_capacity(outputs.len());
+    let mut rc = Vec::with_capacity(outputs.len());
+    let mut mtd = Vec::with_capacity(outputs.len());
+    for output in outputs {
+        let mut shard_rc = Vec::with_capacity(output.rc.len());
+        for (domain, creation, record) in output.rc {
+            let key = (domain, creation);
+            let Some(&index) = change_index.get(&key) else {
+                return Err(EngineError::Inconsistent(format!(
+                    "registrant change for {} at {} has no entry in the global enumeration",
+                    key.0, key.1
+                )));
+            };
+            shard_rc.push((index, record));
+        }
+        kc.push(output.kc);
+        rc.push(shard_rc);
+        mtd.push(output.mtd);
+    }
+    let audit = audit.map(|mut a| {
+        a.decisions.extend(key_compromise::audit_decisions(
+            &data.crl,
+            &kc,
+            &a.kc_losers,
+        ));
+        obs::AuditReport::from_decisions(a.decisions)
+    });
+    let suite = merge_suite(data.crl.records().len(), cutoff, kc, rc, mtd);
+    Ok(StateView { suite, audit })
+}
+
+/// The deterministic suite merge: exactly the three per-detector merge
+/// functions, composed into a [`DetectionSuite`].
+fn merge_suite(
     crl_total: usize,
-    cutoff: stale_types::Date,
+    cutoff: Date,
     kc: Vec<Vec<key_compromise::ShardMatch>>,
-    rc: Vec<Vec<(usize, stale_core::staleness::StaleCertRecord)>>,
-    mtd: Vec<Vec<stale_core::staleness::StaleCertRecord>>,
+    rc: Vec<Vec<(usize, StaleCertRecord)>>,
+    mtd: Vec<Vec<StaleCertRecord>>,
 ) -> DetectionSuite {
     let revocations = key_compromise::merge_shards(crl_total, cutoff, kc);
-    let key_compromise = revocations.stale_records();
-    let registrant_change = registrant_change::merge_shards(rc);
-    let managed_tls = managed_tls::merge_shards(mtd);
     DetectionSuite {
+        key_compromise: revocations.stale_records(),
         revocations,
-        key_compromise,
-        registrant_change,
-        managed_tls,
+        registrant_change: registrant_change::merge_shards(rc),
+        managed_tls: managed_tls::merge_shards(mtd),
     }
 }
 
-/// Run all three detectors on one shard's zero-copy view. The view holds
-/// only indices; every certificate, CRL record and change is read through
-/// the shared [`RoutedWorld`] borrow, and the one pre-sorted CRL key
-/// index serves every shard's sort-merge join. Each detector stage runs
-/// under its own span (child of the attempt span `parent`) and reports
-/// item counts through the registry's write-only sink surface. With
-/// `audit` on, each detector also streams per-candidate decisions into a
-/// fresh per-attempt [`obs::AuditLog`] (fresh so a panicked attempt's
-/// partial stream dies with it).
-// stale-lint: entry(shard)
-#[allow(clippy::too_many_arguments)]
-fn run_one_shard(
-    view: &ShardView,
-    routed: &RoutedWorld<'_>,
-    psl: &SuffixList,
-    shards: usize,
-    attempt: u32,
-    obs: &Obs,
-    parent: SpanId,
+/// A finished shard, held in memory during a batch run.
+struct CompletedShard {
+    output: ShardOutput,
+    /// The shard's decision-audit contribution (when auditing).
+    audit: Option<ShardAudit>,
+    metrics: ShardMetrics,
+    /// The shard's final state, taken only when checkpointing (handed to
+    /// the checkpoint as the shard completes).
+    state: Option<ShardStateSnapshot>,
+}
+
+/// What every batch fold job shares, borrowed for the run.
+struct FoldJob<'a, 'w> {
+    data: &'w WorldDatasets,
+    dets: &'a Detectors<'a>,
+    slices: &'a [ShardSlice<'w>],
+    crl: &'a [(usize, &'w RevocationRecord)],
+    through: Date,
+    cutoff: Date,
     audit: bool,
-) -> (ShardOutput, ShardMetrics) {
-    let registry = &obs.registry;
-    let data = routed.arena.data;
-    let cutoff = routed.cutoff;
-    let audit_log = audit.then(obs::AuditLog::new);
-    let decision_sink: &dyn obs::DecisionSink = match &audit_log {
-        Some(log) => log,
-        None => &obs::NullDecisionSink,
-    };
-    let start = Instant::now();
+    snapshot: bool,
+}
 
-    let kc_start = Instant::now();
-    let mut kc_span = obs.trace.child(parent, "kc");
-    let (kc, kc_losers) = key_compromise::join_shard_audited_with(
-        view.kc.iter().map(|&i| routed.arena.cert(i)),
-        &data.crl,
-        &routed.crl_keys,
-        cutoff,
-        registry,
-    );
-    kc_span.count("matches", kc.len() as u64);
-    drop(kc_span);
-    let kc_us = kc_start.elapsed().as_micros() as u64;
+impl<'w> FoldJob<'_, 'w> {
+    /// One shard's batch job: fold its whole-window slice into fresh
+    /// state and finish. Runs under the supervisor, so a panic here
+    /// degrades only this shard.
+    // stale-lint: entry(shard)
+    fn fold(&self, shard: usize, attempt: u32, registry: &Registry) -> CompletedShard {
+        let start = Instant::now();
+        let mut times = FoldTimes::default();
+        let mut state = ShardState::new(self.data, self.cutoff);
+        if let Some(slice) = self.slices.get(shard) {
+            state.apply(
+                self.through,
+                slice,
+                self.crl,
+                self.dets,
+                registry,
+                &mut times,
+            );
+        }
+        let done = self.finish(shard, state, attempt, &mut times);
+        let wall_us = start.elapsed().as_micros() as u64;
+        registry.observe_latency_us("engine.shard.wall_us", wall_us);
+        registry.observe_latency_us("engine.shard.kc_us", times.kc_us);
+        registry.observe_latency_us("engine.shard.rc_us", times.rc_us);
+        registry.observe_latency_us("engine.shard.mtd_us", times.mtd_us);
+        CompletedShard {
+            metrics: ShardMetrics {
+                wall_us,
+                ..done.metrics
+            },
+            ..done
+        }
+    }
 
-    let rc_start = Instant::now();
-    let mut rc_span = obs.trace.child(parent, "rc");
-    let rc_detector = RegistrantChangeDetector::new(psl);
-    let changes: Vec<(u32, &IndexedChange)> = view
-        .rc_changes
-        .iter()
-        .map(|&c| (routed.change_id[c as usize], &routed.changes[c as usize]))
-        .collect();
-    let rc = rc_detector.detect_shard_view_audited(
-        &changes,
-        view.rc_certs
-            .iter()
-            .map(|&i| (routed.arena.cert(i), routed.rc_ids_of(i))),
-        registry,
-        decision_sink,
-    );
-    rc_span.count("records", rc.len() as u64);
-    drop(rc_span);
-    let rc_us = rc_start.elapsed().as_micros() as u64;
+    /// Finish a shard's final state into its completion: merge output,
+    /// audit contribution (when auditing), metrics (timings so far in
+    /// `times`) and, when checkpointing, the state's snapshot.
+    fn finish(
+        &self,
+        shard: usize,
+        state: ShardState<'w>,
+        attempts: u32,
+        times: &mut FoldTimes,
+    ) -> CompletedShard {
+        let mut audit = self.audit.then(ShardAudit::default);
+        let output = state.output(self.dets, audit.as_mut(), times);
+        let items_in = self.slices.get(shard).map_or(0, ShardSlice::items);
+        CompletedShard {
+            metrics: ShardMetrics {
+                shard,
+                wall_us: times.kc_us + times.rc_us + times.mtd_us,
+                kc_us: times.kc_us,
+                rc_us: times.rc_us,
+                mtd_us: times.mtd_us,
+                items_in,
+                items_out: output.items(),
+                attempts,
+            },
+            output,
+            audit,
+            state: self.snapshot.then(|| state.snapshot(shard)),
+        }
+    }
 
-    let mtd_start = Instant::now();
-    let mut mtd_span = obs.trace.child(parent, "mtd");
-    let id = view.id;
-    let mtd_detector = ManagedTlsDetector::new(&data.cdn_config, psl);
-    let nn = shards.max(1) as u64;
-    let owned = |hash: u64| (hash % nn) as usize == id;
-    let mtd = mtd_detector.detect_shard_view_audited(
-        &data.adns,
-        view.mtd.iter().map(|&k| {
-            let candidate = &routed.mtd[k as usize];
-            (
-                routed.arena.cert(candidate.cert),
-                candidate.customers.as_slice(),
-            )
-        }),
-        data.adns_window,
-        owned,
-        registry,
-        decision_sink,
-    );
-    mtd_span.count("records", mtd.len() as u64);
-    drop(mtd_span);
-    let mtd_us = mtd_start.elapsed().as_micros() as u64;
-
-    let output = ShardOutput {
-        shard: view.id,
-        kc,
-        rc,
-        mtd,
-        audit: audit_log.map(|log| ShardAudit {
-            decisions: log.drain(),
-            kc_losers,
-        }),
-    };
-    let metrics = ShardMetrics {
-        shard: view.id,
-        wall_us: start.elapsed().as_micros() as u64,
-        kc_us,
-        rc_us,
-        mtd_us,
-        items_in: view.items(),
-        items_out: output.kc.len() + output.rc.len() + output.mtd.len(),
-        attempts: attempt,
-    };
-    registry.observe_latency_us("engine.shard.wall_us", metrics.wall_us);
-    registry.observe_latency_us("engine.shard.kc_us", kc_us);
-    registry.observe_latency_us("engine.shard.rc_us", rc_us);
-    registry.observe_latency_us("engine.shard.mtd_us", mtd_us);
-    (output, metrics)
+    /// Load the checkpoint at `path` and finish every shard it saved at
+    /// the feed end from that saved state. `Ok(None)` when there is no
+    /// file; any unusable file is refused as a whole.
+    fn resume(
+        &self,
+        path: &Path,
+        n: usize,
+    ) -> Result<Option<(Checkpoint, Vec<CompletedShard>)>, Rejection> {
+        let Some(cp) = Checkpoint::load(path, self.data.fingerprint(), n)? else {
+            return Ok(None);
+        };
+        if cp.through != self.through {
+            return Err(Rejection::Through(format!(
+                "taken through {}, but batch resumes only at the feed end {}",
+                cp.through, self.through
+            )));
+        }
+        let mut resumed = Vec::with_capacity(cp.states.len());
+        for saved in &cp.states {
+            let state =
+                ShardState::restore(saved, self.data, &self.dets.rc, self.cutoff, cp.through)?;
+            let done = self.finish(saved.shard, state, 0, &mut FoldTimes::default());
+            resumed.push(CompletedShard {
+                state: None,
+                ..done
+            });
+        }
+        Ok(Some((cp, resumed)))
+    }
 }

@@ -5,42 +5,43 @@
 //! domain (e2LD): every stale-certificate record is derived from one
 //! certificate and one event (a CRL entry, a registrant change, or a CDN
 //! departure), and both sides of each join can be routed to the same shard
-//! by a hash of the event's domain. This crate adds three layers on top of
-//! the shard-local detector APIs:
+//! by a hash of the event's domain.
 //!
-//! 1. **Partitioner** ([`partition`]) — routes a
-//!    [`worldsim::WorldDatasets`] bundle once, shard-count-independently,
-//!    into a [`stale_core::views::RoutedWorld`], then cuts zero-copy
-//!    [`partition::ShardView`]s (index lists into the shared world) per
-//!    shard count. CRL entries are keyed by `(AKI, serial)` rather than
-//!    by domain, so one pre-sorted CRL key index is shared by every
-//!    shard's sort-merge join; certificates and registrant changes are
-//!    routed by e2LD, with cruise-liner certificates duplicated into
-//!    every shard that owns one of their customer domains. The owned
-//!    [`partition::partition`] path survives as the equivalence oracle.
+//! The paper defines every detector over daily feeds, so the engine has
+//! **one detection kernel**: a per-shard fold ([`stream`]) of routed
+//! deltas into persistent [`stale_core::incremental`] detector state,
+//! finished into shard outputs and merged. Around it sit four layers:
+//!
+//! 1. **Router** ([`partition`]) — slices a [`worldsim::DayDelta`] into
+//!    per-shard inputs. Certificates and registrant changes are routed by
+//!    e2LD, with cruise-liner certificates handed to every shard that
+//!    owns one of their domains (together with the keys it owns); CRL
+//!    records are keyed by `(AKI, serial)` rather than by domain, so they
+//!    are broadcast to every shard.
 //! 2. **Supervisor** ([`supervisor`]) — a fixed worker pool over a bounded
 //!    work queue. A panicking shard is isolated, retried once, and then
 //!    reported as a [`supervisor::DegradedShard`] instead of aborting the
-//!    run. Completed shards are checkpointed to JSON
-//!    ([`checkpoint`]) and skipped on resume.
-//! 3. **Metrics** ([`metrics`]) — per-stage wall time, items in/out,
+//!    run.
+//! 3. **Checkpoints** ([`checkpoint`]) — one schema of per-shard fold
+//!    state, saved crash-safely and resumed by every mode.
+//! 4. **Metrics** ([`metrics`]) — per-stage wall time, items in/out,
 //!    queue depths and shard skew, rendered as a summary table by the
 //!    repro binary.
 //!
-//! A fourth layer, the **streaming driver** ([`stream`],
-//! [`Engine::run_incremental`]), replays a [`worldsim::DayFeed`] through
-//! persistent per-shard detector state ([`stale_core::incremental`])
-//! instead of handing each shard its whole slice at once: one day-delta
-//! at a time, routed by the same partition rules, emitting
-//! [`stale_core::incremental::StaleEvent`]s as staleness periods open,
-//! with state checkpointed per day (schema v2) and resumed across runs.
-//! Its final report reuses the batch merge and is byte-identical to
-//! [`Engine::run`] over the same bundle.
+//! Three drivers feed the kernel. [`Engine::run`] (batch) routes the
+//! whole window as a single delta and folds each shard as one supervised
+//! job, in parallel, saving each shard to the checkpoint as it completes.
+//! [`Engine::run_incremental`] replays a [`worldsim::DayFeed`] one
+//! day-batch at a time, emitting [`stale_core::incremental::StaleEvent`]s
+//! as staleness periods open and checkpointing every shard. The resident
+//! daemon keeps an [`IncrementalState`] alive and ingests one day per
+//! feed. All three end in the same merge.
 //!
 //! **Determinism guarantee:** for a fixed dataset bundle,
 //! [`Engine::run`] produces byte-identical reports for every shard count,
-//! including `shards = 1`, and identical to the serial
-//! [`stale_core::detector::DetectionSuite::run`]. The merge step orders
+//! including `shards = 1`, identical to [`Engine::run_incremental`] over
+//! the drained feed and to the serial
+//! [`stale_core::detector::DetectionSuite::run`]. The merge orders
 //! key-compromise matches by CRL index, registrant-change records by the
 //! global change enumeration, and managed-TLS records by customer domain —
 //! exactly the orders the serial detectors emit.
@@ -53,13 +54,10 @@ pub mod partition;
 pub mod stream;
 pub mod supervisor;
 
-pub use checkpoint::{
-    Checkpoint, CompletedShard, ResumeWorld, SavedShard, ShardOutput, ShardStateSnapshot,
-    StreamCheckpoint,
-};
+pub use checkpoint::{Checkpoint, Rejection, ShardStateSnapshot, StagedCheckpoint};
 pub use config::EngineConfig;
 pub use engine::{Engine, EngineError, EngineReport};
 pub use metrics::{EngineMetrics, IngestBatchMetrics, IngestMetrics, ShardMetrics, StageMetrics};
-pub use partition::{cut_views, partition, Partition, ShardInput, ShardView};
+pub use partition::{route, ShardSlice};
 pub use stream::{IncrementalState, StateView};
 pub use supervisor::DegradedShard;

@@ -132,6 +132,9 @@ pub struct EngineMetrics {
     pub resumed_shards: usize,
     /// Incremental-mode ingest detail (`None` for batch runs).
     pub ingest: Option<IngestMetrics>,
+    /// Why the configured checkpoint was refused, if it was (the run
+    /// then started fresh).
+    pub checkpoint_rejected: Option<String>,
 }
 
 impl EngineMetrics {
@@ -331,6 +334,7 @@ mod tests {
             queue_depth: depths(&[1, 0]),
             resumed_shards: 0,
             ingest: None,
+            checkpoint_rejected: None,
         };
         let t = m.render_table();
         assert!(t.contains("partition"));
@@ -350,6 +354,7 @@ mod tests {
             queue_depth: depths(&[1, 0]),
             resumed_shards: 0,
             ingest: None,
+            checkpoint_rejected: None,
         };
         let t = m.render_table();
         let lines: Vec<&str> = t.lines().collect();

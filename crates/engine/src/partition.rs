@@ -1,238 +1,203 @@
-//! Layer 1: slicing a dataset bundle into self-contained shard inputs.
+//! Layer 1: the one router, slicing a delta into per-shard inputs.
 //!
-//! Routing rules (all keyed through [`fnv1a64`] over the routing domain):
+//! Routing rules (all keyed through [`route_hash`] over the routing
+//! domain, shard = hash mod width):
 //!
 //! * **Key compromise** — certificates are routed by the e2LD of their
-//!   first SAN. The CRL is keyed by `(AKI, serial)`, not by domain, so it
-//!   cannot be partitioned the same way: every worker scans the full CRL
-//!   against its local certificate index (a broadcast join). The merge
-//!   step resolves certificates that collide on `(AKI, serial)` across
-//!   shards.
-//! * **Registrant change** — changes are routed by their (e2LD) domain; a
-//!   certificate is duplicated into every shard that owns one of its SAN
-//!   e2LDs, so each change sees every certificate naming its domain.
+//!   first SAN (the SAN itself when the suffix list cannot split it;
+//!   SAN-less certificates land on shard 0). The CRL is keyed by `(AKI,
+//!   serial)`, not by domain, so it is not routed at all: every shard
+//!   folds the delta's CRL records against its own certificates (a
+//!   broadcast join), and the merge resolves certificates that collide on
+//!   `(AKI, serial)` across shards.
+//! * **Registrant change** — WHOIS observations are routed by their
+//!   (e2LD) domain. A certificate goes to every shard owning one of its
+//!   SAN e2LDs and carries exactly the e2LDs that shard owns, so each
+//!   change sees every certificate naming its domain and every
+//!   `(e2LD, certificate)` pair is indexed by one shard.
 //! * **Managed TLS** — only provider-managed (marker-carrying)
-//!   certificates participate. Each is duplicated into every shard owning
-//!   one of its customer domains' routing keys; the worker-side `owned`
-//!   predicate ensures each customer is evaluated by exactly one shard.
+//!   certificates participate. Each goes to every shard owning one of its
+//!   non-wildcard customer domains' routing keys (the customer's e2LD, or
+//!   the customer itself when the suffix list cannot split it) and
+//!   carries the customers that shard owns; DNS change-log entries go
+//!   to their scan target's routing-key shard. Each customer is evaluated
+//!   by exactly one shard.
+//!
+//! Batch routes the whole window once ([`worldsim::DayDelta::whole`]);
+//! the incremental driver and the daemon route each day-delta as it
+//! arrives. Every mode folds the slices into the same per-shard state
+//! ([`crate::stream`]), and the router derives each certificate's e2LDs
+//! and customer routing keys once, handing them to the shards instead of
+//! letting every shard re-derive them.
 
 use ct::monitor::DedupedCert;
+use dns::scan::DnsView;
 use psl::SuffixList;
 use stale_core::detector::managed_tls::ManagedTlsDetector;
-use stale_core::detector::registrant_change::{
-    enumerate_changes, IndexedChange, RegistrantChangeDetector,
-};
-use stale_core::views::RoutedWorld;
 pub use stale_core::views::{fnv1a64, route_hash};
-use stale_types::DomainName;
-use worldsim::WorldDatasets;
+use stale_types::{Date, DomainName};
+use worldsim::DayDelta;
 
 /// The shard a routing domain belongs to.
 pub fn shard_of(key: &DomainName, shards: usize) -> usize {
-    (route_hash(key.as_str()) % shards.max(1) as u64) as usize
+    shard_of_str(key.as_str(), shards)
 }
 
-/// The routing key for a managed-TLS customer domain: its e2LD, falling
-/// back to the domain itself when the suffix list cannot split it. Workers
-/// and the partitioner must agree on this function.
-pub fn mtd_routing_key(psl: &SuffixList, domain: &DomainName) -> DomainName {
-    psl.e2ld_of_san(domain).unwrap_or_else(|_| domain.clone())
+fn shard_of_str(key: &str, shards: usize) -> usize {
+    (route_hash(key) % shards.max(1) as u64) as usize
 }
 
-/// Everything one worker needs to run all three detectors on its slice.
-pub struct ShardInput<'w> {
-    /// Shard index in `0..shards`.
-    pub id: usize,
-    /// Certificates this shard indexes for the CRL join.
-    pub kc_certs: Vec<&'w DedupedCert>,
-    /// Registrant changes owned by this shard (with global indices).
-    pub rc_changes: Vec<IndexedChange>,
-    /// Certificates visible to this shard's registrant changes.
-    pub rc_certs: Vec<&'w DedupedCert>,
-    /// Managed certificates naming a customer owned by this shard.
-    pub mtd_certs: Vec<&'w DedupedCert>,
+/// The routing key of the kc and mtd rules: a name's e2LD, or the name
+/// itself when the suffix list cannot split it, borrowed from the name.
+fn routing_str<'d>(psl: &SuffixList, domain: &'d DomainName) -> &'d str {
+    psl.e2ld_of_san_str(domain).unwrap_or(domain.as_str())
 }
 
-impl ShardInput<'_> {
-    /// Total items routed into this shard (the skew measure).
+/// One shard's slice of a delta. The delta's CRL records are broadcast,
+/// not routed: every shard folds all of them.
+#[derive(Default)]
+pub struct ShardSlice<'w> {
+    /// Certificates this shard joins against the CRL.
+    pub kc: Vec<&'w DedupedCert>,
+    /// Certificates naming a SAN e2LD this shard owns, with those e2LDs
+    /// (deduplicated, in SAN order; the strings
+    /// `RegistrantChangeDetector::cert_e2lds` spells).
+    pub rc: Vec<(&'w DedupedCert, Vec<&'w str>)>,
+    /// Managed certificates naming a customer this shard owns, with those
+    /// customers (in SAN order).
+    pub mtd: Vec<(&'w DedupedCert, Vec<&'w DomainName>)>,
+    /// WHOIS `(domain, creation)` observations of domains this shard owns.
+    pub whois: Vec<(&'w DomainName, Date)>,
+    /// DNS change-log entries of scan targets this shard owns.
+    pub dns: Vec<(Date, &'w DomainName, &'w DnsView)>,
+}
+
+impl ShardSlice<'_> {
+    /// Items routed into this shard (the skew measure).
     pub fn items(&self) -> usize {
-        self.kc_certs.len() + self.rc_changes.len() + self.rc_certs.len() + self.mtd_certs.len()
-    }
-}
-
-/// The partitioned bundle.
-pub struct Partition<'w> {
-    /// One input per shard, in shard order.
-    pub shards: Vec<ShardInput<'w>>,
-    /// Certificates in the corpus (each shard's `kc_certs` partition this).
-    pub corpus_size: usize,
-    /// Registrant changes enumerated (partitioned across shards).
-    pub change_count: usize,
-}
-
-/// Slice `data` into `n` self-contained shard inputs. Iteration order of
-/// the corpus (cert-id order) is preserved within every shard, and the
-/// union of shard inputs covers exactly the serial detectors' inputs.
-pub fn partition<'w>(data: &'w WorldDatasets, psl: &SuffixList, n: usize) -> Partition<'w> {
-    let n = n.max(1);
-    let mut shards: Vec<ShardInput<'w>> = (0..n)
-        .map(|id| ShardInput {
-            id,
-            kc_certs: Vec::new(),
-            rc_changes: Vec::new(),
-            rc_certs: Vec::new(),
-            mtd_certs: Vec::new(),
-        })
-        .collect();
-
-    let rc_detector = RegistrantChangeDetector::new(psl);
-    let mtd_detector = ManagedTlsDetector::new(&data.cdn_config, psl);
-
-    let mut corpus_size = 0;
-    for cert in data.monitor.corpus_unfiltered() {
-        corpus_size += 1;
-        let sans = cert.certificate.tbs.san();
-
-        // Key compromise: one owner, by the first SAN's e2LD.
-        let kc_shard = match sans.first() {
-            Some(first) => {
-                let key = psl.e2ld_of_san(first).unwrap_or_else(|_| first.clone());
-                shard_of(&key, n)
-            }
-            None => 0,
-        };
-        shards[kc_shard].kc_certs.push(cert);
-
-        // Registrant change: duplicated to every shard owning a SAN e2LD.
-        let mut rc_shards: Vec<usize> = rc_detector
-            .cert_e2lds(cert)
-            .iter()
-            .map(|e2ld| shard_of(e2ld, n))
-            .collect();
-        rc_shards.sort_unstable();
-        rc_shards.dedup();
-        for s in rc_shards {
-            shards[s].rc_certs.push(cert);
-        }
-
-        // Managed TLS: duplicated to every shard owning a customer domain.
-        if mtd_detector.is_managed_cert(cert) {
-            let mut mtd_shards: Vec<usize> = mtd_detector
-                .customer_domains(cert)
-                .into_iter()
-                .filter(|d| !d.is_wildcard())
-                .map(|d| shard_of(&mtd_routing_key(psl, d), n))
-                .collect();
-            mtd_shards.sort_unstable();
-            mtd_shards.dedup();
-            for s in mtd_shards {
-                shards[s].mtd_certs.push(cert);
-            }
-        }
+        self.kc.len() + self.rc.len() + self.mtd.len() + self.whois.len() + self.dns.len()
     }
 
-    let changes = enumerate_changes(&data.whois);
-    let change_count = changes.len();
-    for change in changes {
-        let s = shard_of(&change.domain, n);
-        shards[s].rc_changes.push(change);
-    }
-
-    Partition {
-        shards,
-        corpus_size,
-        change_count,
-    }
-}
-
-/// One shard's zero-copy view: index lists into the shared
-/// [`RoutedWorld`] arrays. Nothing here owns world data — a view is a few
-/// integer vectors, and cutting views for a different shard count reuses
-/// the same routed world untouched.
-#[derive(Debug, Clone, Default)]
-pub struct ShardView {
-    /// Shard index in `0..shards`.
-    pub id: usize,
-    /// Arena indices of certificates this shard joins against the CRL.
-    pub kc: Vec<u32>,
-    /// Arena indices of certificates visible to this shard's registrant
-    /// changes.
-    pub rc_certs: Vec<u32>,
-    /// Indices into the global change enumeration owned by this shard.
-    pub rc_changes: Vec<u32>,
-    /// Indices into [`RoutedWorld::mtd`] naming a customer owned here.
-    pub mtd: Vec<u32>,
-}
-
-impl ShardView {
-    /// Total items routed into this shard (the skew measure).
-    pub fn items(&self) -> usize {
-        self.kc.len() + self.rc_certs.len() + self.rc_changes.len() + self.mtd.len()
-    }
-
-    /// Whether no candidate at all was routed here (the supervisor skips
-    /// spawning such shards).
+    /// Whether nothing was routed here. A fresh shard folding an empty
+    /// slice finishes empty whatever the broadcast CRL holds: with no
+    /// certificate, no CRL record can match.
     pub fn is_empty(&self) -> bool {
         self.items() == 0
     }
 }
 
-/// Cut `n` zero-copy shard views out of a routed world: one linear pass
-/// of modulo tests over the precomputed routing hashes. Assignment is
-/// bit-identical to [`partition`] (same hash, same duplication rules,
-/// same within-shard order); the partition-view coverage proptest pins
-/// the equivalence.
-pub fn cut_views(routed: &RoutedWorld<'_>, n: usize) -> Vec<ShardView> {
+/// Route one delta into `n` shard slices. Within a slice every list
+/// keeps the delta's order, which the folds rely on for WHOIS and DNS
+/// (chronological per domain). Certificates are routed in `threads`
+/// contiguous chunks in parallel, and each shard's lists are joined in
+/// chunk order, so the slices do not depend on `threads`.
+pub fn route<'w>(
+    delta: &DayDelta<'w>,
+    psl: &SuffixList,
+    mtd_detector: &ManagedTlsDetector<'_>,
+    n: usize,
+    threads: usize,
+) -> Vec<ShardSlice<'w>> {
     let n = n.max(1);
-    let nn = n as u64;
-    let mut views: Vec<ShardView> = (0..n)
-        .map(|id| ShardView {
-            id,
-            ..ShardView::default()
-        })
-        .collect();
-    let mut scratch: Vec<usize> = Vec::with_capacity(8);
-    for i in 0..routed.arena.len() {
-        let iu = i as u32;
-        views[(routed.kc_hash[i] % nn) as usize].kc.push(iu);
-        scratch.clear();
-        scratch.extend(
-            routed
-                .rc_ids_of(iu)
-                .iter()
-                .map(|&id| (routed.rc_hash[id as usize] % nn) as usize),
-        );
-        scratch.sort_unstable();
-        scratch.dedup();
-        for &s in &scratch {
-            views[s].rc_certs.push(iu);
+    let chunk = delta.certs.len().div_ceil(threads.max(1)).max(1);
+    let chunks: Vec<&[&'w DedupedCert]> = delta.certs.chunks(chunk).collect();
+    let mut parts: Vec<Vec<ShardSlice<'w>>> = Vec::new();
+    parts.resize_with(chunks.len(), Vec::new);
+    match (chunks.as_slice(), parts.as_mut_slice()) {
+        ([certs], [part]) => *part = route_certs(certs, psl, mtd_detector, n),
+        _ => std::thread::scope(|scope| {
+            for (part, certs) in parts.iter_mut().zip(&chunks) {
+                scope.spawn(move || *part = route_certs(certs, psl, mtd_detector, n));
+            }
+        }),
+    }
+    let mut slices: Vec<ShardSlice<'w>> = (0..n).map(|_| ShardSlice::default()).collect();
+    for part in parts {
+        for (slice, routed) in slices.iter_mut().zip(part) {
+            slice.kc.extend(routed.kc);
+            slice.rc.extend(routed.rc);
+            slice.mtd.extend(routed.mtd);
         }
     }
-    for (k, candidate) in routed.mtd.iter().enumerate() {
-        scratch.clear();
-        scratch.extend(candidate.customers.iter().map(|&(_, h)| (h % nn) as usize));
-        scratch.sort_unstable();
-        scratch.dedup();
-        for &s in &scratch {
-            views[s].mtd.push(k as u32);
+    for &(domain, creation) in &delta.whois {
+        if let Some(slice) = slices.get_mut(shard_of(domain, n)) {
+            slice.whois.push((domain, creation));
         }
     }
-    for (c, &h) in routed.change_hash.iter().enumerate() {
-        views[(h % nn) as usize].rc_changes.push(c as u32);
+    for &(date, domain, view) in &delta.dns {
+        if let Some(slice) = slices.get_mut(shard_of_str(routing_str(psl, domain), n)) {
+            slice.dns.push((date, domain, view));
+        }
     }
-    views
+    slices
+}
+
+/// Route a run of certificates into `n` slices (certificate lists only).
+fn route_certs<'w>(
+    certs: &[&'w DedupedCert],
+    psl: &SuffixList,
+    mtd_detector: &ManagedTlsDetector<'_>,
+    n: usize,
+) -> Vec<ShardSlice<'w>> {
+    let mut slices: Vec<ShardSlice<'w>> = (0..n).map(|_| ShardSlice::default()).collect();
+    // Per-certificate scratch: each SAN's e2LD (derived once, for all
+    // three rules), then (shard, keys it owns) with one entry per shard.
+    let mut e2lds: Vec<Option<&'w str>> = Vec::new();
+    let mut rc_groups: Vec<(usize, Vec<&'w str>)> = Vec::new();
+    let mut mtd_groups: Vec<(usize, Vec<&'w DomainName>)> = Vec::new();
+    for &cert in certs {
+        let sans = cert.certificate.tbs.san();
+        e2lds.clear();
+        e2lds.extend(sans.iter().map(|san| psl.e2ld_of_san_str(san).ok()));
+        let kc_shard = match (sans.first(), e2lds.first()) {
+            (Some(first), Some(key)) => shard_of_str(key.unwrap_or(first.as_str()), n),
+            _ => 0,
+        };
+        if let Some(slice) = slices.get_mut(kc_shard) {
+            slice.kc.push(cert);
+        }
+
+        for (i, e2ld) in e2lds.iter().enumerate() {
+            let Some(e2ld) = *e2ld else { continue };
+            if e2lds[..i].contains(&Some(e2ld)) {
+                continue;
+            }
+            let shard = shard_of_str(e2ld, n);
+            match rc_groups.iter_mut().find(|(s, _)| *s == shard) {
+                Some((_, keys)) => keys.push(e2ld),
+                None => rc_groups.push((shard, vec![e2ld])),
+            }
+        }
+        for (shard, keys) in rc_groups.drain(..) {
+            if let Some(slice) = slices.get_mut(shard) {
+                slice.rc.push((cert, keys));
+            }
+        }
+
+        if mtd_detector.is_managed_cert(cert) {
+            for (customer, e2ld) in sans.iter().zip(&e2lds) {
+                if customer.is_wildcard() || mtd_detector.is_marker_san(customer) {
+                    continue;
+                }
+                let shard = shard_of_str(e2ld.unwrap_or(customer.as_str()), n);
+                match mtd_groups.iter_mut().find(|(s, _)| *s == shard) {
+                    Some((_, customers)) => customers.push(customer),
+                    None => mtd_groups.push((shard, vec![customer])),
+                }
+            }
+            for (shard, customers) in mtd_groups.drain(..) {
+                if let Some(slice) = slices.get_mut(shard) {
+                    slice.mtd.push((cert, customers));
+                }
+            }
+        }
+    }
+    slices
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_is_stable() {
-        // Reference vector for the empty string and "a" (FNV-1a 64-bit).
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
 
     #[test]
     fn shard_of_is_in_range() {
@@ -241,5 +206,18 @@ mod tests {
             assert!(shard_of(&d, n) < n);
         }
         assert_eq!(shard_of(&d, 1), 0);
+    }
+
+    #[test]
+    fn routing_key_is_the_e2ld_or_the_name() {
+        let psl = SuffixList::default_list();
+        for (name, key) in [
+            ("www.example.co.uk", "example.co.uk"),
+            ("*.foo.com", "foo.com"),
+            ("com", "com"),
+            ("a.b.c.example.org", "example.org"),
+        ] {
+            assert_eq!(routing_str(&psl, &stale_types::domain::dn(name)), key);
+        }
     }
 }

@@ -1,67 +1,232 @@
-//! The incremental streaming driver: day-deltas → persistent shard state.
+//! The shard fold: routed deltas → persistent per-shard detector state.
 //!
-//! Self-timing with `Instant` is sanctioned here (delta metrics never
+//! Self-timing with `Instant` is sanctioned here (fold metrics never
 //! feed detection results), and slice indexing is in scope for the
 //! panic rule: the indices below come from routed feeds and restored
 //! checkpoints.
 //!
-//! Two consumers share the machinery here:
+//! The paper defines every detector over daily feeds (§4.1 daily CRL
+//! downloads, §4.2 WHOIS snapshots, §4.3 neighbouring-day aDNS diffs), so
+//! the engine has one detection kernel: each shard's [`ShardState`]
+//! folds routed deltas ([`crate::partition::route`]) into the
+//! [`stale_core::incremental`] detector states, then finishes into a
+//! [`ShardOutput`] that the shared merge ([`crate::engine`]) combines.
+//! Three drivers feed it:
 //!
-//! * [`Engine::run_incremental`] replays a complete [`worldsim::DayFeed`]
-//!   through the same shard partition the batch driver uses and finishes
-//!   with the batch merge, which is what makes the two drivers
-//!   byte-identical over the same bundle.
-//! * [`IncrementalState`] is the long-lived core of that loop, exposed as
-//!   a query-safe read API for the resident daemon (`stale-served`): it
-//!   owns the per-shard [`stale_core::incremental`] detector state,
-//!   ingests one [`worldsim::DayDelta`] at a time, snapshots/restores
-//!   checkpoint schema v2, and materializes a [`StateView`] — the merged
-//!   [`DetectionSuite`] plus the merged decision audit — **without
-//!   consuming the state**, so a daemon can answer queries after every
-//!   ingested day and keep ingesting.
+//! * [`Engine::run`] (batch) folds the whole window as one delta, one
+//!   supervised job per shard;
+//! * [`Engine::run_incremental`] replays the bundle's [`DayFeed`] one
+//!   day-batch at a time through an [`IncrementalState`];
+//! * the resident daemon (`stale-served`) keeps an [`IncrementalState`]
+//!   alive, ingests one [`worldsim::DayDelta`] per fed day and
+//!   materializes a [`StateView`] — the merged [`DetectionSuite`] plus
+//!   the merged decision audit — **without consuming the state**, so it
+//!   can answer queries after every ingested day and keep ingesting.
 //!
-//! Routing mirrors [`crate::partition::partition`] rule for rule:
-//!
-//! * certificates → first-SAN e2LD shard (key compromise), every SAN-e2LD
-//!   shard (registrant change), every customer-routing-key shard (managed
-//!   TLS, marker certificates only);
-//! * CRL records → broadcast to every shard (the join key is `(AKI,
-//!   serial)`, not a domain);
-//! * WHOIS observations → the domain's shard;
-//! * DNS change-log entries → the scan target's customer-routing-key
-//!   shard, which is exactly the set of domains the shard's `owned`
-//!   predicate accepts in batch mode.
-//!
-//! With `EngineConfig::checkpoint` set, the per-shard state is snapshotted
-//! (schema v2, [`crate::checkpoint::StreamCheckpoint`]) every
+//! A delta's items fold to the same state however they are batched (a
+//! multi-day delta is exactly the concatenation of its single-day
+//! deltas), so every driver reports byte-identical results over the same
+//! bundle. With `EngineConfig::checkpoint` set, the incremental driver
+//! snapshots every shard ([`crate::checkpoint::Checkpoint`]) every
 //! `checkpoint_every_days` ingested days and after the final delta; a
 //! matching checkpoint resumes ingestion after its last recorded day.
 
 // stale-lint: trusted-file(wallclock-in-detector)
 // stale-lint: scope(panic-index)
 
-use crate::checkpoint::{ShardStateSnapshot, StreamCheckpoint};
-use crate::engine::{merge_suite, record_stage, Engine, EngineError, EngineReport};
+use crate::checkpoint::{Checkpoint, Rejection, ShardStateSnapshot};
+use crate::engine::{merge_outputs, record_stage, Engine, EngineError, EngineReport};
 use crate::metrics::{EngineMetrics, IngestBatchMetrics, IngestMetrics, StageMetrics};
-use crate::partition::{mtd_routing_key, shard_of};
+use crate::partition::{route, ShardSlice};
+use ca::scraper::RevocationRecord;
+use obs::audit::Decision;
 use obs::{AuditReport, CounterSink, Histogram, HistogramSnapshot, SpanId};
 use psl::SuffixList;
-use stale_core::detector::key_compromise::{self, RevocationAnalysis};
+use stale_core::detector::key_compromise::{KcLoser, RevocationAnalysis, ShardMatch};
 use stale_core::detector::managed_tls::ManagedTlsDetector;
-use stale_core::detector::registrant_change::{enumerate_changes, RegistrantChangeDetector};
+use stale_core::detector::registrant_change::RegistrantChangeDetector;
 use stale_core::detector::DetectionSuite;
 use stale_core::incremental::{KcIncremental, MtdIncremental, RcIncremental, StaleEvent};
 use stale_core::staleness::StaleCertRecord;
 use stale_types::{Date, DomainName};
-use std::collections::HashMap;
 use std::time::Instant;
 use worldsim::{DayDelta, DayFeed, WorldDatasets};
 
-/// One shard's live incremental state.
-struct ShardState<'w> {
+/// The detectors a fold consults, built once per run.
+pub(crate) struct Detectors<'a> {
+    pub(crate) rc: RegistrantChangeDetector<'a>,
+    pub(crate) mtd: ManagedTlsDetector<'a>,
+}
+
+impl<'a> Detectors<'a> {
+    pub(crate) fn new(data: &'a WorldDatasets, psl: &'a SuffixList) -> Self {
+        Detectors {
+            rc: RegistrantChangeDetector::new(psl),
+            mtd: ManagedTlsDetector::new(&data.cdn_config, psl),
+        }
+    }
+}
+
+/// Per-detector wall time of fold steps, in microseconds (observability
+/// only).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FoldTimes {
+    pub(crate) kc_us: u64,
+    pub(crate) rc_us: u64,
+    pub(crate) mtd_us: u64,
+}
+
+/// Microseconds since `*lap`, resetting the lap.
+fn lap_us(lap: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let us = (now - *lap).as_micros() as u64;
+    *lap = now;
+    us
+}
+
+/// One shard's decision-audit contribution: the rc/mtd decisions it
+/// derives plus the kc duplicate-fingerprint losers it observed (kc
+/// decisions proper are expanded at merge time from the global join, so
+/// they cannot depend on shard count).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ShardAudit {
+    pub(crate) decisions: Vec<Decision>,
+    pub(crate) kc_losers: Vec<KcLoser>,
+}
+
+/// What one shard's fold finished with: its contribution to the merge.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ShardOutput {
+    /// Key-compromise join matches, in CRL-index order.
+    pub(crate) kc: Vec<ShardMatch>,
+    /// Registrant-change records keyed by their `(domain, creation)`
+    /// change.
+    pub(crate) rc: Vec<(DomainName, Date, StaleCertRecord)>,
+    /// Managed-TLS departure records.
+    pub(crate) mtd: Vec<StaleCertRecord>,
+}
+
+impl ShardOutput {
+    /// Matches and records the shard emitted.
+    pub(crate) fn items(&self) -> usize {
+        self.kc.len() + self.rc.len() + self.mtd.len()
+    }
+}
+
+/// One shard's fold state: the three detectors' persistent state.
+pub(crate) struct ShardState<'w> {
     kc: KcIncremental<'w>,
     rc: RcIncremental<'w>,
     mtd: MtdIncremental<'w>,
+}
+
+impl<'w> ShardState<'w> {
+    /// Fresh state over `data`'s windows.
+    pub(crate) fn new(data: &WorldDatasets, cutoff: Date) -> Self {
+        ShardState {
+            kc: KcIncremental::new(cutoff),
+            rc: RcIncremental::new(),
+            mtd: MtdIncremental::new(data.adns_window),
+        }
+    }
+
+    /// Rebuild a saved state over the bundle it was taken from, through
+    /// `through`. Certificates are re-resolved by id; one the corpus does
+    /// not hold marks the checkpoint as another world's state.
+    pub(crate) fn restore(
+        saved: &ShardStateSnapshot,
+        data: &'w WorldDatasets,
+        rc_detector: &RegistrantChangeDetector<'_>,
+        cutoff: Date,
+        through: Date,
+    ) -> Result<Self, Rejection> {
+        let unknown = Rejection::UnknownCertificate { shard: saved.shard };
+        Ok(ShardState {
+            kc: KcIncremental::restore(&saved.kc, &data.monitor, &data.crl, through, cutoff)
+                .ok_or_else(|| unknown.clone())?,
+            rc: RcIncremental::restore(&saved.rc, &data.monitor, rc_detector)
+                .ok_or_else(|| unknown.clone())?,
+            mtd: MtdIncremental::restore(&saved.mtd, &data.monitor, data.adns_window)
+                .ok_or(unknown)?,
+        })
+    }
+
+    /// The persisted form of this state.
+    pub(crate) fn snapshot(&self, shard: usize) -> ShardStateSnapshot {
+        ShardStateSnapshot {
+            shard,
+            kc: self.kc.save(),
+            rc: self.rc.save(),
+            mtd: self.mtd.save(),
+        }
+    }
+
+    /// Approximate retained-entry footprint.
+    pub(crate) fn footprint(&self) -> usize {
+        self.kc.footprint() + self.rc.footprint() + self.mtd.footprint()
+    }
+
+    /// Fold one routed slice, plus the delta's broadcast CRL records, in
+    /// detector order. Returns the stale events it revealed, stamped
+    /// `discovered`. Item counts flow into `sink`, which is write-only —
+    /// folding cannot depend on what was recorded.
+    pub(crate) fn apply(
+        &mut self,
+        discovered: Date,
+        slice: &ShardSlice<'w>,
+        crl: &[(usize, &'w RevocationRecord)],
+        dets: &Detectors<'_>,
+        sink: &dyn CounterSink,
+        times: &mut FoldTimes,
+    ) -> Vec<StaleEvent> {
+        let mut lap = Instant::now();
+        let mut events = self
+            .kc
+            .ingest_day_observed(discovered, &slice.kc, crl, sink);
+        times.kc_us += lap_us(&mut lap);
+        events.extend(self.rc.ingest_day_observed(
+            discovered,
+            &dets.rc,
+            &slice.rc,
+            &slice.whois,
+            sink,
+        ));
+        times.rc_us += lap_us(&mut lap);
+        events.extend(
+            self.mtd
+                .ingest_day_observed(discovered, &dets.mtd, &slice.mtd, &slice.dns, sink),
+        );
+        times.mtd_us += lap_us(&mut lap);
+        events
+    }
+
+    /// Finish into the shard's merge contribution, without consuming the
+    /// state; with `audit`, also append the shard's decision-audit
+    /// contribution to it (one accumulator can gather every shard's).
+    pub(crate) fn output(
+        &self,
+        dets: &Detectors<'_>,
+        mut audit: Option<&mut ShardAudit>,
+        times: &mut FoldTimes,
+    ) -> ShardOutput {
+        let mut lap = Instant::now();
+        let kc = self.kc.finish();
+        if let Some(a) = audit.as_deref_mut() {
+            a.kc_losers.extend(self.kc.losers());
+        }
+        times.kc_us += lap_us(&mut lap);
+        let rc = self.rc.finish();
+        if let Some(a) = audit.as_deref_mut() {
+            a.decisions.extend(self.rc.decisions());
+        }
+        times.rc_us += lap_us(&mut lap);
+        let mtd = self.mtd.finish(&dets.mtd);
+        if let Some(a) = audit {
+            a.decisions.extend(self.mtd.decisions());
+        }
+        times.mtd_us += lap_us(&mut lap);
+        ShardOutput { kc, rc, mtd }
+    }
 }
 
 /// A materialized answer over everything ingested so far: the merged
@@ -76,8 +241,7 @@ pub struct StateView {
     pub audit: Option<AuditReport>,
 }
 
-/// Persistent per-shard incremental detector state with a query-safe
-/// read surface.
+/// Persistent per-shard fold state with a query-safe read surface.
 ///
 /// The state borrows the world (`'w`) — certificates, CRL records and
 /// scan histories are referenced, never copied — so it lives alongside a
@@ -85,8 +249,7 @@ pub struct StateView {
 /// frame, or the daemon's state-actor thread).
 ///
 /// Determinism: ingesting the same deltas in the same order yields the
-/// same state regardless of how they were batched (a multi-day delta is
-/// exactly the concatenation of its single-day deltas), and
+/// same state regardless of how they were batched, and
 /// [`IncrementalState::view`] is non-destructive and repeatable — two
 /// views with no ingest between them render identical bytes.
 pub struct IncrementalState<'w> {
@@ -103,55 +266,47 @@ impl<'w> IncrementalState<'w> {
     pub fn new(data: &'w WorldDatasets, psl: &'w SuffixList, shards: usize) -> Self {
         let n = shards.max(1);
         let cutoff = RevocationAnalysis::cutoff_for(data.crl_window.start);
-        let states = (0..n)
-            .map(|_| ShardState {
-                kc: KcIncremental::new(cutoff),
-                rc: RcIncremental::new(),
-                mtd: MtdIncremental::new(data.adns_window),
-            })
-            .collect();
         IncrementalState {
             data,
             psl,
             shards: n,
             cutoff,
-            states,
+            states: (0..n).map(|_| ShardState::new(data, cutoff)).collect(),
             through: None,
         }
     }
 
-    /// Restore from a schema-v2 checkpoint over the *same* bundle.
+    /// Restore every shard from a checkpoint over the *same* bundle.
     ///
-    /// `None` when the checkpoint belongs to a different world
-    /// (fingerprint mismatch) or names a certificate the monitor does not
-    /// hold — stale state is discarded, never trusted. Restoring
-    /// re-resolves certificate bodies by id; the checkpoint stores only
-    /// ids.
+    /// Refused (with the reason) when the checkpoint belongs to another
+    /// world, lacks a shard's state, has its states out of shard order,
+    /// or names a certificate the monitor does not hold — stale state is
+    /// discarded, never trusted.
     // stale-lint: entry(serial)
     pub fn restore(
         data: &'w WorldDatasets,
         psl: &'w SuffixList,
-        cp: &StreamCheckpoint,
-    ) -> Option<Self> {
-        if cp.version != StreamCheckpoint::VERSION
-            || cp.fingerprint != data.fingerprint()
-            || cp.states.len() != cp.shards
-        {
-            return None;
+        cp: &Checkpoint,
+    ) -> Result<Self, Rejection> {
+        let n = cp.shards.max(1);
+        cp.verify_for_run(data.fingerprint(), n)?;
+        if !cp.is_complete() {
+            return Err(Rejection::Incomplete {
+                found: cp.states.len(),
+                expected: n,
+            });
         }
         let cutoff = RevocationAnalysis::cutoff_for(data.crl_window.start);
         let rc_detector = RegistrantChangeDetector::new(psl);
-        let mut states = Vec::with_capacity(cp.states.len());
-        for s in &cp.states {
-            let kc = KcIncremental::restore(&s.kc, &data.monitor, &data.crl, cp.through, cutoff)?;
-            let rc = RcIncremental::restore(&s.rc, &data.monitor, &rc_detector)?;
-            let mtd = MtdIncremental::restore(&s.mtd, &data.monitor, data.adns_window)?;
-            states.push(ShardState { kc, rc, mtd });
-        }
-        Some(IncrementalState {
+        let states = cp
+            .states
+            .iter()
+            .map(|s| ShardState::restore(s, data, &rc_detector, cutoff, cp.through))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(IncrementalState {
             data,
             psl,
-            shards: cp.shards.max(1),
+            shards: n,
             cutoff,
             states,
             through: Some(cp.through),
@@ -170,66 +325,42 @@ impl<'w> IncrementalState<'w> {
 
     /// Approximate retained-entry footprint across all shards.
     pub fn footprint(&self) -> usize {
-        self.states
-            .iter()
-            .map(|s| s.kc.footprint() + s.rc.footprint() + s.mtd.footprint())
-            .sum()
+        self.states.iter().map(ShardState::footprint).sum()
     }
 
-    /// Ingest one delta: route every item per the partitioner's rules and
-    /// apply each shard's slice to its state. Returns the stale events
-    /// the delta revealed, in shard order. Item counts flow into `sink`
-    /// (write-only; ingestion cannot depend on what was recorded).
+    /// Ingest one delta: route it and fold each shard's slice into its
+    /// state. Returns the stale events the delta revealed, in shard
+    /// order. Item counts flow into `sink` (write-only; ingestion cannot
+    /// depend on what was recorded).
     // stale-lint: entry(serial)
     pub fn ingest_delta(
         &mut self,
         delta: &DayDelta<'w>,
         sink: &dyn CounterSink,
     ) -> Vec<StaleEvent> {
-        let n = self.shards;
-        let psl = self.psl;
-        let rc_detector = RegistrantChangeDetector::new(psl);
-        let mtd_detector = ManagedTlsDetector::new(&self.data.cdn_config, psl);
-        let routed = route(delta, psl, &rc_detector, &mtd_detector, n);
+        let dets = Detectors::new(self.data, self.psl);
+        let slices = route(delta, self.psl, &dets.mtd, self.shards, 1);
+        let mut times = FoldTimes::default();
         let mut events = Vec::new();
-        for (id, (state, r)) in self.states.iter_mut().zip(&routed).enumerate() {
-            events.extend(apply(
-                state,
-                delta.to,
-                r,
-                delta,
-                &rc_detector,
-                &mtd_detector,
-                |d| shard_of(&mtd_routing_key(psl, d), n) == id,
-                sink,
-            ));
+        for (state, slice) in self.states.iter_mut().zip(&slices) {
+            events.extend(state.apply(delta.to, slice, &delta.crl, &dets, sink, &mut times));
         }
         self.through = Some(delta.to);
         events
     }
 
-    /// Snapshot the state as a schema-v2 checkpoint. `None` until the
-    /// first delta has been ingested (an empty state has no `through`
-    /// day, and resuming it is the same as starting fresh).
-    pub fn snapshot(&self) -> Option<StreamCheckpoint> {
-        let through = self.through?;
-        Some(StreamCheckpoint {
-            version: StreamCheckpoint::VERSION,
-            fingerprint: self.data.fingerprint(),
-            shards: self.shards,
-            through,
-            states: self
-                .states
-                .iter()
-                .enumerate()
-                .map(|(shard, s)| ShardStateSnapshot {
-                    shard,
-                    kc: s.kc.save(),
-                    rc: s.rc.save(),
-                    mtd: s.mtd.save(),
-                })
-                .collect(),
-        })
+    /// Snapshot every shard. `None` until the first delta has been
+    /// ingested (an empty state has no `through` day, and resuming it is
+    /// the same as starting fresh).
+    pub fn snapshot(&self) -> Option<Checkpoint> {
+        let mut cp = Checkpoint::new(self.data.fingerprint(), self.shards, self.through?);
+        cp.states = self
+            .states
+            .iter()
+            .enumerate()
+            .map(|(shard, s)| s.snapshot(shard))
+            .collect();
+        Some(cp)
     }
 
     /// Materialize the merged suite (and, with `audit`, the merged
@@ -247,58 +378,18 @@ impl<'w> IncrementalState<'w> {
     /// (the sum of every shard's finished kc/rc/mtd outputs) — what the
     /// engine's merge-stage metrics report as `items_in`.
     pub fn view_counted(&self, audit: bool) -> Result<(StateView, usize), EngineError> {
-        let mtd_detector = ManagedTlsDetector::new(&self.data.cdn_config, self.psl);
-        let kc: Vec<_> = self.states.iter().map(|s| s.kc.finish()).collect();
-        let change_index: HashMap<(DomainName, Date), usize> = enumerate_changes(&self.data.whois)
-            .into_iter()
-            .map(|c| ((c.domain, c.creation), c.index))
-            .collect();
-        let mut rc: Vec<Vec<(usize, StaleCertRecord)>> = Vec::with_capacity(self.states.len());
-        for s in &self.states {
-            let mut shard_rc = Vec::new();
-            for (domain, creation, record) in s.rc.finish() {
-                let key = (domain, creation);
-                let Some(&index) = change_index.get(&key) else {
-                    return Err(EngineError::Inconsistent(format!(
-                        "registrant change for {} at {} has no entry in the global enumeration",
-                        key.0, key.1
-                    )));
-                };
-                shard_rc.push((index, record));
-            }
-            rc.push(shard_rc);
-        }
-        let mtd: Vec<_> = self
+        let dets = Detectors::new(self.data, self.psl);
+        let mut merged = audit.then(ShardAudit::default);
+        let outputs: Vec<ShardOutput> = self
             .states
             .iter()
-            .map(|s| s.mtd.finish(&mtd_detector))
+            .map(|s| s.output(&dets, merged.as_mut(), &mut FoldTimes::default()))
             .collect();
-        // Decision audit: rc/mtd decisions re-derived from each shard's
-        // state, kc decisions expanded from the global join — the same
-        // inputs the batch driver audits, so the merged report is
-        // identical across modes (and across daemon vs batch).
-        let audit = if audit {
-            let mut decisions = Vec::new();
-            let mut losers = Vec::new();
-            for s in &self.states {
-                decisions.extend(s.rc.decisions());
-                decisions.extend(s.mtd.decisions());
-                losers.extend(s.kc.losers());
-            }
-            decisions.extend(key_compromise::audit_decisions(
-                &self.data.crl,
-                &kc,
-                &losers,
-            ));
-            Some(AuditReport::from_decisions(decisions))
-        } else {
-            None
-        };
-        let emitted: usize = kc.iter().map(Vec::len).sum::<usize>()
-            + rc.iter().map(Vec::len).sum::<usize>()
-            + mtd.iter().map(Vec::len).sum::<usize>();
-        let suite = merge_suite(self.data.crl.records().len(), self.cutoff, kc, rc, mtd);
-        Ok((StateView { suite, audit }, emitted))
+        let emitted = outputs.iter().map(ShardOutput::items).sum();
+        Ok((
+            merge_outputs(self.data, self.cutoff, outputs, merged)?,
+            emitted,
+        ))
     }
 }
 
@@ -337,19 +428,30 @@ impl Engine {
         };
         record_stage(&obs.registry, &stage_feed);
 
-        // Checkpoint: resume detector state after the last ingested day. A
+        // Checkpoint: resume every shard after the last ingested day. A
         // checkpoint past `through` is unusable (its state already
-        // contains days the caller asked to exclude) and is discarded.
-        let fingerprint = data.fingerprint();
+        // contains days the caller asked to exclude) and is refused.
         let restore_span = root.child("checkpoint.restore");
-        let restored = self
-            .config
-            .checkpoint
-            .as_ref()
-            .and_then(|path| {
-                StreamCheckpoint::load(path, fingerprint, n).filter(|cp| cp.through <= through)
-            })
-            .and_then(|cp| IncrementalState::restore(data, psl, &cp));
+        let mut rejected = None;
+        let restored = match &self.config.checkpoint {
+            Some(path) => {
+                let restored = Checkpoint::load(path, data.fingerprint(), n).and_then(|cp| {
+                    let Some(cp) = cp else { return Ok(None) };
+                    if cp.through > through {
+                        return Err(Rejection::Through(format!(
+                            "taken through {}, past this run's last day {through}",
+                            cp.through
+                        )));
+                    }
+                    IncrementalState::restore(data, psl, &cp).map(Some)
+                });
+                restored.unwrap_or_else(|why| {
+                    rejected = Some(self.reject(path, &why));
+                    None
+                })
+            }
+            None => None,
+        };
         let resumed_shards = if restored.is_some() { n } else { 0 };
         drop(restore_span);
         obs.registry
@@ -364,7 +466,7 @@ impl Engine {
         };
 
         // Stage 2: ingest day-deltas, one batch of `day_batch` days at a
-        // time, routing each item per the partitioner's rules.
+        // time, each routed and folded into every shard's state.
         let ingest_start = Instant::now();
         let day_batch = self.config.day_batch.max(1);
         let mut ingest = IngestMetrics {
@@ -458,6 +560,7 @@ impl Engine {
             queue_depth: HistogramSnapshot::default(),
             resumed_shards,
             ingest: Some(ingest),
+            checkpoint_rejected: rejected,
         };
         Ok(EngineReport {
             suite,
@@ -505,116 +608,4 @@ fn tile(from: Date, through: Date, step: usize) -> Vec<(Date, Date)> {
         from = to.succ();
     }
     out
-}
-
-/// One shard's routed slice of a delta (indexes into the delta's vectors
-/// are avoided — references are cheap and keep the ingest call sites flat).
-#[derive(Default)]
-struct RoutedDelta<'w> {
-    kc_certs: Vec<&'w ct::monitor::DedupedCert>,
-    rc_certs: Vec<&'w ct::monitor::DedupedCert>,
-    mtd_certs: Vec<&'w ct::monitor::DedupedCert>,
-    whois: Vec<(&'w DomainName, Date)>,
-    dns: Vec<(Date, &'w DomainName, &'w dns::scan::DnsView)>,
-}
-
-/// Route one delta's items into per-shard slices, mirroring
-/// [`crate::partition::partition`] exactly. The CRL is not routed — it is
-/// broadcast, so every shard ingests `delta.crl` directly.
-fn route<'w>(
-    delta: &DayDelta<'w>,
-    psl: &SuffixList,
-    rc_detector: &RegistrantChangeDetector<'_>,
-    mtd_detector: &ManagedTlsDetector<'_>,
-    n: usize,
-) -> Vec<RoutedDelta<'w>> {
-    let mut routed: Vec<RoutedDelta<'w>> = (0..n).map(|_| RoutedDelta::default()).collect();
-    for cert in &delta.certs {
-        let sans = cert.certificate.tbs.san();
-        let kc_shard = match sans.first() {
-            Some(first) => {
-                let key = psl.e2ld_of_san(first).unwrap_or_else(|_| first.clone());
-                shard_of(&key, n)
-            }
-            None => 0,
-        };
-        if let Some(slot) = routed.get_mut(kc_shard) {
-            slot.kc_certs.push(cert);
-        }
-
-        let mut rc_shards: Vec<usize> = rc_detector
-            .cert_e2lds(cert)
-            .iter()
-            .map(|e2ld| shard_of(e2ld, n))
-            .collect();
-        rc_shards.sort_unstable();
-        rc_shards.dedup();
-        for s in rc_shards {
-            if let Some(slot) = routed.get_mut(s) {
-                slot.rc_certs.push(cert);
-            }
-        }
-
-        if mtd_detector.is_managed_cert(cert) {
-            let mut mtd_shards: Vec<usize> = mtd_detector
-                .customer_domains(cert)
-                .into_iter()
-                .filter(|d| !d.is_wildcard())
-                .map(|d| shard_of(&mtd_routing_key(psl, d), n))
-                .collect();
-            mtd_shards.sort_unstable();
-            mtd_shards.dedup();
-            for s in mtd_shards {
-                if let Some(slot) = routed.get_mut(s) {
-                    slot.mtd_certs.push(cert);
-                }
-            }
-        }
-    }
-    for (domain, creation) in &delta.whois {
-        if let Some(slot) = routed.get_mut(shard_of(domain, n)) {
-            slot.whois.push((domain, *creation));
-        }
-    }
-    for (date, domain, view) in &delta.dns {
-        if let Some(slot) = routed.get_mut(shard_of(&mtd_routing_key(psl, domain), n)) {
-            slot.dns.push((*date, domain, view));
-        }
-    }
-    routed
-}
-
-/// Ingest one shard's routed slice into its state, in detector order.
-/// Item counts flow into `sink` (`detector.*.ingest.*`), which is
-/// write-only — ingestion cannot depend on what was recorded.
-#[allow(clippy::too_many_arguments)]
-fn apply<'w>(
-    state: &mut ShardState<'w>,
-    discovered: Date,
-    routed: &RoutedDelta<'w>,
-    delta: &DayDelta<'w>,
-    rc_detector: &RegistrantChangeDetector<'_>,
-    mtd_detector: &ManagedTlsDetector<'_>,
-    owned: impl Fn(&DomainName) -> bool,
-    sink: &dyn CounterSink,
-) -> Vec<StaleEvent> {
-    let mut events = state
-        .kc
-        .ingest_day_observed(discovered, &routed.kc_certs, &delta.crl, sink);
-    events.extend(state.rc.ingest_day_observed(
-        discovered,
-        rc_detector,
-        &routed.rc_certs,
-        &routed.whois,
-        sink,
-    ));
-    events.extend(state.mtd.ingest_day_observed(
-        discovered,
-        mtd_detector,
-        &routed.mtd_certs,
-        &routed.dns,
-        owned,
-        sink,
-    ));
-    events
 }

@@ -50,9 +50,10 @@ pub type ShardResult<T> = Option<(usize, u32, T)>;
 
 /// Run `jobs` shard jobs on `workers` threads. `run(shard, attempt, span)`
 /// does the work (attempt counts from 1; `span` is the attempt's span id,
-/// for nesting detector child spans); `on_complete(shard, attempts, &T)`
-/// is called on the supervisor thread after each success, in completion
-/// order (for incremental checkpointing). Returns per-shard results in
+/// for nesting child spans); `on_complete(shard, attempts, &mut T)` is
+/// called on the supervisor thread after each success, in completion
+/// order (for incremental checkpointing; it may take parts of the value
+/// it persists). Returns per-shard results in
 /// shard order (`None` for degraded shards), the degraded list sorted by
 /// shard, and the queue-depth histogram.
 pub fn run_shards<T, F>(
@@ -61,7 +62,7 @@ pub fn run_shards<T, F>(
     obs: &Obs,
     parent: SpanId,
     run: F,
-    mut on_complete: impl FnMut(usize, u32, &T),
+    mut on_complete: impl FnMut(usize, u32, &mut T),
 ) -> (Vec<ShardResult<T>>, Vec<DegradedShard>, Histogram)
 where
     T: Send,
@@ -155,9 +156,9 @@ where
                 JobResult::Done {
                     shard,
                     attempts,
-                    value,
+                    mut value,
                 } => {
-                    on_complete(shard, attempts, &value);
+                    on_complete(shard, attempts, &mut value);
                     results[shard] = Some((shard, attempts, value));
                 }
                 JobResult::Failed(d) => degraded.push(d),

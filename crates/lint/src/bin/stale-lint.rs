@@ -13,7 +13,7 @@
 //! per-line sink checks inside the reachable functions. `why` answers
 //! "why does this rule apply to this function?" with the entry→function
 //! call chain the pass proved. `preflight` accepts a world bundle, an
-//! engine checkpoint (v1 or v2), a metrics-JSON export
+//! engine checkpoint, a metrics-JSON export
 //! (`repro --metrics-json`), or a span-trace JSONL file
 //! (`repro --trace-out`) — the file kind is sniffed from its shape.
 //!

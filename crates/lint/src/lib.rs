@@ -36,7 +36,7 @@
 //!   validity, CRL entries must reference an issuer key present in the CT
 //!   set, per-domain WHOIS/DNS observability streams must be strictly
 //!   chronological, the recomputed fingerprint must match, and checkpoint
-//!   schema v1/v2 invariants must hold. The paper's own pipeline had to
+//!   invariants (schema version, shard order, sorted ledgers) must hold. The paper's own pipeline had to
 //!   sanitize its CRL/CT/WHOIS feeds before analysis (§4); this is the
 //!   same discipline applied to our serialized corpora — corrupt inputs
 //!   fail with a named diagnostic, never a panic or a silently-wrong

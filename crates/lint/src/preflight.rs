@@ -1,9 +1,8 @@
 //! The corpus pass: validate serialized inputs before anything executes.
 //!
 //! `stale-lint preflight <file>` accepts either a
-//! [`worldsim::bundle::WorldBundle`] or an engine checkpoint (schema v3
-//! batch or v2 incremental) and checks every invariant the pipeline
-//! assumes statically —
+//! [`worldsim::bundle::WorldBundle`] or an engine checkpoint and checks
+//! every invariant the pipeline assumes statically —
 //! the same sanitation discipline the paper applied to its raw CRL, CT
 //! and WHOIS feeds before analysis. A truncated, bit-flipped or
 //! hand-edited file fails with a named diagnostic; it never panics and
@@ -29,9 +28,11 @@
 //! * `fingerprint-mismatch` — the recorded fingerprint matches one
 //!   recomputed from the payload.
 //!
-//! Checkpoint invariants (`checkpoint-*`): schema version, shard count
-//! and ordering, and the sortedness/monotonicity of every saved detector
-//! ledger (what `save()` guarantees and `restore()` assumes).
+//! Checkpoint invariants (`checkpoint-*`): schema version, states in
+//! strictly increasing shard order below the declared width, and the
+//! sortedness/monotonicity of every saved detector ledger (what `save()`
+//! guarantees and `restore()` assumes). Files of earlier schemas (v2
+//! incremental state, v3 batch completions) fail on their version.
 //!
 //! Observability exports are accepted too, so CI can preflight the
 //! artifacts `repro --trace-out` / `--metrics-json` emit the same way it
@@ -54,7 +55,7 @@
 //!   stream ([`worldsim::worldlog::validate_worldlog_jsonl`]).
 
 use crate::diagnostics::{Diagnostic, Severity};
-use engine::checkpoint::{Checkpoint, StreamCheckpoint};
+use engine::checkpoint::Checkpoint;
 use serde::value::Value;
 use stale_types::Date;
 use std::collections::BTreeSet;
@@ -78,8 +79,8 @@ pub fn preflight_path(path: &Path) -> Vec<Diagnostic> {
 }
 
 /// Validate file contents, dispatching on shape: a `certs` field means a
-/// world bundle, `states` a schema-v2 checkpoint, `completed` a
-/// schema-v3 batch checkpoint, a `stale-obs-metrics` schema tag a metrics-JSON
+/// world bundle, `states` (or an earlier schema's `completed`) a
+/// checkpoint, a `stale-obs-metrics` schema tag a metrics-JSON
 /// export, and a JSONL stream opening with a `stale-obs-trace`,
 /// `stale-obs-audit` or `stale-obs-worldlog` header a span trace,
 /// decision audit or world-fact log.
@@ -115,10 +116,8 @@ pub fn preflight_str(label: &str, text: &str) -> Vec<Diagnostic> {
         preflight_metrics(label, text)
     } else if value.get("certs").is_some() {
         preflight_bundle(label, text)
-    } else if value.get("states").is_some() {
-        preflight_stream_checkpoint(label, text)
-    } else if value.get("completed").is_some() {
-        preflight_batch_checkpoint(label, text)
+    } else if value.get("states").is_some() || value.get("completed").is_some() {
+        preflight_checkpoint(label, &value)
     } else {
         vec![diag(
             "preflight-schema",
@@ -326,52 +325,51 @@ pub fn preflight_bundle(label: &str, text: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// Validate a schema-v2 (incremental) checkpoint.
-pub fn preflight_stream_checkpoint(label: &str, text: &str) -> Vec<Diagnostic> {
-    let cp: StreamCheckpoint = match serde_json::from_str(text) {
+/// Validate an engine checkpoint (already parsed as JSON).
+pub fn preflight_checkpoint(label: &str, value: &Value) -> Vec<Diagnostic> {
+    let version = value.get("version").and_then(Value::as_i128);
+    if version != Some(i128::from(Checkpoint::VERSION)) {
+        let found = version.map_or_else(|| "none".to_string(), |v| v.to_string());
+        return vec![diag(
+            "checkpoint-version",
+            label,
+            format!("schema version {found} (expected {})", Checkpoint::VERSION),
+        )];
+    }
+    let cp: Checkpoint = match serde_json::from_value(value) {
         Ok(cp) => cp,
         Err(e) => {
             return vec![diag(
                 "checkpoint-parse",
                 label,
-                format!("does not deserialize as a v2 checkpoint: {e}"),
+                format!("does not deserialize as a checkpoint: {e}"),
             )];
         }
     };
     let mut out = Vec::new();
-    if cp.version != StreamCheckpoint::VERSION {
-        out.push(diag(
-            "checkpoint-version",
-            label,
-            format!(
-                "schema version {} (expected {})",
-                cp.version,
-                StreamCheckpoint::VERSION
-            ),
-        ));
-    }
-    if cp.states.len() != cp.shards {
-        out.push(diag(
-            "checkpoint-shards",
-            label,
-            format!(
-                "{} shard states for a declared width of {}",
-                cp.states.len(),
-                cp.shards
-            ),
-        ));
-    }
+    let mut previous: Option<usize> = None;
     for (i, state) in cp.states.iter().enumerate() {
-        if state.shard != i {
+        if state.shard >= cp.shards {
+            out.push(diag(
+                "checkpoint-shards",
+                label,
+                format!(
+                    "states[{i}] claims shard {} but the declared width is {}",
+                    state.shard, cp.shards
+                ),
+            ));
+        }
+        if let Some(p) = previous.filter(|p| state.shard <= *p) {
             out.push(diag(
                 "checkpoint-order",
                 label,
                 format!(
-                    "states[{i}] claims shard {} (states must be in shard order)",
+                    "states[{i}] claims shard {} after shard {p} (states must be in strictly increasing shard order)",
                     state.shard
                 ),
             ));
         }
+        previous = Some(state.shard);
         let ids: Vec<_> = state.kc.index.iter().map(|(_, _, id)| *id).collect();
         if !strictly_increasing(&ids) {
             out.push(diag(
@@ -438,63 +436,6 @@ pub fn preflight_stream_checkpoint(label: &str, text: &str) -> Vec<Diagnostic> {
                     format!("states[{i}].mtd.departures[{domain}]: {date} does not follow {prev}"),
                 ));
             }
-        }
-    }
-    out
-}
-
-/// Validate a schema-v3 (batch) checkpoint.
-pub fn preflight_batch_checkpoint(label: &str, text: &str) -> Vec<Diagnostic> {
-    let cp: Checkpoint = match serde_json::from_str(text) {
-        Ok(cp) => cp,
-        Err(e) => {
-            return vec![diag(
-                "checkpoint-parse",
-                label,
-                format!("does not deserialize as a v3 checkpoint: {e}"),
-            )];
-        }
-    };
-    let mut out = Vec::new();
-    if cp.version != Checkpoint::VERSION {
-        out.push(diag(
-            "checkpoint-version",
-            label,
-            format!(
-                "batch checkpoint declares schema version {} (expected {})",
-                cp.version,
-                Checkpoint::VERSION
-            ),
-        ));
-    }
-    let mut seen = BTreeSet::new();
-    for (i, c) in cp.completed.iter().enumerate() {
-        if c.shard >= cp.shards {
-            out.push(diag(
-                "checkpoint-shards",
-                label,
-                format!(
-                    "completed[{i}] claims shard {} but the declared width is {}",
-                    c.shard, cp.shards
-                ),
-            ));
-        }
-        if !seen.insert(c.shard) {
-            out.push(diag(
-                "checkpoint-order",
-                label,
-                format!("completed[{i}]: shard {} appears more than once", c.shard),
-            ));
-        }
-        if c.metrics.shard != c.shard {
-            out.push(diag(
-                "checkpoint-order",
-                label,
-                format!(
-                    "completed[{i}]: metrics labelled shard {} under shard {}",
-                    c.metrics.shard, c.shard
-                ),
-            ));
         }
     }
     out

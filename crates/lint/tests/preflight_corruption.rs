@@ -2,7 +2,7 @@
 //! or hand-edited — with a named diagnostic and never panics, while a
 //! freshly serialized world bundle and checkpoint pass clean.
 
-use engine::checkpoint::{Checkpoint, SavedShard, ShardStateSnapshot, StreamCheckpoint};
+use engine::checkpoint::{Checkpoint, ShardStateSnapshot};
 use stale_core::incremental::{SavedKc, SavedMtd, SavedRc};
 use stale_lint::preflight::preflight_str;
 use stale_types::domain::dn;
@@ -90,53 +90,58 @@ fn random_single_byte_mutations_never_panic() {
     }
 }
 
-fn minimal_stream_checkpoint() -> StreamCheckpoint {
-    StreamCheckpoint {
-        version: StreamCheckpoint::VERSION,
-        fingerprint: 7,
-        shards: 1,
-        through: Date::parse("2022-11-30").unwrap(),
-        states: vec![ShardStateSnapshot {
-            shard: 0,
-            kc: SavedKc::default(),
-            rc: SavedRc::default(),
-            mtd: SavedMtd::default(),
-        }],
+fn empty_state(shard: usize) -> ShardStateSnapshot {
+    ShardStateSnapshot {
+        shard,
+        kc: SavedKc::default(),
+        rc: SavedRc::default(),
+        mtd: SavedMtd::default(),
     }
 }
 
+fn minimal_checkpoint() -> Checkpoint {
+    let mut cp = Checkpoint::new(7, 1, Date::parse("2022-11-30").unwrap());
+    cp.insert(empty_state(0));
+    cp
+}
+
 #[test]
-fn well_formed_stream_checkpoint_passes() {
-    let json = serde_json::to_string(&minimal_stream_checkpoint()).unwrap();
+fn well_formed_checkpoint_passes() {
+    let json = serde_json::to_string(&minimal_checkpoint()).unwrap();
+    let diags = preflight_str("ckpt", &json);
+    assert!(diags.is_empty(), "{diags:?}");
+    // A batch checkpoint holding a subset of the shards is well formed.
+    let mut partial = Checkpoint::new(7, 4, Date::parse("2022-11-30").unwrap());
+    partial.insert(empty_state(2));
+    let json = serde_json::to_string(&partial).unwrap();
     let diags = preflight_str("ckpt", &json);
     assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
-fn stream_checkpoint_shard_order_violations_named() {
-    let mut cp = minimal_stream_checkpoint();
-    cp.states[0].shard = 3;
+fn checkpoint_shard_order_violations_named() {
+    let mut cp = Checkpoint::new(7, 2, Date::parse("2022-11-30").unwrap());
+    cp.states = vec![empty_state(1), empty_state(0)];
     let json = serde_json::to_string(&cp).unwrap();
     let diags = preflight_str("ckpt", &json);
-    assert!(
-        diags.iter().any(|d| d.rule == "checkpoint-order"),
-        "{diags:?}"
-    );
+    assert_eq!(rules(&diags), ["checkpoint-order"], "{diags:?}");
 
-    let mut cp = minimal_stream_checkpoint();
-    cp.shards = 4; // declared width disagrees with one saved state
+    cp.states = vec![empty_state(0), empty_state(0)];
     let json = serde_json::to_string(&cp).unwrap();
     let diags = preflight_str("ckpt", &json);
-    assert!(
-        diags.iter().any(|d| d.rule == "checkpoint-shards"),
-        "{diags:?}"
-    );
+    assert_eq!(rules(&diags), ["checkpoint-order"], "{diags:?}");
+
+    let mut cp = minimal_checkpoint();
+    cp.states[0].shard = 3; // beyond the declared width
+    let json = serde_json::to_string(&cp).unwrap();
+    let diags = preflight_str("ckpt", &json);
+    assert_eq!(rules(&diags), ["checkpoint-shards"], "{diags:?}");
 }
 
 #[test]
-fn stream_checkpoint_monotonicity_violations_named() {
+fn checkpoint_monotonicity_violations_named() {
     // kc index with non-increasing cert ids.
-    let mut cp = minimal_stream_checkpoint();
+    let mut cp = minimal_checkpoint();
     cp.states[0].kc = SavedKc {
         index: vec![
             (
@@ -160,7 +165,7 @@ fn stream_checkpoint_monotonicity_violations_named() {
     );
 
     // Unsorted delegated domains, and a domain both delegated and not.
-    let mut cp = minimal_stream_checkpoint();
+    let mut cp = minimal_checkpoint();
     cp.states[0].mtd = SavedMtd {
         delegated: vec![dn("b.com"), dn("a.com")],
         undelegated: vec![dn("b.com")],
@@ -175,7 +180,7 @@ fn stream_checkpoint_monotonicity_violations_named() {
     );
 
     // Non-chronological per-domain creation dates.
-    let mut cp = minimal_stream_checkpoint();
+    let mut cp = minimal_checkpoint();
     cp.states[0].rc = SavedRc {
         certs_by_e2ld: Vec::new(),
         creations: vec![(
@@ -195,40 +200,21 @@ fn stream_checkpoint_monotonicity_violations_named() {
 }
 
 #[test]
-fn batch_checkpoint_violations_named() {
-    let mut cp = Checkpoint::new(7, 2);
-    cp.completed.push(SavedShard {
-        shard: 5, // out of the declared width
-        kc: Vec::new(),
-        rc: Vec::new(),
-        mtd: Vec::new(),
-        audit: None,
-        metrics: engine::ShardMetrics {
-            shard: 1, // and mislabelled
-            wall_us: 0,
-            kc_us: 0,
-            rc_us: 0,
-            mtd_us: 0,
-            items_in: 0,
-            items_out: 0,
-            attempts: 1,
-        },
-    });
-    let json = serde_json::to_string(&cp).unwrap();
+fn earlier_checkpoint_schemas_are_named_by_version() {
+    // A v3 batch checkpoint (completed shards) and a v2 incremental one
+    // (shard states): both are stale schemas, named, not misparsed.
+    let v3 = r#"{"version": 3, "fingerprint": 7, "shards": 2, "completed": []}"#;
+    let diags = preflight_str("ckpt", v3);
+    assert_eq!(rules(&diags), ["checkpoint-version"], "{diags:?}");
+    let mut v2 = minimal_checkpoint();
+    v2.version = 2;
+    let json = serde_json::to_string(&v2).unwrap();
     let diags = preflight_str("ckpt", &json);
-    let fired = rules(&diags);
-    assert!(fired.contains(&"checkpoint-shards"), "{diags:?}");
-    assert!(fired.contains(&"checkpoint-order"), "{diags:?}");
-
-    // A version from another schema era is named, not silently accepted.
-    let mut stale = Checkpoint::new(7, 2);
-    stale.version = 1;
-    let json = serde_json::to_string(&stale).unwrap();
-    let diags = preflight_str("ckpt", &json);
-    assert!(
-        diags.iter().any(|d| d.rule == "checkpoint-version"),
-        "{diags:?}"
-    );
+    assert_eq!(rules(&diags), ["checkpoint-version"], "{diags:?}");
+    // The right version with the wrong shape is a parse failure.
+    let malformed = r#"{"version": 4, "fingerprint": 7, "shards": 2, "states": 5}"#;
+    let diags = preflight_str("ckpt", malformed);
+    assert_eq!(rules(&diags), ["checkpoint-parse"], "{diags:?}");
 }
 
 #[test]

@@ -13,9 +13,10 @@
 //! --delay-days N
 //!               hold fed days back from queries for N fed days
 //! --checkpoint FILE
-//!               restore schema-v2 detector state from FILE at boot
-//!               (when present and matching) and use it as the default
-//!               `snapshot` target
+//!               restore detector state from FILE at boot (a complete
+//!               batch or incremental checkpoint of the same world and
+//!               width; anything else is refused with the reason on
+//!               stderr) and use it as the default `snapshot` target
 //! --checkpoint-every N
 //!               auto-snapshot to the --checkpoint file after every N
 //!               ingested days (needs --checkpoint)

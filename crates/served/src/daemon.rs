@@ -40,7 +40,7 @@
 
 use crate::proto;
 use crate::subs::{Subscribers, KIND_EVENT, KIND_SPAN};
-use engine::{IncrementalState, StateView, StreamCheckpoint};
+use engine::{Checkpoint, IncrementalState, StateView};
 use obs::trace::{SpanId, Trace};
 use obs::{Obs, SlowLog, WindowedHistogram};
 use psl::SuffixList;
@@ -67,8 +67,9 @@ pub struct DaemonConfig {
     pub shards: usize,
     /// Days a fed day is held back from queries (0 = immediate).
     pub delay_days: i64,
-    /// Schema-v2 checkpoint path: restored at boot when present and
-    /// matching, and the default target of the `snapshot` command.
+    /// Checkpoint path: restored at boot when present and matching (a
+    /// complete batch or incremental checkpoint of the same world and
+    /// width), and the default target of the `snapshot` command.
     pub checkpoint: Option<PathBuf>,
     /// Maximum accepted request frame length.
     pub max_frame: usize,
@@ -688,7 +689,7 @@ fn detector_counter(event: &stale_core::StaleEvent) -> &'static str {
 
 /// Read an exported world-fact log and reconstruct its datasets.
 ///
-/// A deliberate blocking boundary, like [`StreamCheckpoint::load`]: this
+/// A deliberate blocking boundary, like [`Checkpoint::load`]: this
 /// runs once at boot, before the accept loop opens, so nothing is
 /// resident yet to stall.
 // stale-lint: trusted(blocking-io-in-actor)
@@ -727,12 +728,21 @@ fn run_actor(cfg: DaemonConfig, rx: Receiver<ActorMsg>, obs: Obs, subs: Subscrib
         build_start.elapsed().as_micros() as u64,
     );
     let shards = cfg.shards.max(1);
-    let restored = cfg
-        .checkpoint
-        .as_deref()
-        .filter(|p| p.exists())
-        .and_then(|p| StreamCheckpoint::load(p, data.fingerprint(), shards))
-        .and_then(|cp| IncrementalState::restore(&data, &psl, &cp));
+    let restored = cfg.checkpoint.as_deref().and_then(|path| {
+        Checkpoint::load(path, data.fingerprint(), shards)
+            .and_then(|cp| {
+                cp.map(|cp| IncrementalState::restore(&data, &psl, &cp))
+                    .transpose()
+            })
+            .unwrap_or_else(|why| {
+                obs.registry.add("served.checkpoint.rejected", 1);
+                eprintln!(
+                    "stale-served: checkpoint {} refused ({why}); starting fresh",
+                    path.display()
+                );
+                None
+            })
+    });
     if restored.is_some() {
         obs.registry.add("served.checkpoint.restores", 1);
     }

@@ -265,33 +265,13 @@ pub(crate) fn probe_winners<'r>(
     merge_probe(keyed, crl_keys, rec_of, cutoff).0
 }
 
-/// Shard-local half of the §4.1 join: sort this shard's certificates by
-/// `(AKI, serial)` and merge them against the shared sorted CRL key
-/// index. CRL records that match no local certificate produce nothing;
-/// the merge step accounts them as unmatched.
-pub fn join_shard<'m>(
-    certs: impl IntoIterator<Item = &'m DedupedCert>,
-    crl: &CrlDataset,
-    cutoff: Date,
-) -> Vec<ShardMatch> {
-    join_shard_observed(certs, crl, cutoff, &obs::NullSink)
-}
-
-/// [`join_shard`] reporting item counts (`detector.kc.*`) through a
-/// write-only [`obs::CounterSink`]. The sink has no read surface, so the
-/// join result cannot depend on what was recorded.
-pub fn join_shard_observed<'m>(
-    certs: impl IntoIterator<Item = &'m DedupedCert>,
-    crl: &CrlDataset,
-    cutoff: Date,
-    sink: &dyn obs::CounterSink,
-) -> Vec<ShardMatch> {
-    join_shard_audited(certs, crl, cutoff, sink).0
-}
-
-/// [`join_shard_observed`] also returning the duplicate-fingerprint
-/// losers: for every key some CRL record matched, the shard certificates
-/// that lost the newest-cert tiebreak. The loser set is a pure function
+/// Shard-local half of the §4.1 join: this shard's certificates against
+/// the whole CRL, with item counts (`detector.kc.*`) reported through a
+/// write-only [`obs::CounterSink`]. CRL records that match no local
+/// certificate produce nothing; the merge step accounts them as
+/// unmatched. Also returns the duplicate-fingerprint losers: for every
+/// key some CRL record matched, the shard certificates that lost the
+/// newest-cert tiebreak. The loser set is a pure function
 /// of which certificates share a key, so summed over any sharding it is
 /// `certs_with_key - shards_with_key` per key — [`audit_decisions`] adds
 /// the `shards_with_key - 1` losing shard winners back at merge time,
@@ -308,12 +288,11 @@ pub fn join_shard_audited<'m>(
     join_shard_audited_with(certs, crl, &CrlKeyIndex::build(crl), cutoff, sink)
 }
 
-/// The production §4.1 shard join: a sort-merge over the shard's
-/// certificate keys and a shared, pre-sorted CRL key index. Batch,
-/// incremental, and daemon paths all join through this one
-/// implementation ([`join_shard_audited_hash`] survives only as the
-/// equivalence oracle and ablation baseline).
-// stale-lint: entry(shard)
+/// The §4.1 shard join as a sort-merge over the shard's certificate keys
+/// and a shared, pre-sorted CRL key index. Its merge loop is the one the
+/// engine's fold finishes with ([`probe_winners`]);
+/// [`join_shard_audited_hash`] survives as the independent equivalence
+/// oracle and ablation baseline.
 pub fn join_shard_audited_with<'m>(
     certs: impl IntoIterator<Item = &'m DedupedCert>,
     crl: &CrlDataset,
@@ -572,10 +551,12 @@ impl RevocationAnalysis {
 
     /// Join `crl` against `monitor` with the §4.1 filters;
     /// `collection_start` is the first day of CRL collection. This is the
-    /// single-shard composition of [`join_shard`] and [`merge_shards`].
+    /// single-shard composition of [`join_shard_audited`] and
+    /// [`merge_shards`].
     pub fn run(crl: &CrlDataset, monitor: &CtMonitor, collection_start: Date) -> Self {
         let cutoff = Self::cutoff_for(collection_start);
-        let matches = join_shard(monitor.corpus_unfiltered(), crl, cutoff);
+        let (matches, _) =
+            join_shard_audited(monitor.corpus_unfiltered(), crl, cutoff, &obs::NullSink);
         merge_shards(crl.records().len(), cutoff, vec![matches])
     }
 

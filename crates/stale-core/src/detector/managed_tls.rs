@@ -74,71 +74,41 @@ impl<'a> ManagedTlsDetector<'a> {
     }
 
     /// Detect departures over `window` and return the stale certificates.
-    /// This is the single-shard composition of [`Self::detect_shard`] and
-    /// [`merge_shards`].
+    /// This is the single-shard composition of
+    /// [`Self::detect_shard_audited`] and [`merge_shards`].
     pub fn detect(
         &self,
         adns: &DnsHistory,
         monitor: &CtMonitor,
         window: DateInterval,
     ) -> Vec<StaleCertRecord> {
-        merge_shards(vec![self.detect_shard(
+        merge_shards(vec![self.detect_shard_audited(
             adns,
             monitor.corpus_unfiltered(),
             window,
-            |_| true,
+            &obs::NullSink,
+            &obs::NullDecisionSink,
         )])
     }
 
-    /// Shard-local detection over a subset of the corpus. `owned` decides
-    /// which customer domains this shard is responsible for: the
-    /// partitioner duplicates a managed certificate into every shard that
-    /// owns one of its customer domains, and the predicate stops the
-    /// duplicates from double-reporting — each `(customer, departures)`
-    /// group is evaluated by exactly one shard.
-    pub fn detect_shard<'m>(
-        &self,
-        adns: &DnsHistory,
-        certs: impl IntoIterator<Item = &'m DedupedCert>,
-        window: DateInterval,
-        owned: impl Fn(&DomainName) -> bool,
-    ) -> Vec<StaleCertRecord> {
-        self.detect_shard_observed(adns, certs, window, owned, &obs::NullSink)
-    }
-
-    /// [`Self::detect_shard`] reporting item counts (`detector.mtd.*`)
-    /// through a write-only [`obs::CounterSink`]; the sink has no read
-    /// surface, so detection cannot depend on what was recorded.
-    pub fn detect_shard_observed<'m>(
-        &self,
-        adns: &DnsHistory,
-        certs: impl IntoIterator<Item = &'m DedupedCert>,
-        window: DateInterval,
-        owned: impl Fn(&DomainName) -> bool,
-        sink: &dyn obs::CounterSink,
-    ) -> Vec<StaleCertRecord> {
-        self.detect_shard_audited(adns, certs, window, owned, sink, &obs::NullDecisionSink)
-    }
-
-    /// [`Self::detect_shard_observed`] also reporting audit decisions
-    /// through a write-only [`obs::DecisionSink`]: one per
-    /// `(customer, departure, certificate)` triple — kept or dropped
-    /// `outside-validity-window` — and, for customers whose delegation
-    /// never departed, one `delegation-still-present` drop per
-    /// certificate. Wildcard SANs are not candidates: they carry no DNS
-    /// signal of their own and are excluded before sharding, so the
-    /// candidate universe stays shard-count-invariant.
+    /// Detection over a set of certificates, each customer evaluated once
+    /// over every certificate naming it. Item counts (`detector.mtd.*`)
+    /// go to a write-only [`obs::CounterSink`] and audit decisions to a
+    /// write-only [`obs::DecisionSink`]: one per `(customer, departure,
+    /// certificate)` triple — kept or dropped `outside-validity-window`
+    /// — and, for customers whose delegation never departed, one
+    /// `delegation-still-present` drop per certificate. Wildcard SANs are
+    /// not candidates: they carry no DNS signal of their own.
     pub fn detect_shard_audited<'m>(
         &self,
         adns: &DnsHistory,
         certs: impl IntoIterator<Item = &'m DedupedCert>,
         window: DateInterval,
-        owned: impl Fn(&DomainName) -> bool,
         sink: &dyn obs::CounterSink,
         audit: &dyn obs::DecisionSink,
     ) -> Vec<StaleCertRecord> {
         // Customer domain → managed certificates naming it, in sorted
-        // customer order so shard output is independent of input order.
+        // customer order so output is independent of input order.
         let mut by_customer: BTreeMap<&DomainName, Vec<&DedupedCert>> = BTreeMap::new();
         for cert in certs {
             if !self.is_managed_cert(cert) {
@@ -150,54 +120,9 @@ impl<'a> ManagedTlsDetector<'a> {
                 if domain.is_wildcard() {
                     continue;
                 }
-                if !owned(domain) {
-                    continue;
-                }
                 by_customer.entry(domain).or_default().push(cert);
             }
         }
-        self.evaluate_customers(adns, by_customer, window, sink, audit)
-    }
-
-    /// [`Self::detect_shard_audited`] over a pre-routed zero-copy view:
-    /// each item is a managed certificate with its non-wildcard customer
-    /// SANs and their precomputed routing hashes (see
-    /// [`crate::views::RoutedWorld`]). `owned` tests a routing hash
-    /// instead of re-deriving the e2LD per customer; the candidate
-    /// universe and output are identical to the owned-slice path.
-    // stale-lint: entry(shard)
-    pub fn detect_shard_view_audited<'m: 'v, 'v>(
-        &self,
-        adns: &DnsHistory,
-        certs: impl IntoIterator<Item = (&'m DedupedCert, &'v [(&'m DomainName, u64)])>,
-        window: DateInterval,
-        owned: impl Fn(u64) -> bool,
-        sink: &dyn obs::CounterSink,
-        audit: &dyn obs::DecisionSink,
-    ) -> Vec<StaleCertRecord> {
-        let mut by_customer: BTreeMap<&DomainName, Vec<&DedupedCert>> = BTreeMap::new();
-        for (cert, customers) in certs {
-            for &(domain, hash) in customers {
-                if !owned(hash) {
-                    continue;
-                }
-                by_customer.entry(domain).or_default().push(cert);
-            }
-        }
-        self.evaluate_customers(adns, by_customer, window, sink, audit)
-    }
-
-    /// The shared evaluation tail of both shard paths: sort each
-    /// customer's certificates, walk customers in order, emit decisions
-    /// and stale records.
-    fn evaluate_customers<'m>(
-        &self,
-        adns: &DnsHistory,
-        mut by_customer: BTreeMap<&'m DomainName, Vec<&'m DedupedCert>>,
-        window: DateInterval,
-        sink: &dyn obs::CounterSink,
-        audit: &dyn obs::DecisionSink,
-    ) -> Vec<StaleCertRecord> {
         for certs in by_customer.values_mut() {
             certs.sort_by_key(|c| c.cert_id);
         }

@@ -73,33 +73,12 @@ impl<'a> RegistrantChangeDetector<'a> {
 
     /// Shard-local detection: match this shard's registrant changes
     /// against this shard's certificates. Each change must arrive with
-    /// *all* certificates naming its domain (the partitioner duplicates
-    /// cruise-liner certificates into every shard owning one of their
-    /// e2LDs), so every emitted record is wholly owned by one shard.
-    pub fn detect_shard<'m>(
-        &self,
-        changes: &[IndexedChange],
-        certs: impl IntoIterator<Item = &'m DedupedCert>,
-    ) -> Vec<(usize, StaleCertRecord)> {
-        self.detect_shard_observed(changes, certs, &obs::NullSink)
-    }
-
-    /// [`Self::detect_shard`] reporting item counts (`detector.rc.*`)
-    /// through a write-only [`obs::CounterSink`]; the sink has no read
-    /// surface, so detection cannot depend on what was recorded.
-    pub fn detect_shard_observed<'m>(
-        &self,
-        changes: &[IndexedChange],
-        certs: impl IntoIterator<Item = &'m DedupedCert>,
-        sink: &dyn obs::CounterSink,
-    ) -> Vec<(usize, StaleCertRecord)> {
-        self.detect_shard_audited(changes, certs, sink, &obs::NullDecisionSink)
-    }
-
-    /// [`Self::detect_shard_observed`] also reporting one audit
-    /// [`obs::Decision`] per `(change, certificate)` candidate pair —
-    /// kept, or dropped `outside-validity-window` — through a write-only
-    /// [`obs::DecisionSink`]. Decisions cannot feed back into results.
+    /// *all* certificates naming its domain, so every emitted record is
+    /// wholly owned by one shard. Item counts (`detector.rc.*`) go to a
+    /// write-only [`obs::CounterSink`], and one audit [`obs::Decision`]
+    /// per `(change, certificate)` candidate pair — kept, or dropped
+    /// `outside-validity-window` — to a write-only
+    /// [`obs::DecisionSink`]; neither can feed back into results.
     pub fn detect_shard_audited<'m>(
         &self,
         changes: &[IndexedChange],
@@ -118,52 +97,6 @@ impl<'a> RegistrantChangeDetector<'a> {
         let mut records = Vec::new();
         for change in changes {
             let Some(certs) = index.get(&change.domain) else {
-                continue;
-            };
-            for cert in certs {
-                audit.decision(rc_decision(&change.domain, change.creation, cert));
-                if let Some(record) = self.stale_record(&change.domain, change.creation, cert) {
-                    records.push((change.index, record));
-                }
-            }
-        }
-        sink.add("detector.rc.records", records.len() as u64);
-        records
-    }
-
-    /// [`Self::detect_shard_audited`] over a pre-routed zero-copy view:
-    /// certificates arrive with their interned SAN-e2LD ids and changes
-    /// arrive pre-resolved to interned ids (see
-    /// [`crate::views::RoutedWorld`]), so the per-shard index is rebuilt
-    /// from integers without recomputing any e2LD. A change whose domain
-    /// was never interned (no certificate anywhere names it) carries
-    /// `u32::MAX`, which matches no index entry — exactly the owned
-    /// path's miss. Output and counters are identical to
-    /// [`Self::detect_shard_audited`].
-    // stale-lint: entry(shard)
-    pub fn detect_shard_view_audited<'m, 'v>(
-        &self,
-        changes: &[(u32, &'v IndexedChange)],
-        certs: impl IntoIterator<Item = (&'m DedupedCert, &'v [u32])>,
-        sink: &dyn obs::CounterSink,
-        audit: &dyn obs::DecisionSink,
-    ) -> Vec<(usize, StaleCertRecord)> {
-        let mut index: HashMap<u32, Vec<&DedupedCert>> = HashMap::new();
-        for (cert, ids) in certs {
-            for &id in ids {
-                index.entry(id).or_default().push(cert);
-            }
-        }
-        sink.add("detector.rc.changes", changes.len() as u64);
-        sink.add("detector.rc.indexed_e2lds", index.len() as u64);
-        // Summing lengths is order-independent and the sink is write-only,
-        // so this HashMap walk cannot leak iteration order into results.
-        // stale-lint: allow(nondeterministic-iteration)
-        let cert_refs: u64 = index.values().map(|v| v.len() as u64).sum();
-        sink.add("detector.rc.cert_refs", cert_refs);
-        let mut records = Vec::new();
-        for &(id, change) in changes {
-            let Some(certs) = index.get(&id) else {
                 continue;
             };
             for cert in certs {
@@ -217,13 +150,16 @@ impl<'a> RegistrantChangeDetector<'a> {
     }
 
     /// Detect stale certificates for every registrant change in `whois`.
-    /// This is the single-shard composition of [`Self::detect_shard`] and
-    /// [`merge_shards`].
+    /// This is the single-shard composition of
+    /// [`Self::detect_shard_audited`] and [`merge_shards`].
     pub fn detect(&self, whois: &WhoisDataset, monitor: &CtMonitor) -> Vec<StaleCertRecord> {
         let changes = enumerate_changes(whois);
-        merge_shards(vec![
-            self.detect_shard(&changes, monitor.corpus_unfiltered())
-        ])
+        merge_shards(vec![self.detect_shard_audited(
+            &changes,
+            monitor.corpus_unfiltered(),
+            &obs::NullSink,
+            &obs::NullDecisionSink,
+        )])
     }
 }
 

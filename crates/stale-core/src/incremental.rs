@@ -1,6 +1,6 @@
 //! Persistent per-shard detector state for incremental (daily) ingestion.
 //!
-//! The batch detectors re-scan the full ten-year corpus on every run. The
+//! The serial detectors re-scan the full ten-year corpus on every run. The
 //! types here let each detector instead *accumulate* state day by day —
 //! the way the paper's feeds actually arrive (daily CRL downloads, WHOIS
 //! snapshots, neighbouring-day aDNS diffs) — and emit [`StaleEvent`]s as
@@ -16,12 +16,15 @@
 //!   target plus an open departure ledger per customer; certificates and
 //!   departures pair up regardless of arrival order.
 //!
-//! Each state's `finish()` reconstructs **exactly** the batch detector's
-//! shard output, so the engine's existing deterministic merges produce
-//! byte-identical reports (`tests/incremental_equivalence.rs` asserts
-//! this). Each state also round-trips through a compact `Saved*` form
-//! (certificate bodies are re-resolved from the CT monitor by id) — the
-//! engine's checkpoint schema v2.
+//! These states are the engine's one shard kernel: its batch driver
+//! folds the whole window through them at once, its incremental driver
+//! and the daemon one day-delta at a time. Each state's `finish()`
+//! reconstructs **exactly** the serial detector's output over what was
+//! folded, so the deterministic merges produce byte-identical reports
+//! (`tests/engine_equivalence.rs` and `tests/incremental_equivalence.rs`
+//! assert this). Each state also round-trips through a compact `Saved*`
+//! form (certificate bodies are re-resolved from the CT monitor by id) —
+//! the engine's checkpoint schema.
 
 // Slice indexing here runs over routed-feed and snapshot indices.
 // stale-lint: scope(panic-index)
@@ -84,6 +87,17 @@ impl DomainInterner {
         self.names.push(domain.clone());
         self.ids.insert(domain.clone(), id);
         id
+    }
+
+    /// Id for the name `name` spells, allocating on first sight; `None`
+    /// when it is not a valid domain name. Lets a hot path probe with a
+    /// borrowed string and parse only names it has never seen.
+    pub fn intern_str(&mut self, name: &str) -> Option<u32> {
+        if let Some(id) = self.ids.get(name) {
+            return Some(*id);
+        }
+        let domain = DomainName::parse(name).ok()?;
+        Some(self.intern(&domain))
     }
 
     /// Id for `domain` if already interned.
@@ -158,21 +172,10 @@ impl<'w> KcIncremental<'w> {
 
     /// Ingest one day-delta slice: certificates first seen and CRL records
     /// first observed in the range. Emits an event per kept key-compromise
-    /// pairing discovered (or improved) by this delta.
-    // stale-lint: entry(shard)
-    pub fn ingest_day(
-        &mut self,
-        discovered: Date,
-        certs: &[&'w DedupedCert],
-        crl: &[(usize, &'w RevocationRecord)],
-    ) -> Vec<StaleEvent> {
-        self.ingest_day_observed(discovered, certs, crl, &obs::NullSink)
-    }
-
-    /// [`Self::ingest_day`] reporting item counts
-    /// (`detector.kc.ingest.*`) through a write-only
-    /// [`obs::CounterSink`]; the sink has no read surface, so ingestion
-    /// cannot depend on what was recorded.
+    /// pairing discovered (or improved) by this delta. Item counts
+    /// (`detector.kc.*`) go to a write-only [`obs::CounterSink`];
+    /// the sink has no read surface, so ingestion cannot depend on what
+    /// was recorded.
     pub fn ingest_day_observed(
         &mut self,
         discovered: Date,
@@ -180,8 +183,8 @@ impl<'w> KcIncremental<'w> {
         crl: &[(usize, &'w RevocationRecord)],
         sink: &dyn obs::CounterSink,
     ) -> Vec<StaleEvent> {
-        sink.add("detector.kc.ingest.certs", certs.len() as u64);
-        sink.add("detector.kc.ingest.crl", crl.len() as u64);
+        sink.add("detector.kc.certs", certs.len() as u64);
+        sink.add("detector.kc.crl_records", crl.len() as u64);
         let mut events = Vec::new();
         for cert in certs {
             let Some(aki) = cert.certificate.tbs.authority_key_id() else {
@@ -229,7 +232,7 @@ impl<'w> KcIncremental<'w> {
                 push_kc_event(&mut events, discovered, *idx, rec, cert, self.cutoff);
             }
         }
-        sink.add("detector.kc.ingest.events", events.len() as u64);
+        sink.add("detector.kc.events", events.len() as u64);
         events
     }
 
@@ -239,10 +242,9 @@ impl<'w> KcIncremental<'w> {
         self.index.len() + self.seen.len()
     }
 
-    /// The shard's join matches so far — exactly what the batch
-    /// [`key_compromise::join_shard`] returns over the same certificates
-    /// and the CRL records seen so far, in CRL-index order.
-    // stale-lint: entry(shard)
+    /// The shard's join matches so far — exactly what
+    /// [`key_compromise::join_shard_audited`] returns over the same
+    /// certificates and the CRL records seen so far, in CRL-index order.
     pub fn finish(&self) -> Vec<ShardMatch> {
         // The same sort-merge probe the batch shard join runs: the
         // persistent index is already one winner per key in key order,
@@ -400,54 +402,47 @@ impl<'w> RcIncremental<'w> {
         &self.interner
     }
 
-    /// Ingest one day-delta slice: certificates and WHOIS `(domain,
-    /// creation)` observations. A second (or later) creation date for a
-    /// domain is a registrant change; each new arrival on either side
-    /// probes the other, so every spanning `(change, certificate)` pair is
-    /// discovered exactly once.
-    // stale-lint: entry(shard)
-    pub fn ingest_day(
-        &mut self,
-        discovered: Date,
-        detector: &RegistrantChangeDetector<'_>,
-        certs: &[&'w DedupedCert],
-        whois: &[(&DomainName, Date)],
-    ) -> Vec<StaleEvent> {
-        self.ingest_day_observed(discovered, detector, certs, whois, &obs::NullSink)
-    }
-
-    /// [`Self::ingest_day`] reporting item counts
-    /// (`detector.rc.ingest.*`) through a write-only
-    /// [`obs::CounterSink`]; the sink has no read surface, so ingestion
-    /// cannot depend on what was recorded.
+    /// Ingest one day-delta slice: certificates, each with the SAN e2LDs
+    /// this shard owns (the router derives them once per certificate, as
+    /// [`RegistrantChangeDetector::cert_e2lds`] spells them),
+    /// and WHOIS `(domain, creation)` observations. A second (or later)
+    /// creation date for a domain is a registrant change; each new
+    /// arrival on either side probes the other, so every spanning
+    /// `(change, certificate)` pair is discovered exactly once. Item
+    /// counts (`detector.rc.*`) go to a write-only
+    /// [`obs::CounterSink`].
     pub fn ingest_day_observed(
         &mut self,
         discovered: Date,
         detector: &RegistrantChangeDetector<'_>,
-        certs: &[&'w DedupedCert],
+        certs: &[(&'w DedupedCert, Vec<&str>)],
         whois: &[(&DomainName, Date)],
         sink: &dyn obs::CounterSink,
     ) -> Vec<StaleEvent> {
-        sink.add("detector.rc.ingest.certs", certs.len() as u64);
-        sink.add("detector.rc.ingest.whois", whois.len() as u64);
+        sink.add("detector.rc.certs", certs.len() as u64);
+        sink.add("detector.rc.whois", whois.len() as u64);
         let mut events = Vec::new();
-        for cert in certs {
-            for e2ld in detector.cert_e2lds(cert) {
-                let id = self.interner.intern(&e2ld);
+        for &(cert, ref e2lds) in certs {
+            for e2ld in e2lds {
+                let Some(id) = self.interner.intern_str(e2ld) else {
+                    continue;
+                };
                 self.certs_by_e2ld.entry(id).or_default().push(cert);
-                if let Some(dates) = self.creations.get(&id) {
-                    for creation in dates.iter().skip(1) {
-                        if let Some(record) = detector.stale_record(&e2ld, *creation, cert) {
-                            self.matches.push((id, *creation, record.clone()));
-                            events.push(StaleEvent {
-                                discovered,
-                                record,
-                                provenance: Some(Provenance::WhoisCreation {
-                                    domain: e2ld.to_string(),
-                                    created: creation.to_string(),
-                                }),
-                            });
-                        }
+                let (Some(dates), Some(e2ld)) = (self.creations.get(&id), self.interner.name(id))
+                else {
+                    continue;
+                };
+                for creation in dates.iter().skip(1) {
+                    if let Some(record) = detector.stale_record(e2ld, *creation, cert) {
+                        self.matches.push((id, *creation, record.clone()));
+                        events.push(StaleEvent {
+                            discovered,
+                            record,
+                            provenance: Some(Provenance::WhoisCreation {
+                                domain: e2ld.to_string(),
+                                created: creation.to_string(),
+                            }),
+                        });
                     }
                 }
             }
@@ -479,7 +474,7 @@ impl<'w> RcIncremental<'w> {
                 }
             }
         }
-        sink.add("detector.rc.ingest.events", events.len() as u64);
+        sink.add("detector.rc.events", events.len() as u64);
         events
     }
 
@@ -493,8 +488,7 @@ impl<'w> RcIncremental<'w> {
     /// change. The engine maps each key to its global change index (the
     /// batch enumeration order) and reuses the batch merge (which sorts,
     /// so ledger order is irrelevant). O(matches): the ledger is
-    /// maintained online by [`RcIncremental::ingest_day`].
-    // stale-lint: entry(shard)
+    /// maintained online by [`RcIncremental::ingest_day_observed`].
     pub fn finish(&self) -> Vec<(DomainName, Date, StaleCertRecord)> {
         self.matches
             .iter()
@@ -660,53 +654,34 @@ impl<'w> MtdIncremental<'w> {
         }
     }
 
-    /// Ingest one day-delta slice: certificates and DNS change-log entries
-    /// (chronological per domain). A delegated → undelegated transition at
-    /// day `d` inside the window is a departure at `d` (the batch
-    /// neighbouring-day diff sees delegation at `d-1` and none at `d`).
-    /// `owned` is the shard-ownership predicate for customer domains —
-    /// managed certificates are duplicated across shards and must only
-    /// count against customers this shard owns.
-    // stale-lint: entry(shard)
-    pub fn ingest_day(
-        &mut self,
-        discovered: Date,
-        detector: &ManagedTlsDetector<'_>,
-        certs: &[&'w DedupedCert],
-        dns: &[(Date, &DomainName, &DnsView)],
-        owned: impl Fn(&DomainName) -> bool,
-    ) -> Vec<StaleEvent> {
-        self.ingest_day_observed(discovered, detector, certs, dns, owned, &obs::NullSink)
-    }
-
-    /// [`Self::ingest_day`] reporting item counts
-    /// (`detector.mtd.ingest.*`) through a write-only
-    /// [`obs::CounterSink`]; the sink has no read surface, so ingestion
-    /// cannot depend on what was recorded.
+    /// Ingest one day-delta slice: managed certificates, each with the
+    /// non-wildcard customer domains this shard owns (managed
+    /// certificates are handed to every shard owning one of their
+    /// customers and must only count against those), and DNS change-log
+    /// entries (chronological per domain). A delegated → undelegated
+    /// transition at day `d` inside the window is a departure at `d` (the
+    /// batch neighbouring-day diff sees delegation at `d-1` and none at
+    /// `d`). Item counts (`detector.mtd.*`) go to a write-only
+    /// [`obs::CounterSink`].
     pub fn ingest_day_observed(
         &mut self,
         discovered: Date,
         detector: &ManagedTlsDetector<'_>,
-        certs: &[&'w DedupedCert],
+        certs: &[(&'w DedupedCert, Vec<&DomainName>)],
         dns: &[(Date, &DomainName, &DnsView)],
-        owned: impl Fn(&DomainName) -> bool,
         sink: &dyn obs::CounterSink,
     ) -> Vec<StaleEvent> {
-        sink.add("detector.mtd.ingest.certs", certs.len() as u64);
-        sink.add("detector.mtd.ingest.dns", dns.len() as u64);
+        sink.add("detector.mtd.certs", certs.len() as u64);
+        sink.add("detector.mtd.dns", dns.len() as u64);
         let mut events = Vec::new();
-        for cert in certs {
-            if !detector.is_managed_cert(cert) {
-                continue;
-            }
-            for domain in detector.customer_domains(cert) {
-                if domain.is_wildcard() || !owned(domain) {
-                    continue;
+        for &(cert, ref customers) in certs {
+            for &domain in customers {
+                match self.certs_by_customer.get_mut(domain) {
+                    Some(named) => named.push(cert),
+                    None => {
+                        self.certs_by_customer.insert(domain.clone(), vec![cert]);
+                    }
                 }
-                self.certs_by_customer
-                    .entry(domain.clone())
-                    .or_default()
-                    .push(cert);
                 if let Some(days) = self.departures.get(domain) {
                     for departure in days {
                         if let Some(record) = detector.stale_record(domain, *departure, cert) {
@@ -746,7 +721,7 @@ impl<'w> MtdIncremental<'w> {
                 }
             }
         }
-        sink.add("detector.mtd.ingest.events", events.len() as u64);
+        sink.add("detector.mtd.events", events.len() as u64);
         events
     }
 
@@ -758,8 +733,7 @@ impl<'w> MtdIncremental<'w> {
 
     /// All stale records so far, in the batch shard's emission order
     /// (customers sorted, departures chronological, certificates by id) —
-    /// exactly what [`ManagedTlsDetector::detect_shard`] returns.
-    // stale-lint: entry(shard)
+    /// exactly what [`ManagedTlsDetector::detect_shard_audited`] returns.
     pub fn finish(&self, detector: &ManagedTlsDetector<'_>) -> Vec<StaleCertRecord> {
         let mut records = Vec::new();
         for (domain, certs) in &self.certs_by_customer {
@@ -921,30 +895,35 @@ mod tests {
         let psl = SuffixList::default_list();
         let detector = RegistrantChangeDetector::new(&psl);
         let c = cert(1, &["foo.com"], "2021-01-01", 398);
+        let e2lds = detector.cert_e2lds(&c);
+        let routed = [(&c, e2lds.iter().map(DomainName::as_str).collect())];
+        let sink = &obs::NullSink;
 
         // Change first, then certificate.
         let mut a = RcIncremental::new();
         let foo = dn("foo.com");
-        let e1 = a.ingest_day(
+        let e1 = a.ingest_day_observed(
             d("2021-06-01"),
             &detector,
             &[],
             &[(&foo, d("2015-01-01")), (&foo, d("2021-06-01"))],
+            sink,
         );
         assert!(e1.is_empty(), "no certificate yet");
-        let e2 = a.ingest_day(d("2021-06-02"), &detector, &[&c], &[]);
+        let e2 = a.ingest_day_observed(d("2021-06-02"), &detector, &routed, &[], sink);
         assert_eq!(e2.len(), 1);
         assert_eq!(e2[0].record.invalidation, d("2021-06-01"));
 
         // Certificate first, then change.
         let mut b = RcIncremental::new();
-        let e3 = b.ingest_day(d("2021-01-01"), &detector, &[&c], &[]);
+        let e3 = b.ingest_day_observed(d("2021-01-01"), &detector, &routed, &[], sink);
         assert!(e3.is_empty());
-        let e4 = b.ingest_day(
+        let e4 = b.ingest_day_observed(
             d("2021-06-01"),
             &detector,
             &[],
             &[(&foo, d("2015-01-01")), (&foo, d("2021-06-01"))],
+            sink,
         );
         assert_eq!(e4.len(), 1);
         assert_eq!(a.finish().len(), 1);
@@ -963,30 +942,38 @@ mod tests {
 
         let mut state = MtdIncremental::new(window);
         let c = cert(1, &["sni1.cloudflaressl.com", "foo.com"], "2022-03-01", 365);
-        state.ingest_day(d("2022-03-01"), &detector, &[&c], &[], |_| true);
+        let sink = &obs::NullSink;
+        let customer = dn("foo.com");
+        state.ingest_day_observed(
+            d("2022-03-01"),
+            &detector,
+            &[(&c, vec![&customer])],
+            &[],
+            sink,
+        );
         // First observation is already off: no departure.
-        let e = state.ingest_day(
+        let e = state.ingest_day_observed(
             d("2022-08-05"),
             &detector,
             &[],
             &[(d("2022-08-05"), &foo, &off)],
-            |_| true,
+            sink,
         );
         assert!(e.is_empty());
         // On, then off inside the window: departure.
-        state.ingest_day(
+        state.ingest_day_observed(
             d("2022-08-10"),
             &detector,
             &[],
             &[(d("2022-08-10"), &foo, &on)],
-            |_| true,
+            sink,
         );
-        let e = state.ingest_day(
+        let e = state.ingest_day_observed(
             d("2022-09-15"),
             &detector,
             &[],
             &[(d("2022-09-15"), &foo, &off)],
-            |_| true,
+            sink,
         );
         assert_eq!(e.len(), 1);
         assert_eq!(e[0].record.invalidation, d("2022-09-15"));

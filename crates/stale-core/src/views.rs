@@ -1,27 +1,11 @@
-//! Zero-copy shard views over a single shared immutable world.
+//! The engine's stable routing hash.
 //!
-//! The sharded engine's partitioner used to clone owned per-shard copies
-//! of every routed certificate list. This module replaces the data plane
-//! of that design: the world is flattened once into a [`WorldArena`], one
-//! routing pass computes — per certificate, shard-count-independently —
-//! everything the partitioner needs (the key-compromise routing hash, the
-//! interned SAN-e2LD id set, the managed-TLS customer routing hashes),
-//! and shard "inputs" become plain index lists into the shared arrays.
-//! Cutting views for `n` shards is then a single linear pass of modulo
-//! tests; re-sharding the same world costs no re-routing and no copying.
-//!
-//! The routing hash is FNV-1a over the routing domain — the same function
-//! the owned partitioner used, so view-based shard assignment is
-//! bit-identical to the historical one (the partition-view coverage
-//! proptest pins this).
-
-use crate::detector::key_compromise::{CrlKeyIndex, RevocationAnalysis};
-use crate::detector::managed_tls::ManagedTlsDetector;
-use crate::detector::registrant_change::{enumerate_changes, IndexedChange};
-use psl::SuffixList;
-use stale_types::{Date, DomainName};
-use std::collections::HashMap;
-use worldsim::{WorldArena, WorldDatasets};
+//! Every shard assignment in the sharded engine is `route_hash(key) %
+//! shards` over a routing domain (an e2LD, or a name the suffix list
+//! cannot split). FNV-1a is fixed and platform-independent, so a given
+//! world routes identically on every host and across releases, which is
+//! what lets checkpoints taken at one width resume at the same width
+//! anywhere.
 
 /// FNV-1a over a byte string — the engine's stable routing hash.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -39,199 +23,15 @@ pub fn route_hash(key: &str) -> u64 {
     fnv1a64(key.as_bytes())
 }
 
-/// One provider-managed certificate with its pre-routed customers: every
-/// non-wildcard, non-marker SAN alongside the routing hash of its e2LD
-/// (falling back to the SAN itself when the PSL cannot split it).
-pub struct MtdCandidate<'w> {
-    /// Arena index of the managed certificate.
-    pub cert: u32,
-    /// Customer SANs with routing hashes, in SAN order.
-    pub customers: Vec<(&'w DomainName, u64)>,
-}
-
-/// A world routed once, shard-count-independently. All per-candidate
-/// routing work (e2LD extraction, hashing, interning, marker tests, CRL
-/// key sorting) happens here exactly once; cutting `n` shard views out of
-/// a `RoutedWorld` is pure integer arithmetic.
-pub struct RoutedWorld<'w> {
-    /// The shared immutable world.
-    pub arena: WorldArena<'w>,
-    /// Per-certificate key-compromise routing hash. Certificates with no
-    /// SAN carry `0`, which lands on shard 0 for every shard count —
-    /// exactly the owned partitioner's rule.
-    pub kc_hash: Vec<u64>,
-    /// Per-certificate offsets into `rc_ids` (length `arena.len() + 1`).
-    rc_offsets: Vec<u32>,
-    /// Interned SAN-e2LD ids per certificate, deduplicated in SAN order.
-    rc_ids: Vec<u32>,
-    /// Routing hash per interned e2LD id.
-    pub rc_hash: Vec<u64>,
-    /// e2LD string → interned id (registrant-change domain resolution).
-    pub rc_lookup: HashMap<String, u32>,
-    /// Provider-managed certificates with pre-routed customers, in arena
-    /// order.
-    pub mtd: Vec<MtdCandidate<'w>>,
-    /// The global registrant-change enumeration (the rc merge order).
-    pub changes: Vec<IndexedChange>,
-    /// Interned e2LD id per change; `u32::MAX` when no certificate
-    /// anywhere names the changed domain (such a change can never match).
-    pub change_id: Vec<u32>,
-    /// Routing hash per change domain.
-    pub change_hash: Vec<u64>,
-    /// The CRL key index, sorted once and shared by every shard's
-    /// sort-merge join.
-    pub crl_keys: CrlKeyIndex,
-    /// The key-compromise reporting cutoff for this world's CRL window.
-    pub cutoff: Date,
-}
-
-impl<'w> RoutedWorld<'w> {
-    /// Route `data` once. The pass is `O(corpus + changes + crl)` and
-    /// independent of any shard count.
-    pub fn build(data: &'w WorldDatasets, psl: &SuffixList) -> Self {
-        let arena = WorldArena::new(data);
-        let mtd_detector = ManagedTlsDetector::new(&data.cdn_config, psl);
-        let certs = arena.len();
-        let mut kc_hash = Vec::with_capacity(certs);
-        let mut rc_offsets = Vec::with_capacity(certs + 1);
-        rc_offsets.push(0u32);
-        let mut rc_ids: Vec<u32> = Vec::new();
-        let mut rc_hash: Vec<u64> = Vec::new();
-        let mut rc_lookup: HashMap<String, u32> = HashMap::new();
-        let mut mtd = Vec::new();
-
-        for (i, cert) in arena.certs().iter().enumerate() {
-            let sans = cert.certificate.tbs.san();
-
-            // Key compromise: routed by the first SAN's e2LD, falling
-            // back to the SAN itself; SAN-less certificates go to shard 0.
-            kc_hash.push(match sans.first() {
-                Some(first) => route_hash(psl.e2ld_of_san_str(first).unwrap_or(first.as_str())),
-                None => 0,
-            });
-
-            // Registrant change: intern every SAN e2LD, deduplicated in
-            // SAN order (the cert's routing key set).
-            let mark = rc_ids.len();
-            for san in sans {
-                let Ok(e2ld) = psl.e2ld_of_san_str(san) else {
-                    continue;
-                };
-                let id = match rc_lookup.get(e2ld) {
-                    Some(&id) => id,
-                    None => {
-                        let id = rc_hash.len() as u32;
-                        rc_hash.push(route_hash(e2ld));
-                        rc_lookup.insert(e2ld.to_string(), id);
-                        id
-                    }
-                };
-                if !rc_ids[mark..].contains(&id) {
-                    rc_ids.push(id);
-                }
-            }
-            rc_offsets.push(rc_ids.len() as u32);
-
-            // Managed TLS: marker-carrying certificates, with customers
-            // pre-filtered (no marker, no wildcard) and pre-hashed.
-            if mtd_detector.is_managed_cert(cert) {
-                let customers: Vec<(&DomainName, u64)> = sans
-                    .iter()
-                    .filter(|s| !mtd_detector.is_marker_san(s) && !s.is_wildcard())
-                    .map(|d| {
-                        let key = psl.e2ld_of_san_str(d).unwrap_or(d.as_str());
-                        (d, route_hash(key))
-                    })
-                    .collect();
-                mtd.push(MtdCandidate {
-                    cert: i as u32,
-                    customers,
-                });
-            }
-        }
-
-        let changes = enumerate_changes(&data.whois);
-        let change_id: Vec<u32> = changes
-            .iter()
-            .map(|c| {
-                rc_lookup
-                    .get(c.domain.as_str())
-                    .copied()
-                    .unwrap_or(u32::MAX)
-            })
-            .collect();
-        let change_hash: Vec<u64> = changes
-            .iter()
-            .map(|c| route_hash(c.domain.as_str()))
-            .collect();
-
-        RoutedWorld {
-            arena,
-            kc_hash,
-            rc_offsets,
-            rc_ids,
-            rc_hash,
-            rc_lookup,
-            mtd,
-            changes,
-            change_id,
-            change_hash,
-            crl_keys: CrlKeyIndex::build(&data.crl),
-            cutoff: RevocationAnalysis::cutoff_for(data.crl_window.start),
-        }
-    }
-
-    /// The interned SAN-e2LD ids of the certificate at arena index `i`,
-    /// deduplicated in SAN order.
-    pub fn rc_ids_of(&self, i: u32) -> &[u32] {
-        let lo = self.rc_offsets[i as usize] as usize;
-        let hi = self.rc_offsets[i as usize + 1] as usize;
-        &self.rc_ids[lo..hi]
-    }
-
-    /// Number of distinct interned e2LDs across the corpus.
-    pub fn interned_e2lds(&self) -> usize {
-        self.rc_hash.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::registrant_change::RegistrantChangeDetector;
-    use worldsim::{ScenarioConfig, World};
 
     #[test]
     fn fnv_is_stable() {
         // Reference vectors for FNV-1a 64-bit.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn routed_world_matches_detector_routing_keys() {
-        let data = World::run(ScenarioConfig::tiny());
-        let psl = SuffixList::default_list();
-        let routed = RoutedWorld::build(&data, &psl);
-        let rc = RegistrantChangeDetector::new(&psl);
-        assert_eq!(routed.kc_hash.len(), routed.arena.len());
-        for (i, cert) in routed.arena.certs().iter().enumerate() {
-            // The interned id list reproduces cert_e2lds exactly (same
-            // set, same order, same hashes).
-            let expected = rc.cert_e2lds(cert);
-            let ids = routed.rc_ids_of(i as u32);
-            assert_eq!(ids.len(), expected.len());
-            for (id, e2ld) in ids.iter().zip(&expected) {
-                assert_eq!(routed.rc_lookup[e2ld.as_str()], *id);
-                assert_eq!(routed.rc_hash[*id as usize], route_hash(e2ld.as_str()));
-            }
-        }
-        // Every change resolves consistently with the interner.
-        for (c, id) in routed.changes.iter().zip(&routed.change_id) {
-            match routed.rc_lookup.get(c.domain.as_str()) {
-                Some(&interned) => assert_eq!(*id, interned),
-                None => assert_eq!(*id, u32::MAX),
-            }
-        }
+        assert_eq!(route_hash("a"), fnv1a64(b"a"));
     }
 }

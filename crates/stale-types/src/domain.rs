@@ -138,6 +138,15 @@ impl AsRef<str> for DomainName {
     }
 }
 
+/// Hashing, equality and order all derive from the one `String` field,
+/// so they agree with `str`'s: maps keyed by names can be probed with a
+/// borrowed string.
+impl std::borrow::Borrow<str> for DomainName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 /// Parse a domain name, panicking on invalid input.
 ///
 /// Intended for literals in tests and simulator presets.

@@ -51,11 +51,59 @@ pub struct DayDelta<'w> {
     pub dns: Vec<(Date, &'w DomainName, &'w DnsView)>,
 }
 
-impl DayDelta<'_> {
+impl<'w> DayDelta<'w> {
+    /// Every item of `data` as one delta spanning the whole feed — what
+    /// the batch engine folds. It walks the datasets exactly as
+    /// [`DayFeed::new`] does: `from`/`to` are [`DayFeed::start`] and
+    /// [`DayFeed::end`], and the items are those of the feed's full
+    /// delta in dataset order (cert-id order for CT, CRL-record order,
+    /// domain order and chronological within a domain for WHOIS and
+    /// DNS) instead of date-major.
+    pub fn whole(data: &'w WorldDatasets) -> Self {
+        let certs: Vec<&DedupedCert> = data.monitor.corpus_unfiltered().collect();
+        let crl: Vec<(usize, &RevocationRecord)> = data.crl.records().iter().enumerate().collect();
+        let whois: Vec<(&DomainName, Date)> = data.whois.observations().collect();
+        let dns: Vec<(Date, &DomainName, &DnsView)> = dns_changes(data).collect();
+        let dates = certs
+            .iter()
+            .map(|c| c.first_seen)
+            .chain(crl.iter().map(|(_, r)| r.observed))
+            .chain(whois.iter().map(|(_, creation)| *creation))
+            .chain(dns.iter().map(|(date, _, _)| *date));
+        let (from, to) = span(data, dates.clone().min(), dates.max());
+        DayDelta {
+            from,
+            to,
+            certs,
+            crl,
+            whois,
+            dns,
+        }
+    }
+
     /// Total items carried by this delta.
     pub fn items(&self) -> usize {
         self.certs.len() + self.crl.len() + self.whois.len() + self.dns.len()
     }
+}
+
+/// Every DNS change-log entry, domain-major and chronological within a
+/// domain.
+fn dns_changes(data: &WorldDatasets) -> impl Iterator<Item = (Date, &DomainName, &DnsView)> {
+    data.adns
+        .change_logs()
+        .flat_map(|(domain, log)| log.iter().map(move |(date, view)| (*date, domain, view)))
+}
+
+/// The feed's span given its first and last observable days. An empty
+/// world still yields a well-formed (empty) feed, and the feed runs at
+/// least through the last simulated day.
+fn span(data: &WorldDatasets, first: Option<Date>, last: Option<Date>) -> (Date, Date) {
+    let start = first.unwrap_or(data.sim_window.start);
+    let end = last
+        .unwrap_or(data.sim_window.start)
+        .max(data.sim_window.end.pred());
+    (start, end)
 }
 
 /// A date-indexed view of the four datasets. Construction is one linear
@@ -85,36 +133,26 @@ impl<'w> DayFeed<'w> {
             whois.entry(creation).or_default().push((domain, creation));
         }
         let mut dns: BTreeMap<Date, Vec<(&DomainName, &DnsView)>> = BTreeMap::new();
-        for domain in data.adns.domains() {
-            for (date, view) in data.adns.change_log(domain) {
-                dns.entry(*date).or_default().push((domain, view));
-            }
+        for (date, domain, view) in dns_changes(data) {
+            dns.entry(date).or_default().push((domain, view));
         }
         let first = [
             certs.keys().next(),
             crl.keys().next(),
             whois.keys().next(),
             dns.keys().next(),
-        ]
-        .into_iter()
-        .flatten()
-        .copied()
-        .min();
+        ];
         let last = [
             certs.keys().next_back(),
             crl.keys().next_back(),
             whois.keys().next_back(),
             dns.keys().next_back(),
-        ]
-        .into_iter()
-        .flatten()
-        .copied()
-        .max();
-        // An empty world still yields a well-formed (empty) feed.
-        let start = first.unwrap_or(data.sim_window.start);
-        let end = last
-            .unwrap_or(data.sim_window.start)
-            .max(data.sim_window.end.pred());
+        ];
+        let (start, end) = span(
+            data,
+            first.into_iter().flatten().min().copied(),
+            last.into_iter().flatten().max().copied(),
+        );
         DayFeed {
             certs,
             crl,
@@ -197,6 +235,31 @@ mod tests {
         idx.sort_unstable();
         idx.dedup();
         assert_eq!(idx.len(), data.crl.records().len());
+    }
+
+    #[test]
+    fn whole_delta_is_the_full_feed_in_dataset_order() {
+        let data = World::run(ScenarioConfig::tiny());
+        let feed = DayFeed::new(&data);
+        let whole = DayDelta::whole(&data);
+        assert_eq!((whole.from, whole.to), (feed.start(), feed.end()));
+        let full = feed.delta(feed.start(), feed.end());
+        let ids = |certs: &[&DedupedCert]| {
+            let mut ids: Vec<_> = certs.iter().map(|c| c.cert_id).collect();
+            ids.sort();
+            ids
+        };
+        assert_eq!(ids(&whole.certs), ids(&full.certs));
+        let mut crl: Vec<usize> = full.crl.iter().map(|(i, _)| *i).collect();
+        crl.sort_unstable();
+        assert_eq!(whole.crl.iter().map(|(i, _)| *i).collect::<Vec<_>>(), crl);
+        let mut whois = full.whois.clone();
+        whois.sort();
+        assert_eq!(whole.whois, whois, "domain-major, chronological per domain");
+        let mut dns: Vec<_> = full.dns.iter().map(|(d, n, _)| (*n, *d)).collect();
+        dns.sort();
+        let whole_dns: Vec<_> = whole.dns.iter().map(|(d, n, _)| (*n, *d)).collect();
+        assert_eq!(whole_dns, dns, "domain-major, chronological per domain");
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! * popularity and reputation side-channels (Tables 5–6),
 //! * and the ground-truth event log the detectors are validated against.
 
-pub mod arena;
 pub mod bundle;
 pub mod config;
 pub mod datasets;
@@ -30,7 +29,6 @@ pub mod reputation;
 pub mod world;
 pub mod worldlog;
 
-pub use arena::WorldArena;
 pub use bundle::WorldBundle;
 pub use config::{EraTable, ScenarioConfig};
 pub use datasets::{DatasetSummary, GroundTruth, WorldDatasets};

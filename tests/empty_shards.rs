@@ -1,16 +1,17 @@
 //! Overprovisioned shard counts (`--shards N` with N above the candidate
-//! count): shards whose views are empty are accounted, not spawned.
+//! count): shards whose slices are empty are accounted, not spawned.
 //!
-//! Regression for the zero-copy engine: cutting views for a large N can
-//! leave some shards with nothing routed to them. The supervisor must
-//! skip spawning those workers entirely — fewer shard attempt spans in
-//! the trace — while the merged report stays byte-identical to a
-//! single-shard run and the skips stay visible (zero-attempt metrics
-//! entries plus the `engine.shards_skipped` counter).
+//! Routing the whole window for a large N can leave some shards with
+//! nothing routed to them. The supervisor must skip spawning those
+//! workers entirely — fewer shard attempt spans in the trace — while the
+//! merged report stays byte-identical to a single-shard run and the
+//! skips stay visible (zero-attempt metrics entries plus the
+//! `engine.shards_skipped` counter).
 
-use stale_tls::engine::{cut_views, Engine, EngineConfig};
+use stale_tls::engine::{route, Engine, EngineConfig};
 use stale_tls::prelude::*;
-use stale_tls::stale_core::views::RoutedWorld;
+use stale_tls::stale_core::detector::managed_tls::ManagedTlsDetector;
+use stale_tls::worldsim::DayDelta;
 
 /// Same comparable byte form as `engine_equivalence.rs`.
 fn suite_bytes(suite: &DetectionSuite) -> String {
@@ -40,10 +41,10 @@ fn overprovisioned_shards_skip_empty_views_and_match() {
     let psl = SuffixList::default_list();
     let n = 32;
 
-    let routed = RoutedWorld::build(&data, &psl);
-    let occupied = cut_views(&routed, n)
+    let mtd_detector = ManagedTlsDetector::new(&data.cdn_config, &psl);
+    let occupied = route(&DayDelta::whole(&data), &psl, &mtd_detector, n, 1)
         .iter()
-        .filter(|v| !v.is_empty())
+        .filter(|slice| !slice.is_empty())
         .count();
     assert!(occupied > 0, "micro world still routes something");
     assert!(
@@ -64,7 +65,7 @@ fn overprovisioned_shards_skip_empty_views_and_match() {
     assert_eq!(
         suite_bytes(&report.suite),
         suite_bytes(&baseline.suite),
-        "skipping empty views must not change the merged report"
+        "skipping empty slices must not change the merged report"
     );
 
     // Only occupied shards were spawned: one attempt span each.
@@ -76,7 +77,7 @@ fn overprovisioned_shards_skip_empty_views_and_match() {
         .count();
     assert_eq!(
         spawned, occupied,
-        "exactly one attempt span per non-empty view"
+        "exactly one attempt span per non-empty slice"
     );
     assert!(spawned < n, "fewer spawned shard spans than shards");
 

@@ -1,12 +1,11 @@
 //! Supervisor fault tolerance: panic isolation, retry, degraded-shard
 //! reporting, and checkpoint/resume.
 //!
-//! Since the zero-copy refactor every worker reads the same shared
-//! [`stale_tls::stale_core::views::RoutedWorld`] through a borrowed
-//! [`stale_tls::engine::ShardView`], so the isolation tests here also pin
-//! the sharing invariant: a panicking worker must not poison the shared
-//! world or corrupt a sibling's view — whatever the siblings produce must
-//! be exactly what they produce in a clean run.
+//! Every worker folds its slice of the same shared, borrowed world (the
+//! slices are routed once, up front), so the isolation tests here also
+//! pin the sharing invariant: a panicking worker must not poison the
+//! shared world or corrupt a sibling's slice — whatever the siblings
+//! produce must be exactly what they produce in a clean run.
 
 use stale_tls::engine::{Engine, EngineConfig};
 use stale_tls::prelude::*;
@@ -231,7 +230,7 @@ fn panicking_shard_does_not_corrupt_sibling_views() {
 #[test]
 fn transient_panics_on_multiple_view_shards_retry_to_byte_identity() {
     // Two workers panic once each mid-run and are retried over the same
-    // borrowed views; the final report must be byte-identical to a clean
+    // borrowed slices; the final report must be byte-identical to a clean
     // run — a first-attempt panic must leave nothing behind.
     let (data, psl) = world();
     let clean = Engine::with_shards(4).run(&data, &psl).expect("clean run");
@@ -257,7 +256,7 @@ fn mid_failure_checkpoint_resume_is_byte_identical() {
     // Two shards panic with checkpointing on: only the healthy shards are
     // saved. The recovery run must resume exactly those, re-run the
     // failed ones against the freshly routed world, and merge to the
-    // clean run's bytes — resumed indices and live views must agree.
+    // clean run's bytes — resumed states and fresh folds must agree.
     let (data, psl) = world();
     let dir = std::env::temp_dir().join("stale_engine_fault_tests");
     std::fs::create_dir_all(&dir).unwrap();

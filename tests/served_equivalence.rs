@@ -102,8 +102,8 @@ fn snapshot_restart_preserves_answers_and_drains_to_batch() {
     daemon.stop();
     assert!(path.exists(), "snapshot written");
 
-    // The daemon's snapshot is a standard schema-v2 checkpoint and
-    // upholds every preflight invariant.
+    // The daemon's snapshot is a standard engine checkpoint and upholds
+    // every preflight invariant.
     let snapshot = std::fs::read_to_string(&path).expect("read snapshot");
     let diags = stale_lint::preflight::preflight_str("snapshot", &snapshot);
     assert!(diags.is_empty(), "snapshot preflight: {diags:?}");
