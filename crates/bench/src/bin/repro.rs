@@ -4,8 +4,7 @@
 //! repro [preset] [experiment...] [--csv DIR] [--shards N]
 //!       [--checkpoint FILE] [--fail-shard K]...
 //!       [--incremental] [--through DATE] [--day-batch N]
-//!       [--checkpoint-every N] [--preflight] [--export-bundle FILE]
-//!       [--export-worldlog FILE]
+//!       [--checkpoint-every N] [--preflight] [--export-worldlog FILE]
 //!       [--trace-out FILE] [--metrics-json FILE] [--metrics-prom FILE]
 //!
 //! presets:     paper (default) | small | tiny
@@ -32,19 +31,18 @@
 //!              --checkpoint-every N
 //!                               snapshot detector state every N ingested
 //!                               days (default 1; needs --checkpoint)
-//! preflight:   --preflight      statically validate the serialized world
-//!                               bundle (and the --checkpoint file, if it
-//!                               exists) with stale-lint before any
-//!                               detector runs; exit 1 on diagnostics
-//!              --export-bundle FILE
-//!                               serialize the simulated world as a JSON
-//!                               bundle for `stale-lint preflight`
+//! preflight:   --preflight      before any detector runs, validate the
+//!                               simulated world's world-fact log (and
+//!                               the --checkpoint file, if it exists)
+//!                               with stale-lint, through the readers
+//!                               that load them; exit 1 on diagnostics
 //!              --export-worldlog FILE
 //!                               write the canonical world-fact log
 //!                               (stale-obs-worldlog v1 JSONL) to FILE —
 //!                               the layer-1 export `stale-bench replay`
 //!                               and `timeline` consume; with
-//!                               --preflight the log is validated too
+//!                               --preflight the exported bytes are the
+//!                               ones validated
 //! observability:
 //!              --trace-out F    enable span tracing, write the trace as
 //!                               JSONL to F, and print the span tree to
@@ -85,7 +83,6 @@ fn main() {
     let mut preflight = false;
     let mut serve: Option<String> = None;
     let mut delay_days = 0i64;
-    let mut export_bundle: Option<String> = None;
     let mut export_worldlog: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut metrics_json: Option<String> = None;
@@ -144,13 +141,6 @@ fn main() {
                         std::process::exit(2);
                     }
                 };
-            }
-            "--export-bundle" => {
-                export_bundle = args_iter.next().cloned();
-                if export_bundle.is_none() {
-                    eprintln!("--export-bundle needs a file path");
-                    std::process::exit(2);
-                }
             }
             "--export-worldlog" => {
                 export_worldlog = args_iter.next().cloned();
@@ -287,27 +277,27 @@ fn main() {
         span.count("certs", data.monitor.dedup_count() as u64);
         (data, psl)
     };
-    if preflight || export_bundle.is_some() {
-        let mut span = obs.span("bundle.export");
-        let bundle = worldsim::WorldBundle::from_datasets(&data);
-        let json = match serde_json::to_string_pretty(&bundle) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("cannot serialize world bundle: {e:?}");
-                std::process::exit(1);
-            }
+    // World-log export and preflight run before detection and under
+    // their own spans: layer-1 emission is an explicit export path, never
+    // part of the detect hot path (the compare gate holds with or without
+    // it). Preflight validates exactly the bytes an export writes.
+    if preflight || export_worldlog.is_some() {
+        let jsonl = {
+            let mut span = obs.span("worldlog.export");
+            let jsonl = worldsim::WorldLog::from_datasets(&data).to_jsonl();
+            span.count("bytes", jsonl.len() as u64);
+            jsonl
         };
-        span.count("bytes", json.len() as u64);
-        if let Some(path) = &export_bundle {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("cannot write bundle to {path}: {e}");
+        if let Some(path) = &export_worldlog {
+            if let Err(e) = std::fs::write(path, &jsonl) {
+                eprintln!("cannot write world log to {path}: {e}");
                 std::process::exit(2);
             }
-            eprintln!("wrote world bundle to {path}");
+            eprintln!("wrote world-fact log to {path}");
         }
         if preflight {
             let mut span = obs.span("preflight");
-            let mut diags = stale_lint::preflight::preflight_str("world-bundle", &json);
+            let mut diags = stale_lint::preflight::preflight_str("worldlog", &jsonl);
             if let Some(path) = engine_cfg.checkpoint.as_deref().filter(|p| p.exists()) {
                 diags.extend(stale_lint::preflight::preflight_path(path));
             }
@@ -317,32 +307,6 @@ fn main() {
             } else {
                 eprint!("{}", stale_lint::diagnostics::render_human(&diags));
                 eprintln!("preflight: {} diagnostic(s); refusing to run", diags.len());
-                std::process::exit(1);
-            }
-        }
-    }
-    // World-log export runs before detection and under its own span:
-    // layer-1 emission is an explicit export path, never part of the
-    // detect hot path (the compare gate holds with or without it).
-    if let Some(path) = &export_worldlog {
-        let mut span = obs.span("worldlog.export");
-        let jsonl = worldsim::WorldLog::from_datasets(&data).to_jsonl();
-        span.count("bytes", jsonl.len() as u64);
-        if let Err(e) = std::fs::write(path, &jsonl) {
-            eprintln!("cannot write world log to {path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("wrote world-fact log to {path}");
-        if preflight {
-            let diags = stale_lint::preflight::preflight_str("worldlog", &jsonl);
-            if diags.is_empty() {
-                eprintln!("preflight: world log clean");
-            } else {
-                eprint!("{}", stale_lint::diagnostics::render_human(&diags));
-                eprintln!(
-                    "preflight: {} world-log diagnostic(s); refusing to run",
-                    diags.len()
-                );
                 std::process::exit(1);
             }
         }

@@ -27,8 +27,8 @@
 //! `repro --audit-out` JSONL export — or, with `--server`, from a
 //! resident `stale-served` daemon's live audit store. File-backed
 //! lookups go through a persistent fingerprint→offset sidecar index
-//! (`<audit>.idx`, rebuilt automatically when stale), so only the
-//! matching decision lines are parsed. `FINGERPRINT` may be any unique
+//! (`<audit>.idx`, rebuilt automatically when stale and replaced
+//! crash-safely), so only the matching decision lines are parsed. `FINGERPRINT` may be any unique
 //! prefix; an ambiguous prefix lists its candidates. Exit codes:
 //! 0 found, 1 unknown/ambiguous fingerprint, 2 usage/IO error.
 //!
@@ -72,6 +72,7 @@
 //! stream runs until the daemon closes it.
 
 use stale_bench::compare::{compare, parse_snapshot, DEFAULT_MIN_WALL_US, DEFAULT_THRESHOLD};
+use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> String {
@@ -192,23 +193,6 @@ fn load_audit_source(
     }
 }
 
-/// Load the persistent explain index for an audit export: the `.idx`
-/// sidecar when it parses and still matches the store, else a fresh
-/// build (written back best-effort, so the next lookup is O(1) again).
-fn load_or_build_explain_index(path: &str, text: &str) -> Result<obs::ExplainIndex, String> {
-    let sidecar = format!("{path}.idx");
-    if let Some(index) = std::fs::read_to_string(&sidecar)
-        .ok()
-        .and_then(|t| obs::ExplainIndex::parse(&t).ok())
-        .filter(|i| i.matches(text))
-    {
-        return Ok(index);
-    }
-    let index = obs::audit::ExplainIndex::build(text).map_err(|e| format!("{path}: {e}"))?;
-    let _ = std::fs::write(&sidecar, index.to_text());
-    Ok(index)
-}
-
 /// Send one command line to a daemon, with brief connection retries.
 fn server_request(addr: &str, line: &str) -> Result<Result<String, String>, String> {
     let mut client =
@@ -251,9 +235,9 @@ fn cmd_explain(rest: &[String]) -> ExitCode {
             // decision lines for one fingerprint, however large the
             // store; its rendering is byte-identical to the in-memory
             // path (tests/explain_index.rs).
-            let index = match load_or_build_explain_index(&path, &text) {
+            let index = match obs::ExplainIndex::load_or_build(Path::new(&path), &text) {
                 Ok(i) => i,
-                Err(e) => return fail(&e),
+                Err(e) => return fail(&format!("{path}: {e}")),
             };
             finish_audit_query(index.render_explain_from(&text, fingerprint))
         }

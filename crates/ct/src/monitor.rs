@@ -43,10 +43,20 @@ impl CtMonitor {
 
     /// Ingest one certificate observed in a log at `timestamp`.
     pub fn ingest(&mut self, cert: Certificate, timestamp: Date) {
+        self.ingest_entries(cert, timestamp, 1);
+    }
+
+    /// Ingest `entries` log entries of one certificate, all observed at
+    /// `timestamp`: the same as `entries` calls to [`CtMonitor::ingest`],
+    /// in one step whatever the count.
+    pub fn ingest_entries(&mut self, cert: Certificate, timestamp: Date, entries: usize) {
+        if entries == 0 {
+            return;
+        }
         let id = cert.cert_id();
         match self.certs.get_mut(&id) {
             Some(existing) => {
-                existing.entry_count += 1;
+                existing.entry_count = existing.entry_count.saturating_add(entries);
                 existing.first_seen = existing.first_seen.min(timestamp);
                 // Prefer keeping the final certificate over the precert.
                 if existing.certificate.tbs.is_precert() && !cert.tbs.is_precert() {
@@ -63,7 +73,7 @@ impl CtMonitor {
                         cert_id: id,
                         certificate: cert,
                         first_seen: timestamp,
-                        entry_count: 1,
+                        entry_count: entries,
                     },
                 );
             }

@@ -33,19 +33,43 @@
 //! restore, and the CRL side of the key-compromise join is re-seeded from
 //! the dataset (every record observed on or before `through`).
 //!
-//! A file that exists but cannot be used is refused with a [`Rejection`]
-//! naming why, and the run starts fresh; files of earlier schemas (v2
-//! incremental state, v3 batch completions) are refused on their
-//! version. Saving is crash-safe: the new contents go to a temporary file
-//! in the target's directory, which is synced and then renamed over the
-//! target, so a crash leaves either the previous checkpoint or the new
-//! one, never a torn file.
+//! The file has one reader, and the reader is the validator:
+//! [`Checkpoint::load`] refuses any file that breaks an invariant
+//! [`Checkpoint::save`] guarantees and restore assumes, with a
+//! [`Rejection`] naming the first, and the run starts fresh.
+//! [`Checkpoint::violations`] lists every one of them, and `stale-lint
+//! preflight` reports that list, so a file passes preflight exactly when
+//! it would load. The invariants (preflight rule ids in brackets):
+//! * schema version 4 (`checkpoint-version`; v2 incremental state and v3
+//!   batch completions land here) and the shape above
+//!   (`checkpoint-parse`);
+//! * every state's shard below the declared width (`checkpoint-shards`),
+//!   states in strictly increasing shard order (`checkpoint-order`);
+//! * `kc.index` rows in strictly increasing certificate-id order
+//!   (`checkpoint-monotone`) with one winner per `(AKI, serial)`, and
+//!   `kc.losers` sorted and unique (`checkpoint-order`);
+//! * every domain table (`rc.certs_by_e2ld`, `rc.creations`,
+//!   `mtd.delegated`, `mtd.undelegated`, `mtd.departures`,
+//!   `mtd.certs_by_customer`) sorted with no domain twice, and no scan
+//!   target both delegated and undelegated (`checkpoint-order`);
+//! * per-domain creation and departure dates strictly increasing
+//!   (`checkpoint-monotone`).
+//!
+//! What needs the run — the world's fingerprint, the partition width, the
+//! certificates the corpus holds, completeness and `through` — is checked
+//! by the consumer and refused the same way. Saving is crash-safe
+//! ([`obs::persist`]): the new contents go to a temporary file in the
+//! target's directory, which is synced and then renamed over the target,
+//! so a crash leaves either the previous checkpoint or the new one, never
+//! a torn file.
 
+use obs::persist::StagedFile;
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use stale_core::incremental::{SavedKc, SavedMtd, SavedRc};
-use stale_types::Date;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use stale_types::{Date, DomainName};
+use std::collections::BTreeSet;
+use std::path::Path;
 
 /// One shard's fold state, as persisted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -102,6 +126,9 @@ pub enum Rejection {
     /// A state whose shard is out of order, duplicated or beyond the
     /// width.
     ShardOrder(String),
+    /// A saved detector ledger out of order, not unique or not
+    /// chronological.
+    Ledger(String),
     /// A state names a certificate the CT corpus does not hold.
     UnknownCertificate {
         /// The shard whose state did not resolve.
@@ -135,6 +162,7 @@ impl std::fmt::Display for Rejection {
                 write!(f, "taken at {found} shard(s), this run has {expected}")
             }
             Rejection::ShardOrder(what) => write!(f, "shard order: {what}"),
+            Rejection::Ledger(what) => write!(f, "ledger: {what}"),
             Rejection::UnknownCertificate { shard } => {
                 write!(
                     f,
@@ -150,6 +178,52 @@ impl std::fmt::Display for Rejection {
 }
 
 impl std::error::Error for Rejection {}
+
+/// One broken invariant of a checkpoint file, as [`Checkpoint::violations`]
+/// lists it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Violation {
+    /// A state's shard is not below the declared width.
+    Width(String),
+    /// States out of strictly increasing shard order.
+    ShardOrder(String),
+    /// A ledger unsorted or holding a key twice, or a scan target both
+    /// delegated and undelegated.
+    Order(String),
+    /// `kc.index` rows out of certificate-id order, or per-domain dates
+    /// not strictly increasing.
+    Monotone(String),
+}
+
+impl Violation {
+    /// The `stale-lint preflight` rule id.
+    pub fn rule(&self) -> &'static str {
+        match self {
+            Violation::Width(_) => "checkpoint-shards",
+            Violation::ShardOrder(_) | Violation::Order(_) => "checkpoint-order",
+            Violation::Monotone(_) => "checkpoint-monotone",
+        }
+    }
+
+    /// Which state and ledger, and what is wrong.
+    pub fn message(&self) -> &str {
+        match self {
+            Violation::Width(m)
+            | Violation::ShardOrder(m)
+            | Violation::Order(m)
+            | Violation::Monotone(m) => m,
+        }
+    }
+}
+
+impl From<Violation> for Rejection {
+    fn from(v: Violation) -> Rejection {
+        match v {
+            Violation::Width(m) | Violation::ShardOrder(m) => Rejection::ShardOrder(m),
+            Violation::Order(m) | Violation::Monotone(m) => Rejection::Ledger(m),
+        }
+    }
+}
 
 impl Checkpoint {
     /// The schema version.
@@ -189,9 +263,10 @@ impl Checkpoint {
 
     /// Load the checkpoint at `path` for a run over the bundle with
     /// `fingerprint` at `shards`. `Ok(None)` when there is no file; a file
-    /// that exists but does not pass [`Checkpoint::verify_for_run`] is refused
-    /// with the reason. Startup-time restore: the daemon's actor blocks
-    /// on this read exactly once, before it serves anything.
+    /// that exists but does not pass [`Checkpoint::decode`] and
+    /// [`Checkpoint::verify_for_run`] is refused with the reason.
+    /// Startup-time restore: the daemon's actor blocks on this read
+    /// exactly once, before it serves anything.
     // stale-lint: entry(serial)
     // stale-lint: trusted(blocking-io-in-actor)
     pub fn load(path: &Path, fingerprint: u64, shards: usize) -> Result<Option<Self>, Rejection> {
@@ -200,21 +275,28 @@ impl Checkpoint {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(Rejection::Unreadable(e.to_string())),
         };
-        let value: serde::value::Value =
+        let value: Value =
             serde_json::from_str(&text).map_err(|e| Rejection::Parse(e.to_string()))?;
-        let version = value.get("version").and_then(serde::value::Value::as_i128);
-        if version != Some(i128::from(Self::VERSION)) {
-            return Err(Rejection::Version(version));
-        }
-        let cp: Checkpoint =
-            serde_json::from_value(&value).map_err(|e| Rejection::Parse(e.to_string()))?;
+        let cp = Checkpoint::decode(&value)?;
         cp.verify_for_run(fingerprint, shards)?;
         Ok(Some(cp))
     }
 
+    /// Decode a checkpoint document: refused on another schema version,
+    /// then on any shape but this schema's. The file's own invariants
+    /// are [`Checkpoint::violations`].
+    pub fn decode(value: &Value) -> Result<Checkpoint, Rejection> {
+        let version = value.get("version").and_then(Value::as_i128);
+        if version != Some(i128::from(Self::VERSION)) {
+            return Err(Rejection::Version(version));
+        }
+        serde_json::from_value(value).map_err(|e| Rejection::Parse(e.to_string()))
+    }
+
     /// Check that this checkpoint belongs to a run over the bundle with
-    /// `fingerprint` at `shards`, and that its states are in strictly
-    /// increasing shard order below the width.
+    /// `fingerprint` at `shards`, and that it keeps every invariant of
+    /// the file ([`Checkpoint::violations`]; the first one is the
+    /// refusal).
     pub fn verify_for_run(&self, fingerprint: u64, shards: usize) -> Result<(), Rejection> {
         if self.version != Self::VERSION {
             return Err(Rejection::Version(Some(i128::from(self.version))));
@@ -231,27 +313,39 @@ impl Checkpoint {
                 expected: shards,
             });
         }
+        match self.violations().into_iter().next() {
+            Some(v) => Err(v.into()),
+            None => Ok(()),
+        }
+    }
+
+    /// Every invariant of the file this checkpoint breaks — what
+    /// [`Checkpoint::save`] guarantees and restore assumes (module docs
+    /// list them). Empty for anything `save` wrote.
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
         let mut previous: Option<usize> = None;
         for (i, state) in self.states.iter().enumerate() {
-            if state.shard >= shards {
-                return Err(Rejection::ShardOrder(format!(
-                    "states[{i}] claims shard {} of a width of {shards}",
-                    state.shard
+            if state.shard >= self.shards {
+                out.push(Violation::Width(format!(
+                    "states[{i}] claims shard {} of a width of {}",
+                    state.shard, self.shards
                 )));
             }
             if let Some(p) = previous.filter(|p| state.shard <= *p) {
-                return Err(Rejection::ShardOrder(format!(
+                out.push(Violation::ShardOrder(format!(
                     "states[{i}] claims shard {} after shard {p}",
                     state.shard
                 )));
             }
             previous = Some(state.shard);
+            state.ledger_violations(&format!("states[{i}]"), &mut out);
         }
-        Ok(())
+        out
     }
 
     /// Persist to `path`, crash-safely: [`Checkpoint::stage`] then
-    /// [`StagedCheckpoint::commit`]. The daemon's actor calls this
+    /// [`StagedFile::commit`]. The daemon's actor calls this
     /// deliberately — a snapshot is atomic *because* the actor writes it
     /// while holding the state — so the blocking write is a sanctioned
     /// boundary, not a finding.
@@ -263,60 +357,94 @@ impl Checkpoint {
 
     /// The first half of [`Checkpoint::save`]: write the contents to a
     /// temporary file beside `path` and sync it. `path` itself is not
-    /// touched until [`StagedCheckpoint::commit`].
-    pub fn stage(&self, path: &Path) -> std::io::Result<StagedCheckpoint> {
-        let dir = match path.parent() {
-            Some(parent) if !parent.as_os_str().is_empty() => parent.to_path_buf(),
-            _ => PathBuf::from("."),
-        };
-        std::fs::create_dir_all(&dir)?;
-        let mut name = path
-            .file_name()
-            .ok_or_else(|| std::io::Error::other("checkpoint path names no file"))?
-            .to_os_string();
-        name.push(".tmp");
-        let temp = dir.join(name);
+    /// touched until [`StagedFile::commit`].
+    pub fn stage(&self, path: &Path) -> std::io::Result<StagedFile> {
         let text = serde_json::to_string(self).map_err(std::io::Error::other)?;
-        let mut file = std::fs::File::create(&temp)?;
-        file.write_all(text.as_bytes())?;
-        file.sync_all()?;
-        Ok(StagedCheckpoint {
-            temp,
-            target: path.to_path_buf(),
-            dir,
-        })
+        obs::persist::stage(path, text.as_bytes())
     }
 }
 
-/// A checkpoint written and synced beside its target, not yet in place.
-#[derive(Debug)]
-pub struct StagedCheckpoint {
-    temp: PathBuf,
-    target: PathBuf,
-    dir: PathBuf,
-}
-
-impl StagedCheckpoint {
-    /// The temporary file holding the new contents.
-    pub fn temp_path(&self) -> &Path {
-        &self.temp
-    }
-
-    /// Rename the temporary file over the target (atomic within one
-    /// directory), then sync the directory so the rename itself survives
-    /// a crash where the platform allows opening directories.
-    pub fn commit(self) -> std::io::Result<()> {
-        std::fs::rename(&self.temp, &self.target)?;
-        if let Ok(dir) = std::fs::File::open(&self.dir) {
-            dir.sync_all().ok();
+impl ShardStateSnapshot {
+    /// The ledger invariants of one saved state, `at` naming it.
+    fn ledger_violations(&self, at: &str, out: &mut Vec<Violation>) {
+        let ids: Vec<_> = self.kc.index.iter().map(|(_, _, id)| id).collect();
+        if !strictly_increasing(&ids) {
+            out.push(Violation::Monotone(format!(
+                "{at}.kc.index cert ids are not strictly increasing"
+            )));
         }
-        Ok(())
+        let mut keys = BTreeSet::new();
+        if let Some((aki, serial, _)) = self
+            .kc
+            .index
+            .iter()
+            .find(|(aki, serial, _)| !keys.insert((aki, serial)))
+        {
+            out.push(Violation::Order(format!(
+                "{at}.kc.index holds two winners for ({aki}, {serial})"
+            )));
+        }
+        if !strictly_increasing(&self.kc.losers) {
+            out.push(Violation::Order(format!(
+                "{at}.kc.losers rows are not sorted and unique"
+            )));
+        }
+        let tables: [(&str, Vec<&DomainName>); 6] = [
+            (
+                "rc.certs_by_e2ld",
+                self.rc.certs_by_e2ld.iter().map(|(d, _)| d).collect(),
+            ),
+            (
+                "rc.creations",
+                self.rc.creations.iter().map(|(d, _)| d).collect(),
+            ),
+            ("mtd.delegated", self.mtd.delegated.iter().collect()),
+            ("mtd.undelegated", self.mtd.undelegated.iter().collect()),
+            (
+                "mtd.departures",
+                self.mtd.departures.iter().map(|(d, _)| d).collect(),
+            ),
+            (
+                "mtd.certs_by_customer",
+                self.mtd.certs_by_customer.iter().map(|(d, _)| d).collect(),
+            ),
+        ];
+        for (field, domains) in tables {
+            if !strictly_increasing(&domains) {
+                out.push(Violation::Order(format!(
+                    "{at}.{field} domains are not sorted and unique"
+                )));
+            }
+        }
+        let delegated: BTreeSet<_> = self.mtd.delegated.iter().collect();
+        if let Some(both) = self.mtd.undelegated.iter().find(|d| delegated.contains(d)) {
+            out.push(Violation::Order(format!(
+                "{at}: {both} is both delegated and undelegated"
+            )));
+        }
+        for (field, ledger) in [
+            ("rc.creations", &self.rc.creations),
+            ("mtd.departures", &self.mtd.departures),
+        ] {
+            for (domain, dates) in ledger {
+                if let Some([prev, date]) = dates.windows(2).find(|w| w[1] <= w[0]) {
+                    out.push(Violation::Monotone(format!(
+                        "{at}.{field}[{domain}]: {date} does not follow {prev}"
+                    )));
+                }
+            }
+        }
     }
+}
+
+fn strictly_increasing<T: Ord>(items: &[T]) -> bool {
+    items.windows(2).all(|w| w[0] < w[1])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn state(shard: usize) -> ShardStateSnapshot {
         ShardStateSnapshot {
@@ -379,6 +507,28 @@ mod tests {
             ));
         }
         assert_eq!(cp.verify_for_run(42, 3), Ok(()));
+    }
+
+    #[test]
+    fn ledger_violations_are_listed_under_their_rule_and_refused() {
+        use stale_types::domain::dn;
+        assert!(sample().violations().is_empty());
+        let mut cp = sample();
+        cp.states[0].mtd.delegated = vec![dn("a.com")];
+        cp.states[0].mtd.undelegated = vec![dn("a.com")];
+        cp.states[1].rc.creations = vec![(
+            dn("b.com"),
+            vec![
+                Date::parse("2021-05-01").unwrap(),
+                Date::parse("2020-01-01").unwrap(),
+            ],
+        )];
+        let rules: Vec<_> = cp.violations().iter().map(Violation::rule).collect();
+        assert_eq!(rules, ["checkpoint-order", "checkpoint-monotone"]);
+        assert!(matches!(
+            cp.verify_for_run(42, 3),
+            Err(Rejection::Ledger(why)) if why.contains("both delegated and undelegated")
+        ));
     }
 
     #[test]

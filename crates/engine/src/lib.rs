@@ -54,7 +54,7 @@ pub mod partition;
 pub mod stream;
 pub mod supervisor;
 
-pub use checkpoint::{Checkpoint, Rejection, ShardStateSnapshot, StagedCheckpoint};
+pub use checkpoint::{Checkpoint, Rejection, ShardStateSnapshot, Violation};
 pub use config::EngineConfig;
 pub use engine::{Engine, EngineError, EngineReport};
 pub use metrics::{EngineMetrics, IngestBatchMetrics, IngestMetrics, ShardMetrics, StageMetrics};

@@ -279,9 +279,10 @@ impl<'w> IncrementalState<'w> {
     /// Restore every shard from a checkpoint over the *same* bundle.
     ///
     /// Refused (with the reason) when the checkpoint belongs to another
-    /// world, lacks a shard's state, has its states out of shard order,
-    /// or names a certificate the monitor does not hold — stale state is
-    /// discarded, never trusted.
+    /// world, lacks a shard's state, breaks an invariant of the file
+    /// ([`Checkpoint::violations`]: states out of shard order, ledgers
+    /// unsorted or holding a key twice), or names a certificate the
+    /// monitor does not hold — stale state is discarded, never trusted.
     // stale-lint: entry(serial)
     pub fn restore(
         data: &'w WorldDatasets,

@@ -30,15 +30,19 @@
 //!   that is strict in both directions: buckets cannot grow, and
 //!   burned-down buckets must be removed.
 //!
-//! * **Corpus pass** ([`preflight`]) — static validation of a serialized
-//!   [`worldsim::bundle::WorldBundle`] or an engine checkpoint *before*
-//!   anything executes: certificates must DER-decode with non-degenerate
-//!   validity, CRL entries must reference an issuer key present in the CT
-//!   set, per-domain WHOIS/DNS observability streams must be strictly
-//!   chronological, the recomputed fingerprint must match, and checkpoint
-//!   invariants (schema version, shard order, sorted ledgers) must hold. The paper's own pipeline had to
+//! * **Corpus pass** ([`preflight`]) — validation of a serialized input
+//!   *before* anything executes, by the input's own reader: a world-fact
+//!   log through [`worldsim::WorldLog::from_jsonl`] and
+//!   [`worldsim::WorldLog::to_datasets`] (DER that decodes to the named
+//!   certificate, CRL entries under an issuer key present in the log,
+//!   strictly chronological per-domain WHOIS/DNS streams, a fingerprint
+//!   that re-folds, …), an engine checkpoint through
+//!   [`engine::Checkpoint`]'s validator (schema version, shard order,
+//!   sorted and unique ledgers), and the observability exports through
+//!   theirs. Preflight only dispatches, so a file passes it exactly when
+//!   the program would load it. The paper's own pipeline had to
 //!   sanitize its CRL/CT/WHOIS feeds before analysis (§4); this is the
-//!   same discipline applied to our serialized corpora — corrupt inputs
+//!   same discipline applied to our serialized inputs — corrupt files
 //!   fail with a named diagnostic, never a panic or a silently-wrong
 //!   report.
 

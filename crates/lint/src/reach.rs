@@ -25,13 +25,15 @@ use crate::Graph;
 use std::collections::BTreeSet;
 
 /// Whether a workspace-relative path participates in the call graph.
-/// Test/bench/example/fixture trees and the vendored shims are outside
-/// the trust boundary: they are neither entry points nor sinks.
+/// Test/bench/example/fixture trees, the vendored shims and the
+/// `perfbench` harness (a package of its own that times the program
+/// with wall clocks by design) are outside the trust boundary: they are
+/// neither entry points nor sinks.
 pub fn in_graph(rel_path: &str) -> bool {
     !rel_path.split('/').any(|seg| {
         matches!(
             seg,
-            "tests" | "benches" | "examples" | "fixtures" | "target" | "shims"
+            "tests" | "benches" | "examples" | "fixtures" | "target" | "shims" | "perfbench"
         ) || seg.starts_with('.')
     })
 }

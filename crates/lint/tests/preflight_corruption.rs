@@ -1,93 +1,21 @@
 //! Preflight rejects corrupted serialized inputs — truncated, bit-flipped
 //! or hand-edited — with a named diagnostic and never panics, while a
-//! freshly serialized world bundle and checkpoint pass clean.
+//! freshly exported world-fact log, checkpoint and observability export
+//! pass clean.
 
 use engine::checkpoint::{Checkpoint, ShardStateSnapshot};
 use stale_core::incremental::{SavedKc, SavedMtd, SavedRc};
 use stale_lint::preflight::preflight_str;
 use stale_types::domain::dn;
 use stale_types::{CertId, Date, KeyId, SerialNumber};
-use worldsim::{ScenarioConfig, World, WorldBundle};
-
-fn tiny_bundle_json() -> String {
-    let data = World::run(ScenarioConfig::tiny());
-    let bundle = WorldBundle::from_datasets(&data);
-    serde_json::to_string_pretty(&bundle).expect("serialize bundle")
-}
+use std::sync::OnceLock;
+use worldsim::{ScenarioConfig, World};
 
 fn rules(diags: &[stale_lint::Diagnostic]) -> Vec<&'static str> {
     let mut rules: Vec<&'static str> = diags.iter().map(|d| d.rule).collect();
     rules.sort_unstable();
     rules.dedup();
     rules
-}
-
-#[test]
-fn fresh_bundle_preflights_clean() {
-    let json = tiny_bundle_json();
-    let diags = preflight_str("bundle", &json);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn truncated_bundle_rejected() {
-    let json = tiny_bundle_json();
-    let truncated = &json[..json.len() / 2];
-    let diags = preflight_str("bundle", truncated);
-    assert_eq!(rules(&diags), ["bundle-parse"], "{diags:?}");
-}
-
-#[test]
-fn bitflipped_certificate_rejected() {
-    let json = tiny_bundle_json();
-    // Corrupt a hex digit of the first certificate's DER length byte.
-    let der = json.find("\"der\": \"").expect("a cert") + "\"der\": \"".len();
-    let mut flipped = json.clone();
-    let target = der + 2;
-    let old = flipped.as_bytes()[target];
-    let new = if old == b'0' { '1' } else { '0' };
-    flipped.replace_range(target..=target, &new.to_string());
-    let diags = preflight_str("bundle", &flipped);
-    assert!(
-        diags.iter().any(|d| d.rule == "cert-der"),
-        "expected cert-der, got {diags:?}"
-    );
-}
-
-#[test]
-fn tampered_count_fails_fingerprint() {
-    let json = tiny_bundle_json();
-    let key = "\"ct_raw_entries\": ";
-    let at = json.find(key).expect("field") + key.len();
-    let mut tampered = json.clone();
-    tampered.insert(at, '9'); // prepend a digit: value changes, JSON stays valid
-    let diags = preflight_str("bundle", &tampered);
-    assert!(
-        diags.iter().any(|d| d.rule == "fingerprint-mismatch"),
-        "expected fingerprint-mismatch, got {diags:?}"
-    );
-}
-
-#[test]
-fn random_single_byte_mutations_never_panic() {
-    let json = tiny_bundle_json();
-    // xorshift64, as in tests/der_roundtrip.rs — deterministic fuzzing.
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for _ in 0..200 {
-        let mut bytes = json.clone().into_bytes();
-        let pos = (next() % bytes.len() as u64) as usize;
-        let bit = 1u8 << (next() % 8);
-        bytes[pos] ^= bit;
-        let mutated = String::from_utf8_lossy(&bytes).into_owned();
-        // Must return diagnostics or a clean pass — never panic.
-        let _ = preflight_str("bundle", &mutated);
-    }
 }
 
 fn empty_state(shard: usize) -> ShardStateSnapshot {
@@ -155,7 +83,7 @@ fn checkpoint_monotonicity_violations_named() {
                 CertId::from_bytes([3; 32]),
             ),
         ],
-        losers: None,
+        losers: Vec::new(),
     };
     let json = serde_json::to_string(&cp).unwrap();
     let diags = preflight_str("ckpt", &json);
@@ -222,18 +150,18 @@ fn unrecognized_shape_is_named_not_panicked() {
     let diags = preflight_str("mystery", "{\"foo\": 1}");
     assert_eq!(rules(&diags), ["preflight-schema"], "{diags:?}");
     let diags = preflight_str("garbage", "not json at all {{{");
-    assert_eq!(rules(&diags), ["bundle-parse"], "{diags:?}");
+    assert_eq!(rules(&diags), ["preflight-parse"], "{diags:?}");
 }
 
 #[test]
-fn binary_exits_nonzero_on_corrupted_bundle() {
+fn binary_exits_nonzero_on_a_truncated_worldlog() {
     // The CLI contract CI relies on: corrupted input → exit 1, diagnostics
     // on stdout, no panic.
-    let json = tiny_bundle_json();
+    let jsonl = tiny_worldlog_jsonl();
     let dir = std::env::temp_dir().join("stale_lint_preflight_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("truncated.json");
-    std::fs::write(&path, &json[..json.len() / 3]).unwrap();
+    let path = dir.join("truncated.jsonl");
+    std::fs::write(&path, &jsonl[..jsonl.len() / 3]).unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_stale-lint"))
         .arg("preflight")
         .arg(&path)
@@ -241,7 +169,7 @@ fn binary_exits_nonzero_on_corrupted_bundle() {
         .expect("run stale-lint");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("bundle-parse"), "{stdout}");
+    assert!(stdout.contains("worldlog-schema"), "{stdout}");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -377,14 +305,18 @@ fn truncated_or_bitflipped_audit_rejected() {
     assert_eq!(rules(&diags), ["audit-schema"], "{diags:?}");
 }
 
-fn tiny_worldlog_jsonl() -> String {
-    let data = World::run(ScenarioConfig::tiny());
-    worldsim::WorldLog::from_datasets(&data).to_jsonl()
+/// The tiny world's log, simulated once for the whole test binary.
+fn tiny_worldlog_jsonl() -> &'static str {
+    static JSONL: OnceLock<String> = OnceLock::new();
+    JSONL.get_or_init(|| {
+        let data = World::run(ScenarioConfig::tiny());
+        worldsim::WorldLog::from_datasets(&data).to_jsonl()
+    })
 }
 
 #[test]
 fn fresh_worldlog_export_preflights_clean() {
-    let diags = preflight_str("worldlog", &tiny_worldlog_jsonl());
+    let diags = preflight_str("worldlog", tiny_worldlog_jsonl());
     assert!(diags.is_empty(), "{diags:?}");
 }
 
@@ -410,6 +342,10 @@ fn truncated_worldlog_rejected() {
     let short: String = lines.iter().map(|l| format!("{l}\n")).collect();
     let diags = preflight_str("worldlog", &short);
     assert_eq!(rules(&diags), ["worldlog-schema"], "{diags:?}");
+
+    // Cut mid-line: the torn last line does not parse.
+    let diags = preflight_str("worldlog", &jsonl[..jsonl.len() / 2]);
+    assert_eq!(rules(&diags), ["worldlog-schema"], "{diags:?}");
 }
 
 #[test]
@@ -417,7 +353,7 @@ fn bitflipped_worldlog_rejected() {
     let jsonl = tiny_worldlog_jsonl();
     // Flip a day digit so the stamp is no longer a valid day.
     let day = jsonl.find("\"day\":\"").expect("an event") + "\"day\":\"".len();
-    let mut flipped = jsonl.clone();
+    let mut flipped = jsonl.to_string();
     flipped.replace_range(day..day + 4, "zzzz");
     let diags = preflight_str("worldlog", &flipped);
     assert_eq!(rules(&diags), ["worldlog-schema"], "{diags:?}");
@@ -427,6 +363,38 @@ fn bitflipped_worldlog_rejected() {
     assert_ne!(unknown, jsonl, "tamper target present");
     let diags = preflight_str("worldlog", &unknown);
     assert_eq!(rules(&diags), ["worldlog-schema"], "{diags:?}");
+
+    // Flip one hex digit of a certificate's DER: still well-formed JSON
+    // and hex, but the body no longer decodes to the named certificate.
+    let der = jsonl.find("\"der\":\"").expect("a cert") + "\"der\":\"".len() + 10;
+    let mut flipped = jsonl.to_string();
+    let new = if flipped.as_bytes()[der] == b'0' {
+        "1"
+    } else {
+        "0"
+    };
+    flipped.replace_range(der..=der, new);
+    let diags = preflight_str("worldlog", &flipped);
+    assert_eq!(rules(&diags), ["worldlog-schema"], "{diags:?}");
+    assert!(
+        diags.iter().any(|d| d.message.contains("cert-issued")),
+        "{diags:?}"
+    );
+}
+
+#[test]
+fn tampered_count_fails_fingerprint() {
+    let jsonl = tiny_worldlog_jsonl();
+    let key = "\"ct_raw_entries\":";
+    let at = jsonl.find(key).expect("field") + key.len();
+    let mut tampered = jsonl.to_string();
+    tampered.insert(at, '9'); // prepend a digit: value changes, JSON stays valid
+    let diags = preflight_str("worldlog", &tampered);
+    assert_eq!(rules(&diags), ["worldlog-schema"], "{diags:?}");
+    assert!(
+        diags.iter().any(|d| d.message.contains("fingerprint")),
+        "{diags:?}"
+    );
 }
 
 #[test]
@@ -441,7 +409,14 @@ fn reordered_worldlog_rejected() {
 
 #[test]
 fn random_worldlog_mutations_never_panic() {
-    let jsonl = tiny_worldlog_jsonl();
+    // A tenth of the tiny world, with every event kind: a flip that
+    // survives the line pass makes preflight rebuild the whole world.
+    let mut cfg = ScenarioConfig::tiny();
+    cfg.initial_domains = 12;
+    cfg.eras.domain_births_per_day = cfg.eras.domain_births_per_day.scaled(0.1);
+    let jsonl = worldsim::WorldLog::from_datasets(&World::run(cfg)).to_jsonl();
+    assert!(preflight_str("worldlog", &jsonl).is_empty());
+    // xorshift64, as in tests/der_roundtrip.rs — deterministic fuzzing.
     let mut state = 0x243f_6a88_85a3_08d3u64;
     let mut next = move || {
         state ^= state << 13;
@@ -450,11 +425,12 @@ fn random_worldlog_mutations_never_panic() {
         state
     };
     for _ in 0..200 {
-        let mut bytes = jsonl.clone().into_bytes();
+        let mut bytes = jsonl.as_bytes().to_vec();
         let pos = (next() % bytes.len() as u64) as usize;
         let bit = 1u8 << (next() % 8);
         bytes[pos] ^= bit;
         let mutated = String::from_utf8_lossy(&bytes).into_owned();
+        // Must return diagnostics or a clean pass — never panic.
         let _ = preflight_str("worldlog", &mutated);
     }
 }

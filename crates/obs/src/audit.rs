@@ -26,6 +26,7 @@ use crate::CounterSink;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Schema tag on the JSONL header line.
@@ -842,6 +843,42 @@ impl ExplainIndex {
             out.push('\n');
         }
         out
+    }
+
+    /// The sidecar path of the audit export at `audit`: `{audit}.idx`.
+    pub fn sidecar_path(audit: &Path) -> PathBuf {
+        let mut name = audit.as_os_str().to_os_string();
+        name.push(".idx");
+        PathBuf::from(name)
+    }
+
+    /// The index of the audit export at `audit`, whose contents are
+    /// `jsonl`: its sidecar when that parses and still matches the
+    /// store, else a fresh build, written back best-effort so the next
+    /// lookup reads the sidecar again.
+    pub fn load_or_build(audit: &Path, jsonl: &str) -> Result<ExplainIndex, String> {
+        if let Some(index) = std::fs::read_to_string(Self::sidecar_path(audit))
+            .ok()
+            .and_then(|t| ExplainIndex::parse(&t).ok())
+            .filter(|i| i.matches(jsonl))
+        {
+            return Ok(index);
+        }
+        let index = ExplainIndex::build(jsonl)?;
+        let _ = index
+            .stage_sidecar(audit)
+            .and_then(crate::persist::StagedFile::commit);
+        Ok(index)
+    }
+
+    /// This index as the sidecar of the audit export at `audit`, written
+    /// crash-safely ([`crate::persist`]): synced beside the current
+    /// sidecar, which stays in place until
+    /// [`commit`](crate::persist::StagedFile::commit), so an interrupted
+    /// write leaves the previous sidecar or the new one, never a torn
+    /// file.
+    pub fn stage_sidecar(&self, audit: &Path) -> std::io::Result<crate::persist::StagedFile> {
+        crate::persist::stage(&Self::sidecar_path(audit), self.to_text().as_bytes())
     }
 
     /// Parse a sidecar produced by [`to_text`](ExplainIndex::to_text).

@@ -40,9 +40,13 @@
 //!    [`audit::DecisionSink`] and merged by the engine into a
 //!    canonically ordered [`audit::AuditReport`] (JSONL schema
 //!    [`audit::AUDIT_SCHEMA`], via `repro --audit-out`).
+//! 6. **Crash-safe persistence** ([`persist`]) — the one temp-file,
+//!    sync and rename path that engine checkpoints and explain-index
+//!    sidecars are written through.
 
 pub mod audit;
 pub mod metrics;
+pub mod persist;
 pub mod slowlog;
 pub mod trace;
 pub mod window;

@@ -152,10 +152,8 @@ pub struct SavedKc {
     /// `(AKI, serial, winning cert id)` rows of the join index.
     pub index: Vec<(KeyId, SerialNumber, CertId)>,
     /// `(AKI, serial, displaced cert id)` duplicate-fingerprint losers,
-    /// unfiltered. `None` in checkpoints written before the decision
-    /// audit existed; restoring such a checkpoint loses only audit
-    /// coverage (duplicate accounting), never detection results.
-    pub losers: Option<Vec<(KeyId, SerialNumber, CertId)>>,
+    /// unfiltered, sorted by key then certificate id.
+    pub losers: Vec<(KeyId, SerialNumber, CertId)>,
 }
 
 impl<'w> KcIncremental<'w> {
@@ -291,10 +289,7 @@ impl<'w> KcIncremental<'w> {
         for ((aki, serial), dup_ids) in &self.losers {
             losers.extend(dup_ids.iter().map(|id| (*aki, *serial, *id)));
         }
-        SavedKc {
-            index,
-            losers: Some(losers),
-        }
+        SavedKc { index, losers }
     }
 
     /// Rebuild from a checkpoint: certificates are re-resolved from the
@@ -314,7 +309,7 @@ impl<'w> KcIncremental<'w> {
             let cert = monitor.get(cert_id)?;
             state.index.insert((*aki, *serial), cert);
         }
-        for (aki, serial, cert_id) in saved.losers.iter().flatten() {
+        for (aki, serial, cert_id) in &saved.losers {
             state
                 .losers
                 .entry((*aki, *serial))

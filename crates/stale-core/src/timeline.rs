@@ -20,7 +20,7 @@ use obs::audit::{render_provenance, AuditReport, AMBIGUOUS_LIST_MAX};
 use obs::trace::TRACE_SCHEMA;
 use obs::{SpanRecord, TraceHeader};
 use std::collections::BTreeSet;
-use worldsim::bundle::decode_hex;
+use worldsim::worldlog::decode_hex;
 use worldsim::{WorldEvent, WorldLog};
 use x509::cert::Certificate;
 use x509::revocation::RevocationReason;

@@ -85,10 +85,10 @@ pub struct DatasetSummary {
 
 /// Fold the structural fingerprint from its raw components — FNV-1a over
 /// dataset sizes and window bounds. Shared between
-/// [`WorldDatasets::fingerprint`] (live datasets) and
-/// [`crate::bundle::WorldBundle::recompute_fingerprint`] (serialized
-/// payload), so preflight can verify a bundle without rebuilding the
-/// world.
+/// [`WorldDatasets::fingerprint`] (live datasets, which the world-log
+/// reader compares against the log header after reconstruction) and the
+/// world-log cap rewrite, which re-folds the header from its rewritten
+/// events without rebuilding the world.
 #[allow(clippy::too_many_arguments)]
 pub fn fold_fingerprint(
     dedup_count: usize,

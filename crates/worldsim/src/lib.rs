@@ -19,7 +19,6 @@
 //! * popularity and reputation side-channels (Tables 5–6),
 //! * and the ground-truth event log the detectors are validated against.
 
-pub mod bundle;
 pub mod config;
 pub mod datasets;
 pub mod dayfeed;
@@ -29,7 +28,6 @@ pub mod reputation;
 pub mod world;
 pub mod worldlog;
 
-pub use bundle::WorldBundle;
 pub use config::{EraTable, ScenarioConfig};
 pub use datasets::{DatasetSummary, GroundTruth, WorldDatasets};
 pub use dayfeed::{DayDelta, DayFeed};

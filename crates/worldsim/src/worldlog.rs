@@ -39,8 +39,29 @@
 //!   bodies round-trip bit-exactly and `cert` ids can be re-verified;
 //! * the header fingerprint is [`fold_fingerprint`] over the same
 //!   components the live datasets fold, recomputable from the log alone.
+//!
+//! The log has one reader, and the reader is the validator. Every rule
+//! is written once, in one of the two loading passes, and
+//! [`validate_worldlog_jsonl`] (what `stale-lint preflight` reports) runs
+//! those same passes to completion instead of stopping at the first
+//! violation, so a log passes preflight exactly when it loads:
+//! * the **line pass**, [`WorldLog::from_jsonl`]: a header of this
+//!   schema and version; every line parses as an event; identifiers
+//!   are lowercase hex of their fixed length (certificate 64, authority
+//!   key 40, serial 32); a CA's tally is named and has no more
+//!   successes than attempts; a delegation event resolves to something;
+//!   lines are in canonical order (refused, never re-sorted); a trailer
+//!   whose tally matches the lines and a header count that agrees;
+//! * the **world pass**, [`WorldLog::to_datasets`]: events in canonical
+//!   order before any is applied; non-degenerate windows; DER that
+//!   decodes to the named certificate, with a non-degenerate validity,
+//!   first seen no earlier than its `notBefore` and at least one entry;
+//!   one tally per CA; CRL indices dense and ascending, every entry's
+//!   authority key belonging to a certificate issuer in the log,
+//!   observed inside the CRL window and not a duplicate; per-domain
+//!   WHOIS and DNS days strictly increasing; and a reconstructed
+//!   fingerprint equal to the header's.
 
-use crate::bundle::{decode_hex, encode_hex};
 use crate::datasets::{fold_fingerprint, GroundTruth, WorldDatasets};
 use crate::popularity::PopularityArchive;
 use crate::reputation::ReputationFeed;
@@ -53,6 +74,7 @@ use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use stale_types::{Date, DateInterval, DomainName, Duration, KeyId, SerialNumber};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use x509::revocation::RevocationReason;
 use x509::Certificate;
 
@@ -554,10 +576,11 @@ fn window_field(v: &Value, name: &str) -> Result<DateInterval, serde::de::Error>
         )));
     };
     let bad = |s: &str| serde::de::Error::msg(format!("field {name:?}: bad day {s:?}"));
-    let start_day = Date::parse(start).map_err(|_| bad(start))?;
-    let end_day = Date::parse(end).map_err(|_| bad(end))?;
-    DateInterval::new(start_day, end_day)
-        .map_err(|_| serde::de::Error::msg(format!("field {name:?}: degenerate window")))
+    // A degenerate window is a world rule, checked by the world pass.
+    Ok(DateInterval {
+        start: Date::parse(start).map_err(|_| bad(start))?,
+        end: Date::parse(end).map_err(|_| bad(end))?,
+    })
 }
 
 impl Serialize for WorldLogHeader {
@@ -757,21 +780,55 @@ impl WorldLog {
         }
     }
 
-    /// Reconstruct the datasets from facts alone. Popularity, reputation
-    /// and ground truth are not world facts and come back empty — every
-    /// replay-scoped output (Tables 3/4/7, Figs. 4/6/8/9, the audit) is
-    /// byte-identical regardless. Fails if any event is malformed or the
-    /// reconstructed fingerprint disagrees with the header.
+    /// Reconstruct the datasets from facts alone — the world pass of the
+    /// log's one reader (module docs list its rules). Popularity,
+    /// reputation and ground truth are not world facts and come back
+    /// empty — every replay-scoped output (Tables 3/4/7, Figs. 4/6/8/9,
+    /// the audit) is byte-identical regardless. Fails with the first
+    /// violated rule; events out of canonical order are refused before
+    /// any is applied.
     pub fn to_datasets(&self) -> Result<WorldDatasets, String> {
-        let mut order: Vec<&WorldEvent> = self.events.iter().collect();
-        order.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        let mut faults = Faults::stop_at_first();
+        let data = self.materialise(&mut faults);
+        faults.verdict(data)
+    }
+
+    /// The world pass: apply every fact in canonical order, holding each
+    /// to the world rules, then compare the reconstructed fingerprint.
+    fn materialise(&self, faults: &mut Faults) -> Result<WorldDatasets, Stop> {
+        if let Some(i) = self
+            .events
+            .windows(2)
+            .position(|pair| matches!(pair, [a, b] if a.sort_key() > b.sort_key()))
+        {
+            return Err(faults.fatal(format!("event {}: out of canonical order", i + 1)));
+        }
+        let header = &self.header;
+        for (name, window) in [
+            ("sim_window", header.sim_window),
+            ("adns_window", header.adns_window),
+            ("crl_window", header.crl_window),
+        ] {
+            if window.end < window.start {
+                faults.report(format!(
+                    "{name} ends {} before it starts {}",
+                    window.end, window.start
+                ))?;
+            }
+        }
+        let crl_window = header.crl_window;
         let mut monitor = CtMonitor::new();
         let mut crl = CrlDataset::new();
-        crl.window = Some(self.header.crl_window);
+        crl.window = Some(crl_window);
         let mut crl_stats = ScrapeStats::default();
         let mut whois = WhoisDataset::new();
         let mut adns = DnsHistory::new();
-        for ev in order {
+        let mut issuers: BTreeSet<KeyId> = BTreeSet::new();
+        let mut next_crl_index = 0u64;
+        let mut whois_days: BTreeMap<&str, Date> = BTreeMap::new();
+        let mut dns_days: BTreeMap<&str, Date> = BTreeMap::new();
+        for ev in &self.events {
+            let kind = ev.kind();
             match ev {
                 WorldEvent::CertIssued {
                     day,
@@ -779,22 +836,44 @@ impl WorldLog {
                     der,
                     entry_count,
                 } => {
-                    let bytes = decode_hex(der)
-                        .ok_or_else(|| format!("cert-issued {cert}: der is not hex"))?;
-                    let parsed = Certificate::decode(&bytes)
-                        .map_err(|e| format!("cert-issued {cert}: bad DER: {e:?}"))?;
+                    let parsed = match decode_cert(cert, der) {
+                        Ok(parsed) => parsed,
+                        Err(e) => {
+                            faults.report(e)?;
+                            continue;
+                        }
+                    };
                     if parsed.cert_id().to_string() != *cert {
-                        return Err(format!(
+                        faults.report(format!(
                             "cert-issued {cert}: DER decodes to a different certificate ({})",
                             parsed.cert_id()
-                        ));
+                        ))?;
+                        continue;
                     }
                     if *entry_count == 0 {
-                        return Err(format!("cert-issued {cert}: entry_count is zero"));
+                        faults.report(format!("cert-issued {cert}: entry_count is zero"))?;
+                        continue;
                     }
-                    for _ in 0..*entry_count {
-                        monitor.ingest(parsed.clone(), *day);
+                    let validity = parsed.tbs.validity;
+                    if validity.end <= validity.start {
+                        faults.report(format!(
+                            "cert-issued {cert}: degenerate validity {} – {}",
+                            validity.start, validity.end
+                        ))?;
                     }
+                    if *day < validity.start {
+                        faults.report(format!(
+                            "cert-issued {cert}: first seen in CT {day} before notBefore {}",
+                            validity.start
+                        ))?;
+                    }
+                    issuers.extend(parsed.tbs.authority_key_id());
+                    let entries = usize::try_from(*entry_count).unwrap_or(usize::MAX);
+                    // The corpus keeps a fresh copy: the decoded
+                    // certificate's allocations sit among the decoder's
+                    // freed temporaries, and keeping them instead raised
+                    // the small world's peak memory by about a tenth.
+                    monitor.ingest_entries(parsed.clone(), *day, entries);
                 }
                 // Expiry is implied by the DER; the event exists so the
                 // log reads as a timeline without decoding anything.
@@ -802,7 +881,14 @@ impl WorldLog {
                 WorldEvent::CrlPublished {
                     ca, attempted, ok, ..
                 } => {
-                    crl_stats.per_ca.insert(ca.clone(), (*attempted, *ok));
+                    if crl_stats
+                        .per_ca
+                        .insert(ca.clone(), (*attempted, *ok))
+                        .is_some()
+                    {
+                        faults
+                            .report(format!("crl-published {ca:?}: a second tally for one CA"))?;
+                    }
                 }
                 WorldEvent::CrlEntryAdded {
                     day,
@@ -812,81 +898,92 @@ impl WorldLog {
                     revoked,
                     reason,
                 } => {
-                    if *crl_index != crl.len() as u64 {
-                        return Err(format!(
-                            "crl-entry-added: index {crl_index} where {} was expected",
-                            crl.len()
-                        ));
+                    let expected = next_crl_index;
+                    next_crl_index += 1;
+                    if *crl_index != expected {
+                        faults.report(format!(
+                            "crl-entry-added: index {crl_index} where {expected} was expected"
+                        ))?;
+                        continue;
                     }
-                    let aki = decode_hex(authority_key_id)
-                        .and_then(|b| <[u8; 20]>::try_from(b).ok())
-                        .ok_or_else(|| {
-                            format!("crl-entry-added #{crl_index}: bad authority key id")
-                        })?;
-                    let serial = u128::from_str_radix(serial, 16)
-                        .map_err(|_| format!("crl-entry-added #{crl_index}: bad serial"))?;
-                    let reason = RevocationReason::from_code(*reason).ok_or_else(|| {
-                        format!("crl-entry-added #{crl_index}: unknown reason code {reason}")
-                    })?;
-                    if !crl.add(RevocationRecord {
-                        authority_key_id: KeyId::from_bytes(aki),
-                        serial: SerialNumber(serial),
+                    let (aki, serial, reason) =
+                        match revocation_key(*crl_index, authority_key_id, serial, *reason) {
+                            Ok(key) => key,
+                            Err(e) => {
+                                faults.report(e)?;
+                                continue;
+                            }
+                        };
+                    let record = RevocationRecord {
+                        authority_key_id: aki,
+                        serial,
                         revocation_date: *revoked,
                         reason,
                         observed: *day,
-                    }) {
-                        return Err(format!("crl-entry-added #{crl_index}: duplicate entry"));
+                    };
+                    if *day < crl_window.start || *day > crl_window.end {
+                        faults.report(format!(
+                            "crl-entry-added #{crl_index}: observed {day} outside the collection window {} – {}",
+                            crl_window.start, crl_window.end
+                        ))?;
+                    }
+                    if !crl.add(record) {
+                        faults.report(format!("crl-entry-added #{crl_index}: duplicate entry"))?;
                     }
                 }
                 WorldEvent::DomainRegistered { day, domain }
                 | WorldEvent::DomainReRegistered { day, domain } => {
-                    let name = DomainName::parse(domain)
-                        .map_err(|e| format!("{} {domain:?}: {e}", ev.kind()))?;
+                    let name = match DomainName::parse(domain) {
+                        Ok(name) => name,
+                        Err(e) => {
+                            faults.report(format!("{kind} {domain:?}: {e}"))?;
+                            continue;
+                        }
+                    };
+                    if let Some(prev) = advance(&mut whois_days, domain, *day) {
+                        faults.report(format!(
+                            "{kind} {domain:?}: creation date {day} does not follow {prev}"
+                        ))?;
+                        continue;
+                    }
                     whois.observe(name, *day);
                 }
-                WorldEvent::DomainDropped { day, domain } => {
-                    let name = DomainName::parse(domain)
-                        .map_err(|e| format!("domain-dropped {domain:?}: {e}"))?;
-                    adns.record_change(name, *day, DnsView::default());
-                }
-                WorldEvent::DelegationAdded {
-                    day,
-                    domain,
-                    ns,
-                    cname,
-                    a,
-                }
-                | WorldEvent::DelegationDropped {
-                    day,
-                    domain,
-                    ns,
-                    cname,
-                    a,
-                } => {
-                    let kind = ev.kind();
-                    let name =
-                        DomainName::parse(domain).map_err(|e| format!("{kind} {domain:?}: {e}"))?;
-                    let mut view = DnsView::default();
-                    for t in ns {
-                        view.ns.insert(
-                            DomainName::parse(t).map_err(|e| format!("{kind} {domain:?}: {e}"))?,
-                        );
-                    }
-                    for t in cname {
-                        view.cname.insert(
-                            DomainName::parse(t).map_err(|e| format!("{kind} {domain:?}: {e}"))?,
-                        );
-                    }
-                    for ip in a {
-                        view.a.insert(
-                            parse_ipv4(ip)
-                                .ok_or_else(|| format!("{kind} {domain:?}: bad address {ip:?}"))?,
-                        );
+                WorldEvent::DomainDropped { day, domain }
+                | WorldEvent::DelegationAdded { day, domain, .. }
+                | WorldEvent::DelegationDropped { day, domain, .. } => {
+                    let targets = match ev {
+                        WorldEvent::DelegationAdded { ns, cname, a, .. }
+                        | WorldEvent::DelegationDropped { ns, cname, a, .. } => {
+                            Some((ns, cname, a))
+                        }
+                        _ => None,
+                    };
+                    let (name, view) = match dns_change(kind, domain, targets) {
+                        Ok(change) => change,
+                        Err(e) => {
+                            faults.report(e)?;
+                            continue;
+                        }
+                    };
+                    if let Some(prev) = advance(&mut dns_days, domain, *day) {
+                        faults.report(format!(
+                            "{kind} {domain:?}: change at {day} does not follow {prev}"
+                        ))?;
+                        continue;
                     }
                     adns.record_change(name, *day, view);
                 }
             }
         }
+        for (i, rec) in crl.records().iter().enumerate() {
+            if !issuers.contains(&rec.authority_key_id) {
+                faults.report(format!(
+                    "crl-entry-added #{i}: authority key id {} matches no certificate issuer in the log",
+                    rec.authority_key_id
+                ))?;
+            }
+        }
+        let cdn_config = header.cdn.to_provider().map_err(|e| faults.fatal(e))?;
         let data = WorldDatasets {
             monitor,
             crl,
@@ -896,19 +993,23 @@ impl WorldLog {
             popularity: PopularityArchive::new(),
             reputation: ReputationFeed::new(),
             ground_truth: GroundTruth::default(),
-            cdn_config: self.header.cdn.to_provider()?,
-            sim_window: self.header.sim_window,
-            adns_window: self.header.adns_window,
-            crl_window: self.header.crl_window,
-            ct_raw_entries: self.header.ct_raw_entries as usize,
-            ct_log_count: self.header.ct_log_count as usize,
+            cdn_config,
+            sim_window: header.sim_window,
+            adns_window: header.adns_window,
+            crl_window,
+            ct_raw_entries: header.ct_raw_entries as usize,
+            ct_log_count: header.ct_log_count as usize,
         };
-        let fp = data.fingerprint();
-        if fp != self.header.fingerprint {
-            return Err(format!(
-                "reconstructed fingerprint {fp:#018x} does not match header {:#018x}",
-                self.header.fingerprint
-            ));
+        // Only fold on an otherwise clean log: a corrupted one already
+        // has a sharper diagnostic.
+        if faults.found.is_empty() {
+            let fp = data.fingerprint();
+            if fp != header.fingerprint {
+                faults.report(format!(
+                    "reconstructed fingerprint {fp:#018x} does not match header {:#018x}",
+                    header.fingerprint
+                ))?;
+            }
         }
         Ok(data)
     }
@@ -928,15 +1029,14 @@ impl WorldLog {
         }
     }
 
-    /// Export as JSONL: header line, one event per line in canonical
-    /// order, tally trailer.
+    /// Export as JSONL: header line, one event per line in stored order
+    /// (canonical for any log built by [`WorldLog::from_datasets`] or a
+    /// rewrite), tally trailer.
     // stale-lint: entry(serial)
     pub fn to_jsonl(&self) -> String {
-        let mut order: Vec<&WorldEvent> = self.events.iter().collect();
-        order.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
         let mut out = serde_json::to_string(&self.header).unwrap_or_default();
         out.push('\n');
-        for ev in order {
+        for ev in &self.events {
             out.push_str(&serde_json::to_string(ev).unwrap_or_default());
             out.push('\n');
         }
@@ -945,70 +1045,13 @@ impl WorldLog {
         out
     }
 
-    /// Parse a JSONL export. Checks schema identity, the trailer tally
-    /// and the header event count; use [`validate_worldlog_jsonl`] for
-    /// full per-line diagnostics.
+    /// Parse a JSONL export — the line pass of the log's one reader
+    /// (module docs list its rules). Fails with the first violated
+    /// rule; [`WorldLog::to_datasets`] holds the world rules.
     pub fn from_jsonl(text: &str) -> Result<WorldLog, String> {
-        let mut lines = text.lines();
-        let first = lines.next().ok_or("empty world log")?;
-        let header_value: Value =
-            serde_json::from_str(first).map_err(|e| format!("world-log header: {e}"))?;
-        let header = WorldLogHeader::deserialize(&header_value)
-            .map_err(|e| format!("world-log header: {e}"))?;
-        if header.schema != WORLDLOG_SCHEMA {
-            return Err(format!(
-                "schema {:?} is not {WORLDLOG_SCHEMA:?}",
-                header.schema
-            ));
-        }
-        if header.version != WORLDLOG_VERSION {
-            return Err(format!(
-                "version {} is not {WORLDLOG_VERSION}",
-                header.version
-            ));
-        }
-        let mut events = Vec::with_capacity(header.events);
-        let mut trailer: Option<WorldLogTally> = None;
-        for (lineno, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if trailer.is_some() {
-                return Err(format!("line {}: content after the trailer", lineno + 2));
-            }
-            let value: Value =
-                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", lineno + 2))?;
-            if value.get("kind").is_some() {
-                let ev = WorldEvent::deserialize(&value)
-                    .map_err(|e| format!("line {}: {e}", lineno + 2))?;
-                events.push(ev);
-            } else {
-                let t = WorldLogTally::deserialize(&value)
-                    .map_err(|e| format!("line {}: trailer: {e}", lineno + 2))?;
-                trailer = Some(t);
-            }
-        }
-        let trailer = trailer.ok_or("missing trailer line")?;
-        let mut log = WorldLog { header, events };
-        log.events.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        if trailer.total != log.events.len() as u64 {
-            return Err(format!(
-                "trailer declares {} event(s) but the file holds {}",
-                trailer.total,
-                log.events.len()
-            ));
-        }
-        if trailer != log.tally() {
-            return Err("trailer tally does not match the event lines".to_string());
-        }
-        if log.header.events != log.events.len() {
-            return Err(format!(
-                "header declares {} event(s) but the file holds {}",
-                log.header.events,
-                log.events.len()
-            ));
-        }
-        Ok(log)
+        let mut faults = Faults::stop_at_first();
+        let log = decode_lines(text, &mut faults);
+        faults.verdict(log)
     }
 
     /// The §6 lifetime-cap rewrite: clamp every certificate's validity
@@ -1031,10 +1074,7 @@ impl WorldLog {
                     der,
                     entry_count,
                 } => {
-                    let bytes = decode_hex(der)
-                        .ok_or_else(|| format!("cert-issued {cert}: der is not hex"))?;
-                    let mut parsed = Certificate::decode(&bytes)
-                        .map_err(|e| format!("cert-issued {cert}: bad DER: {e:?}"))?;
+                    let mut parsed = decode_cert(cert, der)?;
                     parsed.tbs.validity = parsed.tbs.validity.cap_len(cap);
                     let capped_cert = parsed.cert_id().to_string();
                     expiries.push((parsed.tbs.not_after(), capped_cert.clone()));
@@ -1053,21 +1093,280 @@ impl WorldLog {
         for (day, cert) in expiries {
             events.push(WorldEvent::CertExpired { day, cert });
         }
+        // New identities and expiry days move events: restore canonical
+        // order before the log is handed on.
         events.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
         let mut header = self.header.clone();
         header.events = events.len();
-        let log = WorldLog { header, events };
         // Capping can in principle collapse dedup identities, so re-fold
         // the fingerprint from the rewritten stream.
-        let mut log = log;
-        log.header.fingerprint = fold_from_events(&log.header, &log.events);
-        Ok(log)
+        header.fingerprint = fold_from_events(&header, &events);
+        Ok(WorldLog { header, events })
     }
 }
 
+/// Where the loaders' rule violations go. [`WorldLog::from_jsonl`] and
+/// [`WorldLog::to_datasets`] stop at the first; [`validate_worldlog_jsonl`]
+/// runs the same passes and collects them all, so each rule is written
+/// once.
+struct Faults {
+    collect: bool,
+    found: Vec<String>,
+}
+
+/// A pass cannot go on: it found a violation and its caller stops at the
+/// first, or nothing past the violation can be checked.
+struct Stop;
+
+impl Faults {
+    fn stop_at_first() -> Faults {
+        Faults {
+            collect: false,
+            found: Vec::new(),
+        }
+    }
+
+    fn collect_all() -> Faults {
+        Faults {
+            collect: true,
+            found: Vec::new(),
+        }
+    }
+
+    /// Record a violation the pass can check past.
+    fn report(&mut self, violation: String) -> Result<(), Stop> {
+        self.found.push(violation);
+        if self.collect {
+            Ok(())
+        } else {
+            Err(Stop)
+        }
+    }
+
+    /// Record a violation past which nothing can be checked.
+    fn fatal(&mut self, violation: String) -> Stop {
+        self.found.push(violation);
+        Stop
+    }
+
+    /// A loader's answer: the value when its pass found nothing, else
+    /// the first violation.
+    fn verdict<T>(self, outcome: Result<T, Stop>) -> Result<T, String> {
+        match (outcome, self.found.into_iter().next()) {
+            (Ok(value), None) => Ok(value),
+            (_, Some(first)) => Err(first),
+            (Err(Stop), None) => Err("world log refused".to_string()),
+        }
+    }
+}
+
+/// The line pass: header identity, one event per line that parses and
+/// keeps the line rules, canonical order, and a trailer whose tally
+/// matches the lines.
+fn decode_lines(text: &str, faults: &mut Faults) -> Result<WorldLog, Stop> {
+    let mut lines = text.lines();
+    let first = lines
+        .next()
+        .ok_or_else(|| faults.fatal("empty world log".to_string()))?;
+    let header = serde_json::from_str::<Value>(first)
+        .map_err(|e| e.to_string())
+        .and_then(|v| WorldLogHeader::deserialize(&v).map_err(|e| e.to_string()))
+        .map_err(|e| faults.fatal(format!("world-log header: {e}")))?;
+    if header.schema != WORLDLOG_SCHEMA {
+        faults.report(format!(
+            "schema {:?} is not {WORLDLOG_SCHEMA:?}",
+            header.schema
+        ))?;
+    }
+    if header.version != WORLDLOG_VERSION {
+        faults.report(format!(
+            "version {} is not {WORLDLOG_VERSION}",
+            header.version
+        ))?;
+    }
+    // The header's count is only a capacity hint: no event line is
+    // shorter than 64 bytes.
+    let mut events: Vec<WorldEvent> = Vec::with_capacity(header.events.min(text.len() / 64));
+    let mut trailer: Option<WorldLogTally> = None;
+    for (i, line) in lines.enumerate() {
+        let lineno = i + 2;
+        if line.trim().is_empty() {
+            continue;
+        }
+        if trailer.is_some() {
+            faults.report(format!("line {lineno}: content after the trailer"))?;
+            continue;
+        }
+        let value: Value = match serde_json::from_str(line) {
+            Ok(value) => value,
+            Err(e) => {
+                faults.report(format!("line {lineno}: {e}"))?;
+                continue;
+            }
+        };
+        if value.get("kind").is_none() {
+            match WorldLogTally::deserialize(&value) {
+                Ok(t) => trailer = Some(t),
+                Err(e) => faults.report(format!("line {lineno}: trailer: {e}"))?,
+            }
+            continue;
+        }
+        let ev = match WorldEvent::deserialize(&value) {
+            Ok(ev) => ev,
+            Err(e) => {
+                faults.report(format!("line {lineno}: {e}"))?;
+                continue;
+            }
+        };
+        check_line(&ev, lineno, faults)?;
+        if events
+            .last()
+            .is_some_and(|prev| prev.sort_key() > ev.sort_key())
+        {
+            faults.report(format!("line {lineno}: events out of canonical order"))?;
+        }
+        events.push(ev);
+    }
+    let log = WorldLog { header, events };
+    match trailer {
+        None => faults.report("missing trailer line".to_string())?,
+        Some(t) if t.total != log.events.len() as u64 => faults.report(format!(
+            "trailer declares {} event(s) but the file holds {}",
+            t.total,
+            log.events.len()
+        ))?,
+        Some(t) if t != log.tally() => {
+            faults.report("trailer tally does not match the event lines".to_string())?
+        }
+        Some(_) => {}
+    }
+    if log.header.events != log.events.len() {
+        faults.report(format!(
+            "header declares {} event(s) but the file holds {}",
+            log.header.events,
+            log.events.len()
+        ))?;
+    }
+    Ok(log)
+}
+
+fn is_hex_id(s: &str, len: usize) -> bool {
+    s.len() == len
+        && s.bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+}
+
+/// The per-line rules of the line pass.
+fn check_line(ev: &WorldEvent, lineno: usize, faults: &mut Faults) -> Result<(), Stop> {
+    match ev {
+        WorldEvent::CertIssued { cert, .. } | WorldEvent::CertExpired { cert, .. } => {
+            if !is_hex_id(cert, 64) {
+                faults.report(format!(
+                    "line {lineno}: cert {cert:?} is not 64 lowercase hex chars"
+                ))?;
+            }
+        }
+        WorldEvent::CrlPublished {
+            ca, attempted, ok, ..
+        } => {
+            if ca.is_empty() {
+                faults.report(format!("line {lineno}: ca name is empty"))?;
+            }
+            if ok > attempted {
+                faults.report(format!(
+                    "line {lineno}: {ok} successes out of {attempted} attempts"
+                ))?;
+            }
+        }
+        WorldEvent::CrlEntryAdded {
+            authority_key_id,
+            serial,
+            ..
+        } => {
+            if !is_hex_id(authority_key_id, 40) {
+                faults.report(format!(
+                    "line {lineno}: authority_key_id {authority_key_id:?} is not 40 lowercase hex chars"
+                ))?;
+            }
+            if !is_hex_id(serial, 32) {
+                faults.report(format!(
+                    "line {lineno}: serial {serial:?} is not 32 lowercase hex chars"
+                ))?;
+            }
+        }
+        WorldEvent::DelegationAdded { ns, cname, a, .. }
+        | WorldEvent::DelegationDropped { ns, cname, a, .. } => {
+            if ns.is_empty() && cname.is_empty() && a.is_empty() {
+                faults.report(format!(
+                    "line {lineno}: delegation event with an empty view (should be domain-dropped)"
+                ))?;
+            }
+        }
+        WorldEvent::DomainRegistered { .. }
+        | WorldEvent::DomainReRegistered { .. }
+        | WorldEvent::DomainDropped { .. } => {}
+    }
+    Ok(())
+}
+
+/// Decode a `cert-issued` event's DER body.
+fn decode_cert(cert: &str, der: &str) -> Result<Certificate, String> {
+    let bytes = decode_hex(der).ok_or_else(|| format!("cert-issued {cert}: der is not hex"))?;
+    Certificate::decode(&bytes).map_err(|e| format!("cert-issued {cert}: bad DER: {e:?}"))
+}
+
+/// The authority key, serial and reason a `crl-entry-added` event names.
+fn revocation_key(
+    crl_index: u64,
+    authority_key_id: &str,
+    serial: &str,
+    reason: u8,
+) -> Result<(KeyId, SerialNumber, RevocationReason), String> {
+    let aki = decode_hex(authority_key_id)
+        .and_then(|b| <[u8; 20]>::try_from(b).ok())
+        .ok_or_else(|| format!("crl-entry-added #{crl_index}: bad authority key id"))?;
+    let serial = u128::from_str_radix(serial, 16)
+        .map_err(|_| format!("crl-entry-added #{crl_index}: bad serial"))?;
+    let reason = RevocationReason::from_code(reason)
+        .ok_or_else(|| format!("crl-entry-added #{crl_index}: unknown reason code {reason}"))?;
+    Ok((KeyId::from_bytes(aki), SerialNumber(serial), reason))
+}
+
+/// The domain and resolution view a DNS event records: empty for a
+/// `domain-dropped`, else its NS, CNAME and A targets.
+fn dns_change(
+    kind: &str,
+    domain: &str,
+    targets: Option<(&Vec<String>, &Vec<String>, &Vec<String>)>,
+) -> Result<(DomainName, DnsView), String> {
+    let bad = |e: stale_types::Error| format!("{kind} {domain:?}: {e}");
+    let name = DomainName::parse(domain).map_err(bad)?;
+    let mut view = DnsView::default();
+    if let Some((ns, cname, a)) = targets {
+        for t in ns {
+            view.ns.insert(DomainName::parse(t).map_err(bad)?);
+        }
+        for t in cname {
+            view.cname.insert(DomainName::parse(t).map_err(bad)?);
+        }
+        for ip in a {
+            view.a.insert(
+                parse_ipv4(ip).ok_or_else(|| format!("{kind} {domain:?}: bad address {ip:?}"))?,
+            );
+        }
+    }
+    Ok((name, view))
+}
+
+/// Record `day` as `domain`'s latest in one per-domain stream; the
+/// previous day when `day` does not strictly follow it.
+fn advance<'a>(latest: &mut BTreeMap<&'a str, Date>, domain: &'a str, day: Date) -> Option<Date> {
+    latest.insert(domain, day).filter(|prev| *prev >= day)
+}
+
 /// [`fold_fingerprint`] computed from an event stream plus header
-/// configuration — no reconstruction needed, so validation can check the
-/// fingerprint cheaply and rewrites can refresh it.
+/// configuration, so a rewrite can refresh the header without
+/// reconstructing the datasets.
 fn fold_from_events(header: &WorldLogHeader, events: &[WorldEvent]) -> u64 {
     let mut certs: BTreeSet<&str> = BTreeSet::new();
     let mut crl_len = 0usize;
@@ -1105,225 +1404,42 @@ fn fold_from_events(header: &WorldLogHeader, events: &[WorldEvent]) -> u64 {
     )
 }
 
-fn is_hex(s: &str) -> bool {
-    !s.is_empty()
-        && s.bytes()
-            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-}
-
-/// Shape checks for one parsed event; one message per violation.
-fn check_event(ev: &WorldEvent, lineno: usize, out: &mut Vec<String>) {
-    let mut bad = |msg: String| out.push(format!("line {lineno}: {msg}"));
-    match ev {
-        WorldEvent::CertIssued {
-            cert,
-            der,
-            entry_count,
-            ..
-        } => {
-            if cert.len() != 64 || !is_hex(cert) {
-                bad(format!("cert {cert:?} is not 64 lowercase hex chars"));
-            }
-            if decode_hex(der).is_none() {
-                bad("der is not well-formed hex".to_string());
-            }
-            if *entry_count == 0 {
-                bad("entry_count is zero".to_string());
-            }
-        }
-        WorldEvent::CertExpired { cert, .. } => {
-            if cert.len() != 64 || !is_hex(cert) {
-                bad(format!("cert {cert:?} is not 64 lowercase hex chars"));
-            }
-        }
-        WorldEvent::CrlPublished {
-            ca, attempted, ok, ..
-        } => {
-            if ca.is_empty() {
-                bad("ca name is empty".to_string());
-            }
-            if ok > attempted {
-                bad(format!("{ok} successes out of {attempted} attempts"));
-            }
-        }
-        WorldEvent::CrlEntryAdded {
-            authority_key_id,
-            serial,
-            reason,
-            ..
-        } => {
-            if authority_key_id.len() != 40 || !is_hex(authority_key_id) {
-                bad(format!(
-                    "authority_key_id {authority_key_id:?} is not 40 lowercase hex chars"
-                ));
-            }
-            if serial.len() != 32 || !is_hex(serial) {
-                bad(format!("serial {serial:?} is not 32 lowercase hex chars"));
-            }
-            if RevocationReason::from_code(*reason).is_none() {
-                bad(format!("unknown revocation reason code {reason}"));
-            }
-        }
-        WorldEvent::DomainRegistered { domain, .. }
-        | WorldEvent::DomainReRegistered { domain, .. }
-        | WorldEvent::DomainDropped { domain, .. } => {
-            if DomainName::parse(domain).is_err() {
-                bad(format!("bad domain name {domain:?}"));
-            }
-        }
-        WorldEvent::DelegationAdded {
-            domain,
-            ns,
-            cname,
-            a,
-            ..
-        }
-        | WorldEvent::DelegationDropped {
-            domain,
-            ns,
-            cname,
-            a,
-            ..
-        } => {
-            if DomainName::parse(domain).is_err() {
-                bad(format!("bad domain name {domain:?}"));
-            }
-            for t in ns.iter().chain(cname) {
-                if DomainName::parse(t).is_err() {
-                    bad(format!("bad delegation target {t:?}"));
-                }
-            }
-            for ip in a {
-                if parse_ipv4(ip).is_none() {
-                    bad(format!("bad address {ip:?}"));
-                }
-            }
-            if ns.is_empty() && cname.is_empty() && a.is_empty() {
-                bad("delegation event with an empty view (should be domain-dropped)".to_string());
-            }
-        }
-    }
-}
-
-/// Full structural validation of a `stale-obs-worldlog` JSONL stream:
-/// schema/version header, every line parses with well-formed hex and
-/// days, events in canonical (monotone-day) order, CRL indices dense
-/// and ascending, a trailer whose tally matches the lines, and a header
-/// fingerprint that re-folds from the stream. Returns one message per
-/// violation; empty means clean. Pure and panic-free on any input —
-/// `stale-lint preflight` wraps it.
+/// Every violation in a `stale-obs-worldlog` JSONL stream, found by the
+/// log's own reader: the line pass of [`WorldLog::from_jsonl`] and, when
+/// that is clean, the world pass of [`WorldLog::to_datasets`], each run
+/// to completion instead of stopping at the first violation. Empty
+/// exactly when both loaders accept the text. Pure and panic-free on
+/// any input — `stale-lint preflight` wraps it.
 pub fn validate_worldlog_jsonl(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut lines = text.lines();
-    let Some(first) = lines.next() else {
-        return vec!["empty file (expected a world-log header line)".to_string()];
-    };
-    let header = match serde_json::from_str::<Value>(first)
-        .map_err(|e| format!("{e}"))
-        .and_then(|v| WorldLogHeader::deserialize(&v).map_err(|e| format!("{e}")))
-    {
-        Ok(h) => h,
-        Err(e) => return vec![format!("header line does not parse: {e}")],
-    };
-    if header.schema != WORLDLOG_SCHEMA {
-        out.push(format!(
-            "header schema {:?} (expected {WORLDLOG_SCHEMA:?})",
-            header.schema
-        ));
-    }
-    if header.version != WORLDLOG_VERSION {
-        out.push(format!(
-            "header version {} (expected {WORLDLOG_VERSION})",
-            header.version
-        ));
-    }
-    let mut events: Vec<WorldEvent> = Vec::new();
-    let mut trailer: Option<WorldLogTally> = None;
-    let mut next_crl_index = 0u64;
-    for (lineno, line) in lines.enumerate() {
-        let lineno = lineno + 2;
-        if line.trim().is_empty() {
-            continue;
-        }
-        if trailer.is_some() {
-            out.push(format!("line {lineno}: content after the trailer"));
-            continue;
-        }
-        let value: Value = match serde_json::from_str(line) {
-            Ok(v) => v,
-            Err(e) => {
-                out.push(format!("line {lineno}: does not parse as JSON: {e}"));
-                continue;
-            }
-        };
-        if value.get("kind").is_none() {
-            match WorldLogTally::deserialize(&value) {
-                Ok(t) => trailer = Some(t),
-                Err(e) => out.push(format!("line {lineno}: neither event nor trailer: {e}")),
-            }
-            continue;
-        }
-        let ev = match WorldEvent::deserialize(&value) {
-            Ok(ev) => ev,
-            Err(e) => {
-                out.push(format!("line {lineno}: does not parse as an event: {e}"));
-                continue;
-            }
-        };
-        check_event(&ev, lineno, &mut out);
-        if let WorldEvent::CrlEntryAdded { crl_index, .. } = &ev {
-            if *crl_index != next_crl_index {
-                out.push(format!(
-                    "line {lineno}: crl_index {crl_index} where {next_crl_index} was expected"
-                ));
-            }
-            next_crl_index = crl_index.saturating_add(1);
-        }
-        if let Some(prev) = events.last() {
-            if prev.sort_key() > ev.sort_key() {
-                out.push(format!("line {lineno}: events out of canonical order"));
-            }
-        }
-        events.push(ev);
-    }
-    match &trailer {
-        None => out.push("missing trailer line".to_string()),
-        Some(t) => {
-            if t.total != events.len() as u64 {
-                out.push(format!(
-                    "trailer declares {} event(s) but the file holds {}",
-                    t.total,
-                    events.len()
-                ));
-            }
-            let log = WorldLog {
-                header: header.clone(),
-                events: events.clone(),
-            };
-            if *t != log.tally() {
-                out.push("trailer tally does not match the event lines".to_string());
-            }
+    let mut faults = Faults::collect_all();
+    if let Ok(log) = decode_lines(text, &mut faults) {
+        if faults.found.is_empty() {
+            // The datasets are only built to be checked.
+            let _ = log.materialise(&mut faults);
         }
     }
-    if header.events != events.len() {
-        out.push(format!(
-            "header declares {} event(s) but the file holds {}",
-            header.events,
-            events.len()
-        ));
-    }
-    // Only check the fingerprint on an otherwise-clean stream: a
-    // truncated or corrupted file already has a sharper diagnostic.
-    if out.is_empty() {
-        let folded = fold_from_events(&header, &events);
-        if folded != header.fingerprint {
-            out.push(format!(
-                "header fingerprint {:#018x} does not re-fold from the events ({folded:#018x})",
-                header.fingerprint
-            ));
-        }
+    faults.found
+}
+
+/// Lowercase hex encoding.
+pub fn encode_hex(bytes: &[u8]) -> String {
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for b in bytes {
+        let _ = write!(out, "{b:02x}");
     }
     out
+}
+
+/// Decode lowercase/uppercase hex; `None` on odd length or a non-hex
+/// digit.
+pub fn decode_hex(s: &str) -> Option<Vec<u8>> {
+    let mut digits = s.chars().map(|c| c.to_digit(16));
+    let mut out = Vec::with_capacity(s.len() / 2);
+    while let Some(hi) = digits.next() {
+        let lo = digits.next()??;
+        out.push(((hi? << 4) | lo) as u8);
+    }
+    Some(out)
 }
 
 #[cfg(test)]
@@ -1331,60 +1447,86 @@ mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
     use crate::world::World;
+    use std::sync::OnceLock;
 
-    fn tiny_log() -> (WorldDatasets, WorldLog) {
-        let data = World::run(ScenarioConfig::tiny());
-        let log = WorldLog::from_datasets(&data);
-        (data, log)
+    /// The tiny world's log, simulated once for the whole module.
+    fn tiny() -> &'static WorldLog {
+        static LOG: OnceLock<WorldLog> = OnceLock::new();
+        LOG.get_or_init(|| WorldLog::from_datasets(&World::run(ScenarioConfig::tiny())))
+    }
+
+    /// Re-sort and re-seal a hand-edited log (event count, fingerprint)
+    /// so only the edit's own rule can fire.
+    fn reseal(mut log: WorldLog) -> WorldLog {
+        log.events.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        log.header.events = log.events.len();
+        log.header.fingerprint = fold_from_events(&log.header, &log.events);
+        log
+    }
+
+    /// The serialized log is refused by its reader with a violation
+    /// naming `needle`, and preflight's list names it too.
+    fn refused(log: &WorldLog, needle: &str) {
+        let jsonl = log.to_jsonl();
+        let err = WorldLog::from_jsonl(&jsonl)
+            .and_then(|l| l.to_datasets())
+            .err()
+            .expect("the reader must refuse the log");
+        assert!(err.contains(needle), "{err}");
+        let found = validate_worldlog_jsonl(&jsonl);
+        assert!(found.iter().any(|m| m.contains(needle)), "{found:?}");
+    }
+
+    /// The first event matching `pick`, mutably.
+    fn first(log: &mut WorldLog, pick: impl Fn(&WorldEvent) -> bool) -> &mut WorldEvent {
+        log.events
+            .iter_mut()
+            .find(|ev| pick(ev))
+            .expect("the tiny world has such an event")
     }
 
     #[test]
     fn log_round_trips_through_jsonl() {
-        let (_, log) = tiny_log();
+        let log = tiny();
         let jsonl = log.to_jsonl();
         let parsed = WorldLog::from_jsonl(&jsonl).expect("parses");
-        assert_eq!(parsed, log);
+        assert_eq!(&parsed, log);
         assert_eq!(parsed.to_jsonl(), jsonl, "canonical serialization");
     }
 
     #[test]
     fn reconstruction_preserves_the_fingerprint_and_summary() {
-        let (data, log) = tiny_log();
+        let data = World::run(ScenarioConfig::tiny());
+        let log = WorldLog::from_datasets(&data);
         assert!(!log.events.is_empty());
         let rebuilt = log.to_datasets().expect("reconstructs");
         assert_eq!(rebuilt.fingerprint(), data.fingerprint());
         assert_eq!(rebuilt.summary(), data.summary());
         assert_eq!(rebuilt.crl.records(), data.crl.records());
         assert_eq!(rebuilt.crl_stats.per_ca, data.crl_stats.per_ca);
+        assert_eq!(
+            log.tally().tally["cert-issued"],
+            data.monitor.dedup_count() as u64
+        );
+        assert_eq!(log.tally().tally["crl-entry-added"], data.crl.len() as u64);
     }
 
     #[test]
-    fn events_are_canonically_sorted_and_day_monotone() {
-        let (_, log) = tiny_log();
+    fn events_are_canonically_sorted_and_the_export_is_clean() {
+        let log = tiny();
         for pair in log.events.windows(2) {
             assert!(pair[0].sort_key() <= pair[1].sort_key());
         }
+        let tally = log.tally();
+        assert_eq!(tally.total, log.events.len() as u64);
+        assert_eq!(tally.tally.len(), EVENT_KINDS.len());
         let validation = validate_worldlog_jsonl(&log.to_jsonl());
         assert!(validation.is_empty(), "clean log: {validation:?}");
     }
 
     #[test]
-    fn tally_counts_every_kind() {
-        let (data, log) = tiny_log();
-        let tally = log.tally();
-        assert_eq!(tally.total, log.events.len() as u64);
-        assert_eq!(tally.tally.len(), EVENT_KINDS.len());
-        assert_eq!(
-            tally.tally["cert-issued"],
-            data.monitor.dedup_count() as u64
-        );
-        assert_eq!(tally.tally["crl-entry-added"], data.crl.len() as u64);
-    }
-
-    #[test]
     fn truncated_log_is_rejected() {
-        let (_, log) = tiny_log();
-        let jsonl = log.to_jsonl();
+        let jsonl = tiny().to_jsonl();
         let truncated: String = jsonl
             .lines()
             .take(jsonl.lines().count() - 1)
@@ -1394,38 +1536,264 @@ mod tests {
             .unwrap_err()
             .contains("missing trailer"));
         assert!(!validate_worldlog_jsonl(&truncated).is_empty());
+        assert!(WorldLog::from_jsonl("").is_err());
     }
 
     #[test]
-    fn corrupted_der_fails_reconstruction() {
-        let (_, log) = tiny_log();
-        let mut broken = log.clone();
-        for ev in &mut broken.events {
-            if let WorldEvent::CertIssued { der, .. } = ev {
-                // Flip one hex digit in the DER body.
-                let flipped = if der.as_bytes()[10] == b'0' { "1" } else { "0" };
-                der.replace_range(10..11, flipped);
-                break;
-            }
+    fn corrupted_der_is_refused() {
+        let mut broken = tiny().clone();
+        if let WorldEvent::CertIssued { der, .. } = first(&mut broken, |ev| {
+            matches!(ev, WorldEvent::CertIssued { .. })
+        }) {
+            // Flip one hex digit in the DER body.
+            let flipped = if der.as_bytes()[10] == b'0' { "1" } else { "0" };
+            der.replace_range(10..11, flipped);
         }
-        assert!(broken.to_datasets().is_err());
+        refused(&broken, "bad DER");
     }
 
+    // The line rules: refused by `from_jsonl` itself.
+
     #[test]
-    fn reordered_events_fail_validation() {
-        let (_, log) = tiny_log();
-        let jsonl = log.to_jsonl();
+    fn reordered_lines_are_refused_not_resorted() {
+        let jsonl = tiny().to_jsonl();
         let mut lines: Vec<&str> = jsonl.lines().collect();
         lines.swap(1, 2);
         let swapped: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let err = WorldLog::from_jsonl(&swapped).unwrap_err();
+        assert!(err.contains("canonical order"), "{err}");
         assert!(validate_worldlog_jsonl(&swapped)
             .iter()
-            .any(|m| m.contains("canonical order") || m.contains("crl_index")));
+            .any(|m| m.contains("canonical order")));
+    }
+
+    #[test]
+    fn successes_above_attempts_are_refused() {
+        let mut log = tiny().clone();
+        if let WorldEvent::CrlPublished { attempted, ok, .. } =
+            first(&mut log, |ev| matches!(ev, WorldEvent::CrlPublished { .. }))
+        {
+            *ok = *attempted + 5;
+        }
+        let err = WorldLog::from_jsonl(&log.to_jsonl()).unwrap_err();
+        assert!(err.contains("successes out of"), "{err}");
+    }
+
+    #[test]
+    fn identifiers_of_the_wrong_length_are_refused() {
+        let mut log = tiny().clone();
+        if let WorldEvent::CertExpired { cert, .. } =
+            first(&mut log, |ev| matches!(ev, WorldEvent::CertExpired { .. }))
+        {
+            cert.truncate(63);
+        }
+        let err = WorldLog::from_jsonl(&log.to_jsonl()).unwrap_err();
+        assert!(err.contains("64 lowercase hex"), "{err}");
+
+        let mut log = tiny().clone();
+        if let WorldEvent::CrlEntryAdded { serial, .. } = first(&mut log, |ev| {
+            matches!(ev, WorldEvent::CrlEntryAdded { .. })
+        }) {
+            // Parses as a number, but is not the canonical spelling.
+            serial.replace_range(0..1, "+");
+        }
+        let err = WorldLog::from_jsonl(&log.to_jsonl()).unwrap_err();
+        assert!(err.contains("32 lowercase hex"), "{err}");
+    }
+
+    #[test]
+    fn an_empty_delegation_view_is_refused() {
+        let mut log = tiny().clone();
+        if let WorldEvent::DelegationAdded { ns, cname, a, .. } = first(&mut log, |ev| {
+            matches!(ev, WorldEvent::DelegationAdded { .. })
+        }) {
+            ns.clear();
+            cname.clear();
+            a.clear();
+        }
+        let err = WorldLog::from_jsonl(&log.to_jsonl()).unwrap_err();
+        assert!(err.contains("empty view"), "{err}");
+    }
+
+    // The world rules: refused by `to_datasets`, one case per rule.
+
+    #[test]
+    fn events_out_of_order_are_refused_before_any_is_applied() {
+        // Two DNS changes of one domain, swapped: applying them would
+        // append a change before its predecessor.
+        let mut log = tiny().clone();
+        let domain_of = |ev: &WorldEvent| match ev {
+            WorldEvent::DelegationAdded { domain, .. } => Some(domain.clone()),
+            _ => None,
+        };
+        let positions: Vec<usize> = log
+            .events
+            .iter()
+            .enumerate()
+            .filter_map(|(i, ev)| domain_of(ev).map(|d| (i, d)))
+            .fold(BTreeMap::<String, Vec<usize>>::new(), |mut m, (i, d)| {
+                m.entry(d).or_default().push(i);
+                m
+            })
+            .into_values()
+            .find(|at| at.len() >= 2)
+            .expect("some domain changes twice");
+        log.events.swap(positions[0], positions[1]);
+        let err = log.to_datasets().err().expect("refused");
+        assert!(err.contains("out of canonical order"), "{err}");
+    }
+
+    #[test]
+    fn a_degenerate_window_is_refused() {
+        let mut log = tiny().clone();
+        let w = log.header.adns_window;
+        log.header.adns_window = DateInterval {
+            start: w.end,
+            end: w.start,
+        };
+        refused(&reseal(log), "adns_window ends");
+    }
+
+    #[test]
+    fn a_degenerate_validity_is_refused() {
+        let mut log = tiny().clone();
+        if let WorldEvent::CertIssued { cert, der, .. } =
+            first(&mut log, |ev| matches!(ev, WorldEvent::CertIssued { .. }))
+        {
+            let mut parsed = decode_cert(cert, der).expect("clean DER");
+            let start = parsed.tbs.validity.start;
+            parsed.tbs.validity = DateInterval { start, end: start };
+            *cert = parsed.cert_id().to_string();
+            *der = encode_hex(&parsed.encode());
+        }
+        refused(&reseal(log), "degenerate validity");
+    }
+
+    #[test]
+    fn a_certificate_seen_before_its_not_before_is_refused() {
+        let mut log = tiny().clone();
+        if let WorldEvent::CertIssued { day, cert, der, .. } =
+            first(&mut log, |ev| matches!(ev, WorldEvent::CertIssued { .. }))
+        {
+            let parsed = decode_cert(cert, der).expect("clean DER");
+            *day = parsed.tbs.not_before().pred();
+        }
+        refused(&reseal(log), "before notBefore");
+    }
+
+    #[test]
+    fn a_revocation_under_an_unknown_issuer_is_refused() {
+        let mut log = tiny().clone();
+        if let WorldEvent::CrlEntryAdded {
+            authority_key_id, ..
+        } = first(&mut log, |ev| {
+            matches!(ev, WorldEvent::CrlEntryAdded { .. })
+        }) {
+            *authority_key_id = "ab".repeat(20);
+        }
+        refused(&log, "matches no certificate issuer");
+    }
+
+    #[test]
+    fn a_revocation_observed_outside_the_crl_window_is_refused() {
+        // The last entry, moved past the window's end, keeps the CRL
+        // indices dense.
+        let mut log = tiny().clone();
+        let end = log.header.crl_window.end;
+        if let Some(WorldEvent::CrlEntryAdded { day, .. }) = log
+            .events
+            .iter_mut()
+            .rev()
+            .find(|ev| matches!(ev, WorldEvent::CrlEntryAdded { .. }))
+        {
+            *day = end + Duration::days(30);
+        }
+        refused(&reseal(log), "outside the collection window");
+    }
+
+    #[test]
+    fn a_repeated_revocation_is_refused() {
+        let mut log = tiny().clone();
+        let last = log
+            .events
+            .iter()
+            .rev()
+            .find(|ev| matches!(ev, WorldEvent::CrlEntryAdded { .. }))
+            .cloned();
+        if let Some(WorldEvent::CrlEntryAdded {
+            day,
+            crl_index,
+            authority_key_id,
+            serial,
+            revoked,
+            reason,
+        }) = last
+        {
+            log.events.push(WorldEvent::CrlEntryAdded {
+                day,
+                crl_index: crl_index + 1,
+                authority_key_id,
+                serial,
+                revoked,
+                reason,
+            });
+        }
+        refused(&reseal(log), "duplicate entry");
+    }
+
+    #[test]
+    fn a_whois_creation_that_does_not_follow_the_last_is_refused() {
+        let mut log = tiny().clone();
+        let repeat = log.events.iter().find_map(|ev| match ev {
+            WorldEvent::DomainRegistered { day, domain } => Some(WorldEvent::DomainReRegistered {
+                day: *day,
+                domain: domain.clone(),
+            }),
+            _ => None,
+        });
+        log.events.extend(repeat);
+        refused(&reseal(log), "does not follow");
+    }
+
+    #[test]
+    fn a_dns_change_that_does_not_follow_the_last_is_refused() {
+        let mut log = tiny().clone();
+        let repeat = log.events.iter().find_map(|ev| match ev {
+            WorldEvent::DelegationAdded { day, domain, .. } => Some(WorldEvent::DomainDropped {
+                day: *day,
+                domain: domain.clone(),
+            }),
+            _ => None,
+        });
+        log.events.extend(repeat);
+        refused(&reseal(log), "does not follow");
+    }
+
+    #[test]
+    fn an_entry_count_is_applied_in_one_step() {
+        // Replaying each entry one by one would never finish this log.
+        let mut log = tiny().clone();
+        let huge = u64::MAX / 2;
+        let mut named = String::new();
+        if let WorldEvent::CertIssued {
+            cert, entry_count, ..
+        } = first(&mut log, |ev| matches!(ev, WorldEvent::CertIssued { .. }))
+        {
+            *entry_count = huge;
+            named = cert.clone();
+        }
+        let data = log.to_datasets().expect("the log loads");
+        let rebuilt = data
+            .monitor
+            .corpus_unfiltered()
+            .find(|c| c.cert_id.to_string() == named)
+            .expect("the certificate is in the corpus");
+        assert_eq!(rebuilt.entry_count as u64, huge);
     }
 
     #[test]
     fn cap_rewrite_caps_every_validity_and_replays() {
-        let (_, log) = tiny_log();
+        let log = tiny();
         let capped = log.rewrite_cap_days(90).expect("rewrites");
         assert_eq!(
             capped.tally().tally["cert-issued"],
@@ -1441,8 +1809,19 @@ mod tests {
 
     #[test]
     fn cap_rewrite_rejects_nonpositive_caps() {
-        let (_, log) = tiny_log();
+        let log = tiny();
         assert!(log.rewrite_cap_days(0).is_err());
         assert!(log.rewrite_cap_days(-3).is_err());
+    }
+
+    #[test]
+    fn hex_round_trip() {
+        let data = [0u8, 1, 0x7f, 0x80, 0xff];
+        let hex = encode_hex(&data);
+        assert_eq!(hex, "00017f80ff");
+        assert_eq!(decode_hex(&hex).unwrap(), data);
+        assert_eq!(decode_hex("0"), None);
+        assert_eq!(decode_hex("zz"), None);
+        assert_eq!(decode_hex("").unwrap(), Vec::<u8>::new());
     }
 }

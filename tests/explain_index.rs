@@ -13,7 +13,12 @@ use stale_tls::prelude::*;
 
 /// A real audit export: the tiny world, fully detected with auditing on.
 fn tiny_audit() -> obs::AuditReport {
-    let (data, psl) = Experiments::build_world(ScenarioConfig::tiny());
+    audit_of(ScenarioConfig::tiny())
+}
+
+/// The audit export of one world, fully detected with auditing on.
+fn audit_of(cfg: ScenarioConfig) -> obs::AuditReport {
+    let (data, psl) = Experiments::build_world(cfg);
     let mut cfg = EngineConfig::with_shards(2);
     cfg.audit = true;
     Experiments::with_engine_on(data, psl, cfg)
@@ -87,4 +92,57 @@ fn prefix_semantics_match_between_index_and_scan() {
         .render_explain_from(&jsonl, "ffffffffffffffff")
         .unwrap_err();
     assert_eq!(scan_miss, index_miss);
+}
+
+#[test]
+fn a_sidecar_save_stopped_before_its_rename_leaves_the_previous_sidecar() {
+    let dir = std::env::temp_dir().join("stale_explain_index_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("audit.jsonl");
+    let sidecar = ExplainIndex::sidecar_path(&path);
+    let _ = std::fs::remove_file(&sidecar);
+
+    // The first lookup builds the sidecar and saves it.
+    let first = tiny_audit().to_jsonl();
+    std::fs::write(&path, &first).expect("write store");
+    ExplainIndex::load_or_build(&path, &first).expect("index builds");
+    let previous = std::fs::read(&sidecar).expect("sidecar saved");
+
+    // The store is regenerated; saving its new index dies before the
+    // rename. The previous sidecar is untouched, byte for byte.
+    let mut other = ScenarioConfig::tiny();
+    other.seed ^= 0x5eed;
+    let audit = audit_of(other);
+    let jsonl = audit.to_jsonl();
+    assert_ne!(jsonl.len(), first.len(), "the regenerated store differs");
+    std::fs::write(&path, &jsonl).expect("rewrite store");
+    let staged = ExplainIndex::build(&jsonl)
+        .expect("index builds")
+        .stage_sidecar(&path)
+        .expect("stage");
+    assert!(staged.temp_path().exists());
+    assert_eq!(std::fs::read(&sidecar).expect("read sidecar"), previous);
+
+    // The next lookup refuses the stale sidecar, rebuilds it, and renders
+    // every fingerprint exactly as the full scan does.
+    let index = ExplainIndex::load_or_build(&path, &jsonl).expect("index rebuilds");
+    let mut checked = 0usize;
+    for cert in audit.decisions.iter().map(|d| &d.cert) {
+        if cert.is_empty() {
+            continue;
+        }
+        assert_eq!(
+            index.render_explain_from(&jsonl, cert),
+            audit.render_explain(cert),
+            "indexed explain for {cert} diverged from the scan"
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "the regenerated world audits some certificate");
+    let saved = ExplainIndex::parse(&std::fs::read_to_string(&sidecar).expect("read"))
+        .expect("the rebuilt sidecar parses");
+    assert!(saved.matches(&jsonl), "the rebuilt sidecar was saved");
+    for p in [&path, &sidecar] {
+        let _ = std::fs::remove_file(p);
+    }
 }
