@@ -143,7 +143,7 @@ fn bench_incremental(c: &mut Criterion) {
     let mut rc = RcIncremental::new();
     let mut mtd = MtdIncremental::new(data.adns_window);
     let sink = &obs::NullSink;
-    for (from, to) in feed.batches(1, last.pred()) {
+    for (from, to) in feed.batches(feed.start(), 1, last.pred()) {
         let delta = feed.delta(from, to);
         let slices = route(&delta, psl, &mtd_detector, 1, 1);
         let slice = &slices[0];

@@ -21,16 +21,24 @@
 //! the committed artifact run over run). Stage wall times are held to the
 //! threshold; deterministic `audit.*` count counters present on both
 //! sides must match exactly. Exit codes: 0 clean, 1 at least one stage
-//! regressed or count drifted, 2 usage/IO error.
+//! regressed or count drifted, or an input the metrics reader refuses,
+//! 2 usage/IO error.
+//!
+//! Every file a command reads goes through its format's one reader —
+//! the same reader `stale-lint preflight` runs to completion — so a file
+//! preflight names is refused: exit 1, the file and the first violated
+//! rule on stderr, nothing on stdout.
 //!
 //! `explain`: reconstruct one certificate's full decision chain from a
 //! `repro --audit-out` JSONL export — or, with `--server`, from a
 //! resident `stale-served` daemon's live audit store. File-backed
 //! lookups go through a persistent fingerprint→offset sidecar index
-//! (`<audit>.idx`, rebuilt automatically when stale and replaced
-//! crash-safely), so only the matching decision lines are parsed. `FINGERPRINT` may be any unique
-//! prefix; an ambiguous prefix lists its candidates. Exit codes:
-//! 0 found, 1 unknown/ambiguous fingerprint, 2 usage/IO error.
+//! (`<audit>.idx`, keyed to the audit's content digest, built only
+//! through the audit's reader, rebuilt whenever it does not describe the
+//! file and replaced crash-safely), so only the matching decision lines
+//! are parsed. `FINGERPRINT` may be any unique prefix; an ambiguous
+//! prefix lists its candidates. Exit codes: 0 found, 1 unknown/ambiguous
+//! fingerprint or refused audit, 2 usage/IO error.
 //!
 //! `replay`: rerun detection from an exported world-fact log
 //! (`repro --export-worldlog`) alone and print the fixed replay report
@@ -44,12 +52,13 @@
 //! world events that created it (layer 1), the audit decisions that
 //! kept/dropped it (layer 2), and the spans of the run that touched it
 //! (layer 3) — from exported files, or from a resident daemon with
-//! `--server`. Exit codes: 0 found, 1 unknown/ambiguous fingerprint,
-//! 2 usage/IO error.
+//! `--server`. Exit codes: 0 found, 1 unknown/ambiguous fingerprint or
+//! a refused log, audit or trace, 2 usage/IO error.
 //!
 //! `report`: render the per-detector coverage table (candidates, kept,
 //! dropped-by-reason, Table-7-style CRL match rate) from an audit export
-//! or a daemon.
+//! or a daemon. Exit codes: 0 rendered, 1 refused audit or daemon error,
+//! 2 usage/IO error.
 //!
 //! `query`: send one raw protocol command (`ping`, `status`, `table4`,
 //! `feed-day`, `snapshot`, `shutdown`, …) to a daemon and print the
@@ -72,6 +81,7 @@
 //! stream runs until the daemon closes it.
 
 use stale_bench::compare::{compare, parse_snapshot, DEFAULT_MIN_WALL_US, DEFAULT_THRESHOLD};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -94,15 +104,15 @@ fn usage() -> String {
      (1 + threshold) and the baseline is at least the noise floor; audit.*\n\
      count counters present on both sides must match exactly. Either input\n\
      may be a previous comparison artifact (its embedded `current` is used).\n\
-     Exit: 0 clean, 1 regression(s)/drift(s), 2 error.\n\
+     Exit: 0 clean, 1 regression(s)/drift(s) or a refused input, 2 error.\n\
      \n\
      explain: print one certificate's decision chain from a decision-audit\n\
      export (repro --audit-out) or a resident stale-served daemon.\n\
      FINGERPRINT may be a unique prefix.\n\
-     Exit: 0 found, 1 unknown or ambiguous fingerprint, 2 error.\n\
+     Exit: 0 found, 1 unknown/ambiguous fingerprint or refused audit, 2 error.\n\
      \n\
      report: print the per-detector coverage table from an audit export\n\
-     or a resident stale-served daemon.\n\
+     or a resident stale-served daemon. Exit: 0 ok, 1 refused audit, 2 error.\n\
      \n\
      replay: rerun detection from an exported world-fact log alone\n\
      (repro --export-worldlog) and print the fixed replay report;\n\
@@ -112,7 +122,7 @@ fn usage() -> String {
      \n\
      timeline: one certificate's joined world-event + audit-decision +\n\
      telemetry view, from exported files or a resident daemon.\n\
-     Exit: 0 found, 1 unknown or ambiguous fingerprint, 2 error.\n\
+     Exit: 0 found, 1 unknown/ambiguous fingerprint or refused file, 2 error.\n\
      \n\
      query: send one protocol command to a stale-served daemon and print\n\
      the response body. Exit: 0 ok, 1 err response, 2 transport error.\n\
@@ -134,6 +144,66 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// A file its format's reader refused: exit 1, the file and the first
+/// violated rule on stderr.
+fn refused(path: &str, why: &str) -> ExitCode {
+    eprintln!("stale-bench: {path}: {why}");
+    ExitCode::from(1)
+}
+
+/// The file at `path`, through its format's `reader`: exit 2 when it
+/// cannot be read, [`refused`] when the reader refuses it.
+fn load<T>(path: &str, reader: impl FnOnce(&str) -> Result<T, String>) -> Result<T, ExitCode> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| fail(&format!("cannot read {path}: {e}")))?;
+    reader(&text).map_err(|e| refused(path, &e))
+}
+
+/// One subcommand's arguments: its positional words, and the flags it
+/// accepts — `--flag VALUE`, or a bare `--flag` for a switch (a repeated
+/// flag keeps its last value).
+struct Args {
+    free: Vec<String>,
+    flags: BTreeMap<&'static str, String>,
+}
+
+impl Args {
+    fn parse(
+        rest: &[String],
+        valued: &[&'static str],
+        switches: &[&'static str],
+    ) -> Result<Args, String> {
+        let mut args = Args {
+            free: Vec::new(),
+            flags: BTreeMap::new(),
+        };
+        let mut it = rest.iter();
+        while let Some(arg) = it.next() {
+            if let Some(flag) = valued.iter().find(|f| **f == arg) {
+                let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                args.flags.insert(flag, value.clone());
+            } else if let Some(flag) = switches.iter().find(|f| **f == arg) {
+                args.flags.insert(flag, String::new());
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown flag {arg:?}\n{}", usage()));
+            } else {
+                args.free.push(arg.clone());
+            }
+        }
+        Ok(args)
+    }
+
+    fn get(&self, flag: &str) -> Option<&String> {
+        self.flags.get(flag)
+    }
+
+    /// A numeric flag's value: `default` when it is absent, `None` when
+    /// it does not parse.
+    fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> Option<T> {
+        self.get(flag).map_or(Some(default), |v| v.parse().ok())
+    }
+}
+
 /// Where an audit-backed command reads its decisions from: a JSONL
 /// export on disk, or a resident daemon.
 enum AuditSource {
@@ -147,30 +217,7 @@ fn load_audit_source(
     rest: &[String],
     positional: usize,
 ) -> Result<(Vec<String>, AuditSource), String> {
-    let mut free: Vec<String> = Vec::new();
-    let mut audit_path: Option<String> = None;
-    let mut server: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--audit" => {
-                let Some(v) = it.next() else {
-                    return Err("--audit needs a path".to_string());
-                };
-                audit_path = Some(v.clone());
-            }
-            "--server" => {
-                let Some(v) = it.next() else {
-                    return Err("--server needs an address".to_string());
-                };
-                server = Some(v.clone());
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other:?}\n{}", usage()));
-            }
-            _ => free.push(arg.clone()),
-        }
-    }
+    let Args { free, flags } = Args::parse(rest, &["--audit", "--server"], &[])?;
     if free.len() != positional {
         return Err(format!(
             "expected {positional} positional argument(s), got {}\n{}",
@@ -178,16 +225,17 @@ fn load_audit_source(
             usage()
         ));
     }
-    match (audit_path, server) {
+    match (flags.get("--audit"), flags.get("--server")) {
         (Some(_), Some(_)) => Err("--audit and --server are mutually exclusive".to_string()),
         (None, None) => Err(format!(
             "--audit FILE or --server ADDR is required\n{}",
             usage()
         )),
-        (None, Some(addr)) => Ok((free, AuditSource::Server(addr))),
+        (None, Some(addr)) => Ok((free, AuditSource::Server(addr.clone()))),
         (Some(path), None) => {
             let text =
-                std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let path = path.clone();
             Ok((free, AuditSource::File { path, text }))
         }
     }
@@ -231,13 +279,11 @@ fn cmd_explain(rest: &[String]) -> ExitCode {
     };
     match source {
         AuditSource::File { path, text } => {
-            // The sidecar index makes repeat lookups read only the
-            // decision lines for one fingerprint, however large the
-            // store; its rendering is byte-identical to the in-memory
-            // path (tests/explain_index.rs).
+            // Through the sidecar index: byte-identical to the full scan
+            // (tests/explain_index.rs), reading one fingerprint's lines.
             let index = match obs::ExplainIndex::load_or_build(Path::new(&path), &text) {
                 Ok(i) => i,
-                Err(e) => return fail(&format!("{path}: {e}")),
+                Err(e) => return refused(&path, &e),
             };
             finish_audit_query(index.render_explain_from(&text, fingerprint))
         }
@@ -259,7 +305,7 @@ fn cmd_report(rest: &[String]) -> ExitCode {
         AuditSource::File { path, text } => {
             let report = match obs::AuditReport::from_jsonl(&text) {
                 Ok(r) => r,
-                Err(e) => return fail(&format!("{path}: {e}")),
+                Err(e) => return refused(&path, &e),
             };
             finish_audit_query(Ok(report.render_coverage()))
         }
@@ -271,51 +317,36 @@ fn cmd_report(rest: &[String]) -> ExitCode {
 }
 
 fn cmd_replay(rest: &[String]) -> ExitCode {
-    let mut log_path: Option<String> = None;
-    let mut simulate: Option<String> = None;
+    let args = match Args::parse(
+        rest,
+        &["--simulate", "--shards", "--rewrite"],
+        &["--incremental"],
+    ) {
+        Ok(a) => a,
+        Err(e) => return fail(&e),
+    };
     let mut opts = stale_bench::replay::ReplayOptions::default();
-    let mut cap_days: Option<i64> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--simulate" => {
-                let Some(v) = it.next() else {
-                    return fail("--simulate needs a preset (paper | small | tiny)");
-                };
-                simulate = Some(v.clone());
-            }
-            "--shards" => {
-                let Some(v) = it.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    return fail("--shards needs a positive integer");
-                };
-                if v == 0 {
-                    return fail("--shards needs a positive integer");
-                }
-                opts.shards = v;
-            }
-            "--incremental" => opts.incremental = true,
-            "--rewrite" => {
-                let Some(v) = it.next() else {
-                    return fail("--rewrite needs a rule (cap-days=N)");
-                };
-                let Some(n) = v
-                    .strip_prefix("cap-days=")
-                    .and_then(|n| n.parse::<i64>().ok())
-                else {
-                    return fail(&format!("unknown rewrite rule {v:?} (try cap-days=N)"));
-                };
-                cap_days = Some(n);
-            }
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown flag {other:?}\n{}", usage()));
-            }
-            _ if log_path.is_none() => log_path = Some(arg.clone()),
-            _ => return fail(&format!("replay takes one log path\n{}", usage())),
-        }
+    opts.incremental = args.get("--incremental").is_some();
+    opts.shards = match args.number("--shards", opts.shards) {
+        Some(n) if n > 0 => n,
+        _ => return fail("--shards needs a positive integer"),
+    };
+    let cap_days = match args.get("--rewrite") {
+        None => None,
+        Some(v) => match v
+            .strip_prefix("cap-days=")
+            .and_then(|n| n.parse::<i64>().ok())
+        {
+            Some(n) => Some(n),
+            None => return fail(&format!("unknown rewrite rule {v:?} (try cap-days=N)")),
+        },
+    };
+    if args.free.len() > 1 {
+        return fail(&format!("replay takes one log path\n{}", usage()));
     }
     // Obtain a world log: parsed from an export, or extracted from a
     // fresh simulation (the direct side of the CI byte-identity gate).
-    let log = match (log_path, simulate) {
+    let log = match (args.free.first(), args.get("--simulate")) {
         (Some(_), Some(_)) => return fail("--simulate and a log path are mutually exclusive"),
         (None, None) => {
             return fail(&format!(
@@ -323,19 +354,10 @@ fn cmd_replay(rest: &[String]) -> ExitCode {
                 usage()
             ))
         }
-        (Some(path), None) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => return fail(&format!("cannot read {path}: {e}")),
-            };
-            match worldsim::WorldLog::from_jsonl(&text) {
-                Ok(log) => log,
-                Err(e) => {
-                    eprintln!("stale-bench: {path}: {e}");
-                    return ExitCode::from(1);
-                }
-            }
-        }
+        (Some(path), None) => match load(path, worldsim::WorldLog::from_jsonl) {
+            Ok(log) => log,
+            Err(code) => return code,
+        },
         (None, Some(preset)) => {
             let cfg = match preset.as_str() {
                 "paper" => worldsim::ScenarioConfig::paper2023(),
@@ -376,45 +398,20 @@ fn cmd_replay(rest: &[String]) -> ExitCode {
 }
 
 fn cmd_timeline(rest: &[String]) -> ExitCode {
-    let mut fingerprint: Option<String> = None;
-    let mut log_path: Option<String> = None;
-    let mut audit_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut server: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--log" => match it.next() {
-                Some(v) => log_path = Some(v.clone()),
-                None => return fail("--log needs a path"),
-            },
-            "--audit" => match it.next() {
-                Some(v) => audit_path = Some(v.clone()),
-                None => return fail("--audit needs a path"),
-            },
-            "--trace" => match it.next() {
-                Some(v) => trace_path = Some(v.clone()),
-                None => return fail("--trace needs a path"),
-            },
-            "--server" => match it.next() {
-                Some(v) => server = Some(v.clone()),
-                None => return fail("--server needs an address"),
-            },
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown flag {other:?}\n{}", usage()));
-            }
-            _ if fingerprint.is_none() => fingerprint = Some(arg.clone()),
-            _ => return fail(&format!("timeline takes one fingerprint\n{}", usage())),
-        }
-    }
-    let Some(fingerprint) = fingerprint else {
-        return fail(&format!("timeline needs a fingerprint\n{}", usage()));
+    let args = match Args::parse(rest, &["--log", "--audit", "--trace", "--server"], &[]) {
+        Ok(a) => a,
+        Err(e) => return fail(&e),
     };
-    if let Some(addr) = server {
+    let [fingerprint] = args.free.as_slice() else {
+        return fail(&format!("timeline takes one fingerprint\n{}", usage()));
+    };
+    let (log_path, audit_path, trace_path) =
+        (args.get("--log"), args.get("--audit"), args.get("--trace"));
+    if let Some(addr) = args.get("--server") {
         if log_path.is_some() || audit_path.is_some() || trace_path.is_some() {
             return fail("--server and file layers are mutually exclusive");
         }
-        return match server_request(&addr, &format!("timeline {fingerprint}")) {
+        return match server_request(addr, &format!("timeline {fingerprint}")) {
             Ok(resp) => finish_audit_query(resp),
             Err(e) => fail(&e),
         };
@@ -425,40 +422,29 @@ fn cmd_timeline(rest: &[String]) -> ExitCode {
             usage()
         ));
     };
-    let read =
-        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-    let log_text = match read(&log_path) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
-    let log = match worldsim::WorldLog::from_jsonl(&log_text) {
+    let log = match load(log_path, worldsim::WorldLog::from_jsonl) {
         Ok(log) => log,
-        Err(e) => {
-            eprintln!("stale-bench: {log_path}: {e}");
-            return ExitCode::from(1);
-        }
+        Err(code) => return code,
     };
-    let audit = match &audit_path {
-        None => None,
-        Some(path) => match read(path)
-            .and_then(|t| obs::AuditReport::from_jsonl(&t).map_err(|e| format!("{path}: {e}")))
-        {
-            Ok(report) => Some(report),
-            Err(e) => return fail(&e),
-        },
+    let audit = match audit_path
+        .map(|p| load(p, obs::AuditReport::from_jsonl))
+        .transpose()
+    {
+        Ok(audit) => audit,
+        Err(code) => return code,
     };
-    let trace_text = match &trace_path {
-        None => None,
-        Some(path) => match read(path) {
-            Ok(t) => Some(t),
-            Err(e) => return fail(&e),
-        },
+    let spans = match trace_path
+        .map(|p| load(p, obs::trace::spans_from_jsonl))
+        .transpose()
+    {
+        Ok(spans) => spans,
+        Err(code) => return code,
     };
     finish_audit_query(stale_core::timeline::render_timeline(
         &log,
         audit.as_ref(),
-        trace_text.as_deref(),
-        &fingerprint,
+        spans.as_deref(),
+        fingerprint,
     ))
 }
 
@@ -492,29 +478,17 @@ fn cmd_slowlog(rest: &[String]) -> ExitCode {
 }
 
 fn cmd_subscribe(rest: &[String]) -> ExitCode {
-    let mut addr: Option<&String> = None;
-    let mut max_records: Option<u64> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--max-records" => {
-                let Some(v) = it.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    return fail("--max-records needs a positive integer");
-                };
-                if v == 0 {
-                    return fail("--max-records needs a positive integer");
-                }
-                max_records = Some(v);
-            }
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown flag {other:?}\n{}", usage()));
-            }
-            _ if addr.is_none() => addr = Some(arg),
-            _ => return fail(&format!("subscribe takes one address\n{}", usage())),
-        }
-    }
-    let Some(addr) = addr else {
-        return fail(&format!("subscribe needs an address\n{}", usage()));
+    let args = match Args::parse(rest, &["--max-records"], &[]) {
+        Ok(a) => a,
+        Err(e) => return fail(&e),
+    };
+    let max_records = match args.get("--max-records").map(|v| v.parse::<u64>()) {
+        None => None,
+        Some(Ok(n)) if n > 0 => Some(n),
+        Some(_) => return fail("--max-records needs a positive integer"),
+    };
+    let [addr] = args.free.as_slice() else {
+        return fail(&format!("subscribe takes one address\n{}", usage()));
     };
     let client = match stale_served::Client::connect_retry(
         addr,
@@ -619,36 +593,20 @@ fn render_watch_frame(addr: &str, frame: u64, status: &str, snap: &obs::MetricsS
 }
 
 fn cmd_watch(rest: &[String]) -> ExitCode {
-    let mut addr: Option<&String> = None;
-    let mut interval_ms = 1_000u64;
-    let mut frames = 0u64; // 0 = until interrupted
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--interval-ms" => {
-                let Some(v) = it.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    return fail("--interval-ms needs an integer millisecond value");
-                };
-                interval_ms = v.max(50);
-            }
-            "--frames" => {
-                let Some(v) = it.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    return fail("--frames needs a positive integer");
-                };
-                if v == 0 {
-                    return fail("--frames needs a positive integer");
-                }
-                frames = v;
-            }
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown flag {other:?}\n{}", usage()));
-            }
-            _ if addr.is_none() => addr = Some(arg),
-            _ => return fail(&format!("watch takes one address\n{}", usage())),
-        }
-    }
-    let Some(addr) = addr else {
-        return fail(&format!("watch needs an address\n{}", usage()));
+    let args = match Args::parse(rest, &["--interval-ms", "--frames"], &[]) {
+        Ok(a) => a,
+        Err(e) => return fail(&e),
+    };
+    let Some(interval_ms) = args.number("--interval-ms", 1_000u64) else {
+        return fail("--interval-ms needs an integer millisecond value");
+    };
+    let frames = match args.get("--frames").map(|v| v.parse::<u64>()) {
+        None => 0, // until interrupted
+        Some(Ok(n)) if n > 0 => n,
+        Some(_) => return fail("--frames needs a positive integer"),
+    };
+    let [addr] = args.free.as_slice() else {
+        return fail(&format!("watch takes one address\n{}", usage()));
     };
     use std::io::{IsTerminal, Write as _};
     let clear = std::io::stdout().is_terminal();
@@ -670,9 +628,9 @@ fn cmd_watch(rest: &[String]) -> ExitCode {
             Ok(s) => s,
             Err(e) => return fail(&e),
         };
-        let snap: obs::MetricsSnapshot = match serde_json::from_str(&metrics) {
+        let snap = match obs::MetricsSnapshot::from_json(&metrics) {
             Ok(s) => s,
-            Err(e) => return fail(&format!("metrics export does not parse: {e}")),
+            Err(e) => return refused(&format!("{addr} metrics"), &e),
         };
         if clear {
             print!("\x1b[2J\x1b[H");
@@ -682,67 +640,42 @@ fn cmd_watch(rest: &[String]) -> ExitCode {
         if frames > 0 && frame >= frames {
             return ExitCode::SUCCESS;
         }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
+        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(50)));
     }
 }
 
 fn cmd_compare(rest: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut threshold = DEFAULT_THRESHOLD;
-    let mut min_wall_us = DEFAULT_MIN_WALL_US;
-    let mut out_path: Option<String> = None;
-    let mut emit_json = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                let Some(v) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    return fail("--threshold needs a fractional value (e.g. 0.25)");
-                };
-                if !v.is_finite() || v < 0.0 {
-                    return fail("--threshold must be a non-negative finite fraction");
-                }
-                threshold = v;
-            }
-            "--min-wall-us" => {
-                let Some(v) = it.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    return fail("--min-wall-us needs an integer microsecond value");
-                };
-                min_wall_us = v;
-            }
-            "--out" => {
-                let Some(v) = it.next() else {
-                    return fail("--out needs a path");
-                };
-                out_path = Some(v.clone());
-            }
-            "--json" => emit_json = true,
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown flag {other:?}\n{}", usage()));
-            }
-            _ => paths.push(arg),
-        }
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
+    let args = match Args::parse(
+        rest,
+        &["--threshold", "--min-wall-us", "--out"],
+        &["--json"],
+    ) {
+        Ok(a) => a,
+        Err(e) => return fail(&e),
+    };
+    let threshold = match args.number("--threshold", DEFAULT_THRESHOLD) {
+        Some(v) if v.is_finite() && v >= 0.0 => v,
+        _ => return fail("--threshold needs a non-negative finite fraction (e.g. 0.25)"),
+    };
+    let Some(min_wall_us) = args.number("--min-wall-us", DEFAULT_MIN_WALL_US) else {
+        return fail("--min-wall-us needs an integer microsecond value");
+    };
+    let (out_path, emit_json) = (args.get("--out"), args.get("--json").is_some());
+    let [baseline_path, current_path] = args.free.as_slice() else {
         return fail(&format!("compare needs exactly two inputs\n{}", usage()));
     };
-
-    let read = |path: &str| -> Result<obs::MetricsSnapshot, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        parse_snapshot(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let baseline = match read(baseline_path) {
+    let baseline = match load(baseline_path, parse_snapshot) {
         Ok(s) => s,
-        Err(e) => return fail(&e),
+        Err(code) => return code,
     };
-    let current = match read(current_path) {
+    let current = match load(current_path, parse_snapshot) {
         Ok(s) => s,
-        Err(e) => return fail(&e),
+        Err(code) => return code,
     };
 
     let cmp = compare(&baseline, &current, threshold, min_wall_us);
     let artifact = serde_json::to_string_pretty(&cmp);
-    if let Some(path) = &out_path {
+    if let Some(path) = out_path {
         let artifact = match &artifact {
             Ok(a) => a,
             Err(e) => return fail(&format!("cannot serialize comparison: {e:?}")),

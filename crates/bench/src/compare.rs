@@ -27,7 +27,6 @@
 //! previous comparison file directly ([`parse_snapshot`] accepts either
 //! form).
 
-use obs::metrics::METRICS_SCHEMA;
 use obs::MetricsSnapshot as Snapshot;
 use serde::{Deserialize, Serialize};
 
@@ -284,23 +283,16 @@ pub fn compare(
     }
 }
 
-/// Parse a metrics snapshot out of `text`: either a raw metrics-JSON
-/// export, or a previous comparison artifact (whose embedded `current`
-/// snapshot becomes the baseline — this is how CI chains run over run).
+/// Parse a metrics snapshot out of `text`: either a previous comparison
+/// artifact (whose embedded `current` snapshot becomes the baseline —
+/// this is how CI chains run over run), or a raw metrics-JSON export,
+/// read through its one reader ([`Snapshot::from_json`]), which refuses
+/// what `stale-lint preflight` names.
 pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
-    if let Ok(snap) = serde_json::from_str::<Snapshot>(text) {
-        if snap.schema == METRICS_SCHEMA {
-            return Ok(snap);
-        }
+    match serde_json::from_str::<Comparison>(text) {
+        Ok(cmp) if cmp.schema == COMPARE_SCHEMA => Ok(cmp.current),
+        _ => Snapshot::from_json(text),
     }
-    if let Ok(cmp) = serde_json::from_str::<Comparison>(text) {
-        if cmp.schema == COMPARE_SCHEMA {
-            return Ok(cmp.current);
-        }
-    }
-    Err(format!(
-        "not a {METRICS_SCHEMA} snapshot or {COMPARE_SCHEMA} comparison"
-    ))
 }
 
 #[cfg(test)]

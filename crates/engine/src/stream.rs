@@ -482,7 +482,7 @@ impl Engine {
         let mut events: Vec<StaleEvent> = Vec::new();
         let mut ingested_total = 0usize;
         let mut days_since_ckpt = 0usize;
-        for (from, to) in tile(resume_from, through, day_batch) {
+        for (from, to) in feed.batches(resume_from, day_batch, through) {
             let batch_start = Instant::now();
             let mut batch_span = root.child(&format!("ingest {to}"));
             let delta = feed.delta(from, to);
@@ -596,17 +596,4 @@ impl Engine {
         );
         result
     }
-}
-
-/// Consecutive `[from, to]` windows of `step` days tiling `[from, through]`.
-fn tile(from: Date, through: Date, step: usize) -> Vec<(Date, Date)> {
-    let step = step.max(1) as i64;
-    let mut out = Vec::new();
-    let mut from = from;
-    while from <= through {
-        let to = (from + stale_types::Duration::days(step - 1)).min(through);
-        out.push((from, to));
-        from = to.succ();
-    }
-    out
 }

@@ -17,12 +17,21 @@
 //!   per violation that [`worldsim::WorldLog::from_jsonl`] and
 //!   [`worldsim::WorldLog::to_datasets`] find
 //!   ([`worldsim::worldlog::validate_worldlog_jsonl`]);
-//! * metrics-JSON exports (`repro --metrics-json`): `metrics-parse` /
-//!   `metrics-schema` ([`obs::MetricsSnapshot::validate`]);
-//! * span traces (`repro --trace-out`): `trace-schema`
-//!   ([`obs::trace::validate_trace_jsonl`]);
-//! * decision audits (`repro --audit-out`): `audit-schema`
-//!   ([`obs::audit::validate_audit_jsonl`]).
+//! * metrics-JSON exports (`repro --metrics-json`): a file that
+//!   [`obs::MetricsSnapshot::decode`] refuses is `metrics-parse`;
+//!   otherwise every [`obs::MetricsSnapshot::validate`] entry is
+//!   `metrics-schema` — the two halves of
+//!   [`obs::MetricsSnapshot::from_json`], which `stale-bench compare`
+//!   and `watch` read through;
+//! * span traces (`repro --trace-out`): `trace-schema`, one per
+//!   violation that [`obs::trace::spans_from_jsonl`] finds
+//!   ([`obs::trace::validate_trace_jsonl`]), the reader `stale-bench
+//!   timeline --trace` loads with;
+//! * decision audits (`repro --audit-out`): `audit-schema`, one per
+//!   violation that [`obs::AuditReport::from_jsonl`] and the explain
+//!   index's build find ([`obs::audit::validate_audit_jsonl`]), the
+//!   reader `stale-bench report`, `explain` and `timeline --audit` load
+//!   with.
 //!
 //! A file that is not JSON at all is `preflight-parse`; JSON of none of
 //! these shapes is `preflight-schema`; an unreadable file is
@@ -64,13 +73,16 @@ pub fn preflight_str(label: &str, text: &str) -> Vec<Diagnostic> {
                     .any(|(k, v)| k == "schema" && *v == Value::Str(tag.into()))
             };
             if has_schema(obs::trace::TRACE_SCHEMA) {
-                return preflight_trace(label, text);
+                let violations = obs::trace::validate_trace_jsonl(text);
+                return named("trace-schema", label, violations);
             }
             if has_schema(obs::audit::AUDIT_SCHEMA) {
-                return preflight_audit(label, text);
+                let violations = obs::audit::validate_audit_jsonl(text);
+                return named("audit-schema", label, violations);
             }
             if has_schema(worldsim::worldlog::WORLDLOG_SCHEMA) {
-                return preflight_worldlog(label, text);
+                let violations = worldsim::worldlog::validate_worldlog_jsonl(text);
+                return named("worldlog-schema", label, violations);
             }
         }
     }
@@ -85,7 +97,11 @@ pub fn preflight_str(label: &str, text: &str) -> Vec<Diagnostic> {
         }
     };
     if matches!(value.get("schema"), Some(Value::Str(s)) if s == obs::metrics::METRICS_SCHEMA) {
-        preflight_metrics(label, text)
+        // The two halves of the metrics reader, `MetricsSnapshot::from_json`.
+        match obs::MetricsSnapshot::decode(text) {
+            Err(e) => vec![diag("metrics-parse", label, e)],
+            Ok(snapshot) => named("metrics-schema", label, snapshot.validate()),
+        }
     } else if value.get("states").is_some() || value.get("completed").is_some() {
         preflight_checkpoint(label, &value)
     } else {
@@ -97,50 +113,6 @@ pub fn preflight_str(label: &str, text: &str) -> Vec<Diagnostic> {
                 .to_string(),
         )]
     }
-}
-
-/// Validate a metrics-JSON export (`repro --metrics-json`).
-pub fn preflight_metrics(label: &str, text: &str) -> Vec<Diagnostic> {
-    let snapshot: obs::MetricsSnapshot = match serde_json::from_str(text) {
-        Ok(s) => s,
-        Err(e) => {
-            return vec![diag(
-                "metrics-parse",
-                label,
-                format!("does not deserialize as a metrics snapshot: {e}"),
-            )];
-        }
-    };
-    snapshot
-        .validate()
-        .into_iter()
-        .map(|msg| diag("metrics-schema", label, msg))
-        .collect()
-}
-
-/// Validate a span-trace JSONL export (`repro --trace-out`).
-pub fn preflight_trace(label: &str, text: &str) -> Vec<Diagnostic> {
-    obs::trace::validate_trace_jsonl(text)
-        .into_iter()
-        .map(|msg| diag("trace-schema", label, msg))
-        .collect()
-}
-
-/// Validate a decision-audit JSONL export (`repro --audit-out`).
-pub fn preflight_audit(label: &str, text: &str) -> Vec<Diagnostic> {
-    obs::audit::validate_audit_jsonl(text)
-        .into_iter()
-        .map(|msg| diag("audit-schema", label, msg))
-        .collect()
-}
-
-/// Validate a world-fact log export (`repro --export-worldlog`) through
-/// the log's own reader.
-pub fn preflight_worldlog(label: &str, text: &str) -> Vec<Diagnostic> {
-    worldsim::worldlog::validate_worldlog_jsonl(text)
-        .into_iter()
-        .map(|msg| diag("worldlog-schema", label, msg))
-        .collect()
 }
 
 /// Validate an engine checkpoint (already parsed as JSON) through the
@@ -166,4 +138,12 @@ pub fn preflight_checkpoint(label: &str, value: &Value) -> Vec<Diagnostic> {
 
 fn diag(rule: &'static str, file: &str, message: String) -> Diagnostic {
     Diagnostic::new(rule, Severity::Error, file, 0, message)
+}
+
+/// A reader's violations, each a diagnostic under `rule`.
+fn named(rule: &'static str, file: &str, violations: Vec<String>) -> Vec<Diagnostic> {
+    violations
+        .into_iter()
+        .map(|message| diag(rule, file, message))
+        .collect()
 }

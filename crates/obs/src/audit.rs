@@ -19,9 +19,23 @@
 //! per-detector [`CoverageSummary`] satisfies
 //! `candidates == kept + Σ dropped` by construction. The report exports
 //! as JSONL (schema [`AUDIT_SCHEMA`] v[`AUDIT_VERSION`], via
-//! `repro --audit-out`) and [`validate_audit_jsonl`] checks an export
-//! statically — `stale-lint preflight` wraps it.
+//! `repro --audit-out`).
+//!
+//! The export has one reader, a line pass that holds every rule once:
+//! a header of this schema and version; every line a [`Decision`] whose
+//! detector carries its own provenance kind, with a lowercase-hex
+//! fingerprint (empty only on crl-unmatched entries), well-formed days
+//! and a monotone departure day pair; decisions in canonical order
+//! (refused, never re-sorted); and a header whose decision count and
+//! per-detector coverage equal the lines, balance and name only known
+//! detectors and drop reasons. [`AuditReport::from_jsonl`] and
+//! [`ExplainIndex::build`] stop at the first violation;
+//! [`validate_audit_jsonl`] — what `stale-lint preflight` reports — runs
+//! the same pass to completion, so an audit passes preflight exactly
+//! when `report`, `explain` and `timeline` load it. The explain sidecar
+//! is keyed to the digest of the bytes it was built from.
 
+use crate::faults::{Faults, Stop};
 use crate::CounterSink;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
@@ -385,8 +399,8 @@ impl DecisionSink for AuditLog {
 
 /// Per-detector candidate accounting. The identity
 /// `candidates == kept + Σ dropped` holds by construction when built
-/// through [`AuditReport::from_decisions`], and [`validate_audit_jsonl`]
-/// re-checks it on every export.
+/// through [`AuditReport::from_decisions`], and the audit's reader
+/// re-checks it on every export it loads.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CoverageSummary {
     /// Candidates the detector considered.
@@ -436,19 +450,9 @@ impl AuditReport {
     /// canonical order and tally coverage.
     pub fn from_decisions(mut decisions: Vec<Decision>) -> AuditReport {
         decisions.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        let mut coverage: BTreeMap<String, CoverageSummary> = BTreeMap::new();
-        for det in Detector::ALL {
-            coverage.insert(det.as_str().to_string(), CoverageSummary::default());
-        }
+        let mut coverage = seeded_coverage();
         for d in &decisions {
-            let cov = coverage.entry(d.detector.as_str().to_string()).or_default();
-            cov.candidates += 1;
-            match d.verdict {
-                Verdict::Kept => cov.kept += 1,
-                Verdict::Dropped(reason) => {
-                    *cov.dropped.entry(reason.as_str().to_string()).or_insert(0) += 1;
-                }
-            }
+            count(&mut coverage, d);
         }
         AuditReport {
             coverage,
@@ -468,7 +472,7 @@ impl AuditReport {
             .filter(|d| !d.cert.is_empty() && d.cert.starts_with(prefix))
             .map(|d| d.cert.as_str())
             .collect();
-        let cert = resolve_fingerprint_prefix(prefix, &matching)?.to_string();
+        let cert = resolve_fingerprint_prefix(prefix, &matching, "decision")?.to_string();
         let chain = self
             .decisions
             .iter()
@@ -500,10 +504,7 @@ impl AuditReport {
         index: &BTreeMap<String, Vec<usize>>,
         prefix: &str,
     ) -> Result<(String, Vec<&'a Decision>), String> {
-        let matching: BTreeSet<&str> = prefix_range(index, prefix)
-            .map(|(k, _)| k.as_str())
-            .collect();
-        let cert = resolve_fingerprint_prefix(prefix, &matching)?.to_string();
+        let cert = resolve_in(index, prefix)?.to_string();
         let chain = index
             .get(&cert)
             .map(Vec::as_slice)
@@ -541,12 +542,11 @@ impl AuditReport {
         for det in Detector::ALL {
             let cov = self.coverage.get(det.as_str()).cloned().unwrap_or_default();
             out.push_str(&format!(
-                "  {:<8}  {:>10}  {:>10}  {:>10}{}\n",
+                "  {:<8}  {:>10}  {:>10}  {:>10}\n",
                 det.as_str(),
                 cov.candidates,
                 cov.kept,
                 cov.dropped_total(),
-                if cov.balanced() { "" } else { "  UNBALANCED" },
             ));
             for (reason, n) in &cov.dropped {
                 out.push_str(&format!("              {reason:<28} {n:>10}\n"));
@@ -612,47 +612,61 @@ impl AuditReport {
         out
     }
 
-    /// Parse a JSONL export back into a report. Coverage is re-tallied
-    /// from the decision lines (use [`validate_audit_jsonl`] to check the
-    /// header agrees).
+    /// Parse a JSONL export back into a report — the audit's one reader
+    /// (module docs list its rules). Fails with the first violated rule;
+    /// decisions out of canonical order are refused, never re-sorted.
     pub fn from_jsonl(text: &str) -> Result<AuditReport, String> {
-        let mut lines = text.lines();
-        let first = lines.next().ok_or("empty audit file")?;
-        let header: AuditHeader =
-            serde_json::from_str(first).map_err(|e| format!("audit header: {e}"))?;
-        if header.schema != AUDIT_SCHEMA {
-            return Err(format!(
-                "schema {:?} is not {AUDIT_SCHEMA:?}",
-                header.schema
-            ));
-        }
+        let mut faults = Faults::stop_at_first();
         let mut decisions = Vec::new();
-        for (lineno, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
+        let coverage = read_lines(text, &mut faults, |_, d| decisions.push(d));
+        faults.verdict(coverage).map(|coverage| AuditReport {
+            coverage,
+            decisions,
+        })
+    }
+}
+
+/// Every detector at zero, so a tally keeps all three sections.
+fn seeded_coverage() -> BTreeMap<String, CoverageSummary> {
+    Detector::ALL
+        .iter()
+        .map(|det| (det.as_str().to_string(), CoverageSummary::default()))
+        .collect()
+}
+
+/// Count one decision into a [`seeded_coverage`] table.
+fn count(coverage: &mut BTreeMap<String, CoverageSummary>, d: &Decision) {
+    let Some(cov) = coverage.get_mut(d.detector.as_str()) else {
+        return;
+    };
+    cov.candidates += 1;
+    match d.verdict {
+        Verdict::Kept => cov.kept += 1,
+        Verdict::Dropped(reason) => match cov.dropped.get_mut(reason.as_str()) {
+            Some(n) => *n += 1,
+            None => {
+                cov.dropped.insert(reason.as_str().to_string(), 1);
             }
-            let d: Decision =
-                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", lineno + 2))?;
-            decisions.push(d);
-        }
-        Ok(AuditReport::from_decisions(decisions))
+        },
     }
 }
 
 /// Resolve a fingerprint prefix against the sorted set of matching
-/// full fingerprints. Shared by the in-memory scan, the cached
-/// in-memory index, and the on-disk [`ExplainIndex`], so all three
-/// produce byte-identical errors.
-fn resolve_fingerprint_prefix<'a>(
+/// full fingerprints, which `source` names ("decision" for an audit).
+/// Shared by the in-memory scan, the cached in-memory index, the on-disk
+/// [`ExplainIndex`] and the world log's timeline, so all produce
+/// byte-identical errors.
+pub fn resolve_fingerprint_prefix<'a>(
     prefix: &str,
     matching: &BTreeSet<&'a str>,
+    source: &str,
 ) -> Result<&'a str, String> {
     if prefix.is_empty() {
         return Err("empty fingerprint".to_string());
     }
     let mut certs = matching.iter();
     match (certs.next(), certs.next()) {
-        (None, _) => Err(format!("no decision mentions fingerprint {prefix:?}")),
+        (None, _) => Err(format!("no {source} mentions fingerprint {prefix:?}")),
         (Some(cert), None) => Ok(cert),
         (Some(_), Some(_)) => {
             let mut msg = format!(
@@ -673,14 +687,15 @@ fn resolve_fingerprint_prefix<'a>(
     }
 }
 
-/// Iterate the entries of a string-keyed map whose keys start with
-/// `prefix`, without scanning keys outside the prefix range.
-fn prefix_range<'a, V>(
-    map: &'a BTreeMap<String, V>,
-    prefix: &'a str,
-) -> impl Iterator<Item = (&'a String, &'a V)> {
-    map.range(prefix.to_string()..)
-        .take_while(move |(k, _)| k.starts_with(prefix))
+/// [`resolve_fingerprint_prefix`] over the keys of a fingerprint-keyed
+/// index, scanning only the keys inside the prefix's range.
+fn resolve_in<'m, V>(index: &'m BTreeMap<String, V>, prefix: &str) -> Result<&'m str, String> {
+    let matching: BTreeSet<&str> = index
+        .range(prefix.to_string()..)
+        .take_while(|(k, _)| k.starts_with(prefix))
+        .map(|(k, _)| k.as_str())
+        .collect();
+    resolve_fingerprint_prefix(prefix, &matching, "decision")
 }
 
 /// Render one certificate's decision chain (the `stale-bench explain`
@@ -702,119 +717,87 @@ pub fn render_explain_chain(cert: &str, chain: &[&Decision]) -> String {
 
 /// Schema tag on the first line of a persisted explain index.
 pub const EXPLAIN_INDEX_SCHEMA: &str = "stale-obs-audit-index";
-/// Current explain-index format version.
-pub const EXPLAIN_INDEX_VERSION: u32 = 1;
+/// Current explain-index format version (2: keyed to the audit's
+/// content digest, not only its length).
+pub const EXPLAIN_INDEX_VERSION: u32 = 2;
 
 /// A persistent fingerprint → byte-offset index over an audit JSONL
 /// export, so `explain` lookups read only the decision lines for one
 /// certificate instead of parsing the whole store.
 ///
-/// The index remembers the byte length of the JSONL it was built from;
-/// [`matches`](ExplainIndex::matches) rechecks that before the index is
-/// trusted, so a rewritten audit file invalidates its sidecar instead
-/// of silently serving offsets into the wrong bytes. The sidecar format
-/// is a plain text table (header line, then one `fingerprint off off…`
-/// line per certificate) — deliberately not JSONL, so a sidecar can
-/// never be mistaken for an audit store by schema sniffers.
+/// It is only built through the audit's reader, and it remembers the
+/// length and FNV-1a digest ([`crate::fnv1a64`]) of the bytes it was
+/// built from: [`matches`](ExplainIndex::matches) rechecks both, so any
+/// rewrite of the audit, even one keeping its length, invalidates a
+/// sidecar. The sidecar is a plain text table (header line, then one
+/// `fingerprint off off…` line per certificate), never taken for JSONL.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainIndex {
     /// Byte length of the source JSONL this index was built from.
     pub source_bytes: u64,
+    /// FNV-1a digest of the source JSONL's bytes.
+    pub source_digest: u64,
     /// fingerprint → byte offsets of its decision lines, in canonical
     /// (file) order.
     pub entries: BTreeMap<String, Vec<u64>>,
 }
 
 impl ExplainIndex {
-    /// Build an index over an audit JSONL export. The header line is
-    /// checked (schema + version) but not indexed; decision lines with
-    /// an empty fingerprint (unmatched CRL entries) are skipped.
+    /// Build an index over an audit JSONL export, through the audit's
+    /// reader: an export [`AuditReport::from_jsonl`] refuses is refused
+    /// with the same violation. Decision lines with an empty fingerprint
+    /// (unmatched CRL entries) are not indexed.
     pub fn build(jsonl: &str) -> Result<ExplainIndex, String> {
+        let mut faults = Faults::stop_at_first();
         let mut entries: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        let mut offset = 0u64;
-        let mut saw_header = false;
-        for (lineno, line) in jsonl.split_inclusive('\n').enumerate() {
-            let here = offset;
-            offset += line.len() as u64;
-            let body = line.trim_end_matches('\n');
-            if body.trim().is_empty() {
-                continue;
-            }
-            if !saw_header {
-                let header: AuditHeader =
-                    serde_json::from_str(body).map_err(|e| format!("audit header: {e}"))?;
-                if header.schema != AUDIT_SCHEMA {
-                    return Err(format!(
-                        "schema {:?} is not {AUDIT_SCHEMA:?}",
-                        header.schema
-                    ));
-                }
-                saw_header = true;
-                continue;
-            }
-            let d: Decision =
-                serde_json::from_str(body).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let read = read_lines(jsonl, &mut faults, |offset, d| {
             if !d.cert.is_empty() {
-                entries.entry(d.cert).or_default().push(here);
+                entries.entry(d.cert).or_default().push(offset);
             }
-        }
-        if !saw_header {
-            return Err("empty audit file".to_string());
-        }
+        });
+        faults.verdict(read)?;
         Ok(ExplainIndex {
             source_bytes: jsonl.len() as u64,
+            source_digest: crate::fnv1a64(jsonl.as_bytes()),
             entries,
         })
     }
 
-    /// Whether this index still describes `jsonl`. Length equality is
-    /// the freshness check: the audit export is append-only-in-spirit
-    /// but regenerated wholesale, and any regeneration that preserves
-    /// the byte length also preserves every line boundary we indexed
-    /// only if content is unchanged — so we additionally spot-check
-    /// that each indexed offset starts a line mentioning its
-    /// fingerprint when lookups parse the line (see
-    /// [`render_explain_from`](ExplainIndex::render_explain_from)).
+    /// Whether this index was built from exactly these bytes: same
+    /// length, same digest.
     pub fn matches(&self, jsonl: &str) -> bool {
         self.source_bytes == jsonl.len() as u64
+            && self.source_digest == crate::fnv1a64(jsonl.as_bytes())
     }
 
-    /// Resolve a fingerprint prefix to the full fingerprint and the
-    /// byte offsets of its decision lines. Errors are byte-identical
-    /// to [`AuditReport::decisions_for`].
-    pub fn offsets_for(&self, prefix: &str) -> Result<(String, &[u64]), String> {
-        let matching: BTreeSet<&str> = prefix_range(&self.entries, prefix)
-            .map(|(k, _)| k.as_str())
-            .collect();
-        let cert = resolve_fingerprint_prefix(prefix, &matching)?.to_string();
-        let offsets = self
-            .entries
-            .get(&cert)
-            .map(Vec::as_slice)
-            .unwrap_or_default();
-        Ok((cert, offsets))
-    }
-
-    /// Render the explain body for `prefix`, reading only the indexed
-    /// decision lines out of `jsonl`. Byte-identical to
-    /// [`AuditReport::render_explain`] on the same store.
+    /// Render the explain body for `prefix`, decoding only the indexed
+    /// decision lines out of `jsonl` with the reader's line decoder:
+    /// byte-identical to [`AuditReport::render_explain`] on a store this
+    /// index [`matches`](ExplainIndex::matches) (the digest is not
+    /// recomputed here). A store of another length is refused as stale,
+    /// and an offset whose line names another certificate is an error.
     pub fn render_explain_from(&self, jsonl: &str, prefix: &str) -> Result<String, String> {
-        if !self.matches(jsonl) {
+        if self.source_bytes != jsonl.len() as u64 {
             return Err(format!(
                 "explain index is stale: built over {} bytes, store is {}",
                 self.source_bytes,
                 jsonl.len()
             ));
         }
-        let (cert, offsets) = self.offsets_for(prefix)?;
+        let cert = resolve_in(&self.entries, prefix)?;
+        let offsets = self
+            .entries
+            .get(cert)
+            .map(Vec::as_slice)
+            .unwrap_or_default();
         let mut chain = Vec::with_capacity(offsets.len());
         for &off in offsets {
             let rest = jsonl
                 .get(off as usize..)
                 .ok_or_else(|| format!("explain index offset {off} is past end of store"))?;
             let line = rest.lines().next().unwrap_or_default();
-            let d: Decision = serde_json::from_str(line)
-                .map_err(|e| format!("explain index offset {off}: {e}"))?;
+            let d =
+                decode_decision(line).map_err(|e| format!("explain index offset {off}: {e}"))?;
             if d.cert != cert {
                 return Err(format!(
                     "explain index offset {off} holds a decision for {:?}, not {cert:?}",
@@ -824,15 +807,16 @@ impl ExplainIndex {
             chain.push(d);
         }
         let refs: Vec<&Decision> = chain.iter().collect();
-        Ok(render_explain_chain(&cert, &refs))
+        Ok(render_explain_chain(cert, &refs))
     }
 
     /// Serialize to the sidecar text format.
     // stale-lint: entry(serial)
     pub fn to_text(&self) -> String {
         let mut out = format!(
-            "{EXPLAIN_INDEX_SCHEMA} v{EXPLAIN_INDEX_VERSION} bytes={} certs={}\n",
+            "{EXPLAIN_INDEX_SCHEMA} v{EXPLAIN_INDEX_VERSION} bytes={} fnv1a={:016x} certs={}\n",
             self.source_bytes,
+            self.source_digest,
             self.entries.len()
         );
         for (cert, offsets) in &self.entries {
@@ -853,9 +837,10 @@ impl ExplainIndex {
     }
 
     /// The index of the audit export at `audit`, whose contents are
-    /// `jsonl`: its sidecar when that parses and still matches the
-    /// store, else a fresh build, written back best-effort so the next
-    /// lookup reads the sidecar again.
+    /// `jsonl`: its sidecar when that parses and matches these bytes, else
+    /// a fresh build through the audit's reader, written back best-effort.
+    /// A stale, older or unreadable sidecar is rebuilt, never trusted and
+    /// never fatal; the only error is the reader's refusal of the audit.
     pub fn load_or_build(audit: &Path, jsonl: &str) -> Result<ExplainIndex, String> {
         if let Some(index) = std::fs::read_to_string(Self::sidecar_path(audit))
             .ok()
@@ -883,50 +868,42 @@ impl ExplainIndex {
 
     /// Parse a sidecar produced by [`to_text`](ExplainIndex::to_text).
     pub fn parse(text: &str) -> Result<ExplainIndex, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty explain index")?;
-        let mut fields = header.split_whitespace();
-        match (fields.next(), fields.next()) {
-            (Some(EXPLAIN_INDEX_SCHEMA), Some(v)) if v == format!("v{EXPLAIN_INDEX_VERSION}") => {}
-            _ => {
-                return Err(format!(
-                    "not a {EXPLAIN_INDEX_SCHEMA} v{EXPLAIN_INDEX_VERSION} index"
-                ))
-            }
-        }
-        let mut source_bytes = None;
-        let mut certs = None;
-        for field in fields {
-            if let Some(n) = field.strip_prefix("bytes=") {
-                source_bytes = Some(n.parse::<u64>().map_err(|e| format!("bytes: {e}"))?);
-            } else if let Some(n) = field.strip_prefix("certs=") {
-                certs = Some(n.parse::<usize>().map_err(|e| format!("certs: {e}"))?);
-            }
-        }
-        let source_bytes = source_bytes.ok_or("explain index header missing bytes=")?;
-        let certs = certs.ok_or("explain index header missing certs=")?;
+        let mut lines = text.lines().enumerate();
+        let (_, header) = lines.next().ok_or("empty explain index")?;
+        let fields = header
+            .strip_prefix(&format!("{EXPLAIN_INDEX_SCHEMA} v{EXPLAIN_INDEX_VERSION} "))
+            .ok_or_else(|| {
+                format!("not a {EXPLAIN_INDEX_SCHEMA} v{EXPLAIN_INDEX_VERSION} index")
+            })?;
+        let field = |name: &str| {
+            fields
+                .split_whitespace()
+                .find_map(|f| f.strip_prefix(name))
+                .ok_or_else(|| format!("explain index header missing {name}"))
+        };
+        let source_bytes = field("bytes=")?
+            .parse::<u64>()
+            .map_err(|e| format!("bytes: {e}"))?;
+        let source_digest =
+            u64::from_str_radix(field("fnv1a=")?, 16).map_err(|e| format!("fnv1a: {e}"))?;
+        let certs = field("certs=")?
+            .parse::<usize>()
+            .map_err(|e| format!("certs: {e}"))?;
         let mut entries: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for (lineno, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
+        for (i, line) in lines.filter(|(_, line)| !line.trim().is_empty()) {
             let mut fields = line.split_whitespace();
             let cert = fields.next().unwrap_or_default().to_string();
-            let mut offsets = Vec::new();
-            for f in fields {
-                offsets.push(
+            let offsets = fields
+                .map(|f| {
                     f.parse::<u64>()
-                        .map_err(|e| format!("line {}: offset {f:?}: {e}", lineno + 2))?,
-                );
-            }
-            if cert.is_empty() || offsets.is_empty() {
-                return Err(format!("line {}: malformed index entry", lineno + 2));
+                        .map_err(|e| format!("line {}: offset {f:?}: {e}", i + 1))
+                })
+                .collect::<Result<Vec<u64>, String>>()?;
+            if offsets.is_empty() {
+                return Err(format!("line {}: malformed index entry", i + 1));
             }
             if entries.insert(cert.clone(), offsets).is_some() {
-                return Err(format!(
-                    "line {}: duplicate fingerprint {cert:?}",
-                    lineno + 2
-                ));
+                return Err(format!("line {}: duplicate fingerprint {cert:?}", i + 1));
             }
         }
         if entries.len() != certs {
@@ -937,6 +914,7 @@ impl ExplainIndex {
         }
         Ok(ExplainIndex {
             source_bytes,
+            source_digest,
             entries,
         })
     }
@@ -985,7 +963,8 @@ fn is_hex(s: &str) -> bool {
             .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
 }
 
-fn check_decision(d: &Decision, lineno: usize, out: &mut Vec<String>) {
+/// The per-line rules of the audit's reader (module docs list them).
+fn check_decision(d: &Decision, lineno: usize, faults: &mut Faults) -> Result<(), Stop> {
     let kind_ok = matches!(
         (d.detector, &d.provenance),
         (Detector::Kc, Provenance::CrlEntry { .. })
@@ -994,24 +973,24 @@ fn check_decision(d: &Decision, lineno: usize, out: &mut Vec<String>) {
             | (Detector::Mtd, Provenance::DnsDelegated { .. })
     );
     if !kind_ok {
-        out.push(format!(
+        faults.report(format!(
             "line {lineno}: detector {:?} cannot carry {:?} provenance",
             d.detector.as_str(),
             d.provenance.kind()
-        ));
+        ))?;
     }
     if d.cert.is_empty() {
         if d.verdict != Verdict::Dropped(DropReason::CrlUnmatched) {
-            out.push(format!(
+            faults.report(format!(
                 "line {lineno}: empty fingerprint on a {:?} decision (only crl-unmatched entries have no certificate side)",
                 d.verdict.as_str()
-            ));
+            ))?;
         }
     } else if !is_hex(&d.cert) {
-        out.push(format!(
+        faults.report(format!(
             "line {lineno}: fingerprint {:?} is not lowercase hex",
             d.cert
-        ));
+        ))?;
     }
     let days: Vec<&str> = match &d.provenance {
         Provenance::CrlEntry { revoked, .. } => vec![revoked],
@@ -1025,7 +1004,7 @@ fn check_decision(d: &Decision, lineno: usize, out: &mut Vec<String>) {
     };
     for day in &days {
         if !is_day(day) {
-            out.push(format!("line {lineno}: malformed day {day:?}"));
+            faults.report(format!("line {lineno}: malformed day {day:?}"))?;
         }
     }
     if let Provenance::DnsDeparture {
@@ -1037,118 +1016,130 @@ fn check_decision(d: &Decision, lineno: usize, out: &mut Vec<String>) {
         // Day strings order lexicographically; the delegation must have
         // been observed strictly before it departed.
         if last_delegated.as_str() >= departed.as_str() {
-            out.push(format!(
+            faults.report(format!(
                 "line {lineno}: departure day pair is not monotone ({last_delegated:?} !< {departed:?})"
-            ));
+            ))?;
         }
     }
+    Ok(())
 }
 
-/// Validate a `--audit-out` JSONL export: schema tag and version, every
-/// line parses with a known drop reason, provenance days are well-formed
-/// and monotone, decisions are in canonical order, and the header's
-/// coverage both matches the lines and balances
-/// (`candidates == kept + Σ dropped`). Returns one message per
-/// violation; empty means clean. Pure and panic-free on any input —
-/// `stale-lint preflight` wraps it.
-pub fn validate_audit_jsonl(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut lines = text.lines();
-    let Some(first) = lines.next() else {
-        return vec!["empty file (expected an audit header line)".to_string()];
-    };
-    let header: AuditHeader = match serde_json::from_str(first) {
-        Ok(h) => h,
-        Err(e) => return vec![format!("header line does not parse: {e}")],
-    };
+/// Decode one decision line: the only place a [`Decision`] is read from
+/// text, shared by the line pass and the explain index's lookups.
+fn decode_decision(line: &str) -> Result<Decision, String> {
+    serde_json::from_str(line).map_err(|e| format!("does not parse as a decision: {e}"))
+}
+
+/// The audit's one reader: a line pass over a JSONL export holding every
+/// rule once (module docs list them). Hands each decision, with the
+/// byte offset of its line, to `keep` in file order, and returns the
+/// coverage re-tallied from the lines.
+fn read_lines(
+    text: &str,
+    faults: &mut Faults,
+    mut keep: impl FnMut(u64, Decision),
+) -> Result<BTreeMap<String, CoverageSummary>, Stop> {
+    let mut lines = text.split_inclusive('\n');
+    let first = lines
+        .next()
+        .ok_or_else(|| faults.fatal("empty file (expected an audit header line)".to_string()))?;
+    let header: AuditHeader = serde_json::from_str(first)
+        .map_err(|e| faults.fatal(format!("header line does not parse: {e}")))?;
     if header.schema != AUDIT_SCHEMA {
-        out.push(format!(
+        faults.report(format!(
             "header schema {:?} (expected {AUDIT_SCHEMA:?})",
             header.schema
-        ));
+        ))?;
     }
     if header.version != AUDIT_VERSION {
-        out.push(format!(
+        faults.report(format!(
             "header version {} (expected {AUDIT_VERSION})",
             header.version
-        ));
+        ))?;
     }
+    let mut coverage = seeded_coverage();
     let mut decision_lines = 0usize;
-    let mut tally: Vec<Decision> = Vec::new();
-    let mut prev: Option<Decision> = None;
-    for (lineno, line) in lines.enumerate() {
+    let mut offset = first.len() as u64;
+    // Each decision is handed on once the next has been ordered against
+    // it, so the pass keeps one decision and clones none.
+    let mut prev: Option<(u64, Decision)> = None;
+    for (i, line) in lines.enumerate() {
+        let (lineno, here) = (i + 2, offset);
+        offset += line.len() as u64;
         if line.trim().is_empty() {
             continue;
         }
         decision_lines += 1;
-        let d: Decision = match serde_json::from_str(line) {
+        let d = match decode_decision(line) {
             Ok(d) => d,
             Err(e) => {
-                out.push(format!(
-                    "line {}: does not parse as a decision: {e}",
-                    lineno + 2
-                ));
+                faults.report(format!("line {lineno}: {e}"))?;
                 continue;
             }
         };
-        check_decision(&d, lineno + 2, &mut out);
-        if let Some(p) = &prev {
-            if p.sort_key() > d.sort_key() {
-                out.push(format!(
-                    "line {}: decisions out of canonical order",
-                    lineno + 2
-                ));
-            }
+        check_decision(&d, lineno, faults)?;
+        if prev
+            .as_ref()
+            .is_some_and(|(_, p)| p.sort_key() > d.sort_key())
+        {
+            faults.report(format!("line {lineno}: decisions out of canonical order"))?;
         }
-        prev = Some(d.clone());
-        tally.push(d);
+        count(&mut coverage, &d);
+        if let Some((at, p)) = prev.replace((here, d)) {
+            keep(at, p);
+        }
+    }
+    if let Some((at, p)) = prev {
+        keep(at, p);
     }
     if decision_lines != header.decisions {
-        out.push(format!(
+        faults.report(format!(
             "header declares {} decision(s) but the file holds {decision_lines}",
             header.decisions
-        ));
+        ))?;
     }
     for (det, cov) in &header.coverage {
         if Detector::parse(det).is_none() {
-            out.push(format!("header coverage has unknown detector {det:?}"));
+            faults.report(format!("header coverage has unknown detector {det:?}"))?;
         }
         if !cov.balanced() {
-            out.push(format!(
+            faults.report(format!(
                 "coverage for {det:?} does not balance: {} candidates != {} kept + {} dropped",
                 cov.candidates,
                 cov.kept,
                 cov.dropped_total()
-            ));
+            ))?;
         }
         for reason in cov.dropped.keys() {
             if DropReason::parse(reason).is_none() {
-                out.push(format!(
+                faults.report(format!(
                     "header coverage for {det:?} has unknown drop reason {reason:?}"
-                ));
+                ))?;
             }
         }
     }
-    let retallied = AuditReport::from_decisions(tally);
     for det in Detector::ALL {
-        let from_lines = retallied
-            .coverage
-            .get(det.as_str())
-            .cloned()
-            .unwrap_or_default();
-        let from_header = header
-            .coverage
-            .get(det.as_str())
-            .cloned()
-            .unwrap_or_default();
-        if from_lines != from_header {
-            out.push(format!(
+        let empty = CoverageSummary::default();
+        let from_header = header.coverage.get(det.as_str()).unwrap_or(&empty);
+        if coverage.get(det.as_str()).unwrap_or(&empty) != from_header {
+            faults.report(format!(
                 "header coverage for {:?} disagrees with the decision lines",
                 det.as_str()
-            ));
+            ))?;
         }
     }
-    out
+    Ok(coverage)
+}
+
+/// Every violation in a `--audit-out` JSONL export, found by the audit's
+/// own reader run to completion instead of stopping at the first. Empty
+/// exactly when [`AuditReport::from_jsonl`] (and so the explain index)
+/// accepts the text. Pure and panic-free on any input — `stale-lint
+/// preflight` wraps it.
+pub fn validate_audit_jsonl(text: &str) -> Vec<String> {
+    let mut faults = Faults::collect_all();
+    let _ = read_lines(text, &mut faults, |_, _| {});
+    faults.found
 }
 
 #[cfg(test)]
@@ -1252,6 +1243,35 @@ mod tests {
         // Not an audit at all.
         assert!(!validate_audit_jsonl("{\"certs\": []}").is_empty());
         assert!(!validate_audit_jsonl("").is_empty());
+    }
+
+    #[test]
+    fn the_reader_refuses_what_validation_names() {
+        let report = AuditReport::from_decisions(vec![
+            kc(0, "ab01", Verdict::Kept),
+            kc(1, "ab02", Verdict::Dropped(DropReason::CrlOutlier)),
+            mtd("a.com", "ff01", Verdict::Kept),
+        ]);
+        let jsonl = report.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let damaged = [
+            // Truncated, reordered, a future version, a miscounted header.
+            format!("{}\n", lines[..lines.len() - 1].join("\n")),
+            format!("{}\n{}\n{}\n{}\n", lines[0], lines[2], lines[1], lines[3]),
+            jsonl.replace("\"version\":1", "\"version\":7"),
+            jsonl.replace("\"decisions\":3", "\"decisions\":2"),
+        ];
+        for text in &damaged {
+            assert_ne!(text, &jsonl, "damage applied");
+            let found = validate_audit_jsonl(text);
+            assert!(!found.is_empty(), "{text}");
+            assert_eq!(
+                AuditReport::from_jsonl(text).err().as_ref(),
+                found.first(),
+                "{text}"
+            );
+            assert_eq!(ExplainIndex::build(text).err().as_ref(), found.first());
+        }
     }
 
     #[test]
@@ -1386,6 +1406,13 @@ mod tests {
         // Corrupted sidecars are rejected, never trusted.
         assert!(ExplainIndex::parse("").is_err());
         assert!(ExplainIndex::parse("bogus v1 bytes=3 certs=0\n").is_err());
+        // A sidecar of the previous, length-keyed version is not read.
+        let v1 = format!(
+            "{EXPLAIN_INDEX_SCHEMA} v1 bytes={} certs={}\n",
+            index.source_bytes,
+            index.entries.len()
+        );
+        assert!(ExplainIndex::parse(&v1).is_err());
         assert!(ExplainIndex::parse(&text.replace("certs=3", "certs=9")).is_err());
         let garbled = text.replacen(" 0", " x", 1);
         if garbled != text {
@@ -1405,13 +1432,20 @@ mod tests {
             .render_explain_from(&longer, "ab01")
             .unwrap_err()
             .contains("stale"));
-        // Same length, shuffled lines: the offset points at a decision
-        // for a different fingerprint, which is caught at read time.
+        // Same length, shuffled lines: the digest no longer matches, and
+        // an offset that points at a decision for a different fingerprint
+        // is caught at read time.
         let mut lines: Vec<&str> = jsonl.lines().collect();
         lines.swap(2, 5);
         let shuffled = format!("{}\n", lines.join("\n"));
         assert_eq!(shuffled.len(), jsonl.len());
+        assert!(!index.matches(&shuffled));
         assert!(index.render_explain_from(&shuffled, "ab9f").is_err());
+        // A same-length edit that keeps every line in place still
+        // changes the digest.
+        let edited = jsonl.replacen("ff02", "ff03", 1);
+        assert_eq!(edited.len(), jsonl.len());
+        assert!(!index.matches(&edited));
         // Building over garbage fails instead of indexing nonsense.
         assert!(ExplainIndex::build("").is_err());
         assert!(ExplainIndex::build("{\"certs\": []}").is_err());
@@ -1439,6 +1473,5 @@ mod tests {
         // Two real CRL entries (the duplicate is an extra cert candidate),
         // one matched.
         assert!(rendered.contains("1/2 entries matched"), "{rendered}");
-        assert!(!rendered.contains("UNBALANCED"), "{rendered}");
     }
 }

@@ -43,8 +43,15 @@
 //! 6. **Crash-safe persistence** ([`persist`]) — the one temp-file,
 //!    sync and rename path that engine checkpoints and explain-index
 //!    sidecars are written through.
+//!
+//! Each file this crate writes has one reader, which is its validator:
+//! [`AuditReport::from_jsonl`] (whose pass also builds [`ExplainIndex`]),
+//! [`trace::spans_from_jsonl`] and [`MetricsSnapshot::from_json`] stop at
+//! the first violated rule, and what `stale-lint preflight` reports is
+//! the same pass run to completion.
 
 pub mod audit;
+mod faults;
 pub mod metrics;
 pub mod persist;
 pub mod slowlog;
@@ -56,6 +63,17 @@ pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use slowlog::{SlowLog, SlowQueryRecord};
 pub use trace::{SpanGuard, SpanId, SpanRecord, Trace, TraceHeader};
 pub use window::WindowedHistogram;
+
+/// FNV-1a over a byte string: the engine's stable routing hash and the
+/// explain sidecar's digest of the audit it indexes.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// Write-only counter sink. Detector stages report item counts through
 /// this trait; the trait has no read surface, so instrumented code

@@ -15,8 +15,11 @@
 //!   pretty JSON, schema-tagged ([`METRICS_SCHEMA`], [`METRICS_VERSION`])
 //!   and stable: object keys are sorted (BTreeMap), histograms always
 //!   carry `bounds`/`counts`/`count`/`sum`/`min`/`max`/`p50`/`p90`/`p99`.
-//!   `stale-lint preflight` validates these files via
-//!   [`MetricsSnapshot::validate`].
+//!   Its one reader is [`MetricsSnapshot::from_json`]: decode, then the
+//!   rules of [`MetricsSnapshot::validate`]. `stale-bench compare` and
+//!   `watch` read through it, and `stale-lint preflight` reports the
+//!   same two halves (`metrics-parse`, then every `metrics-schema`
+//!   violation).
 //! * [`Registry::export_prom`] — Prometheus text exposition (counters
 //!   and cumulative `_bucket{le=...}` histogram series), for scraping.
 
@@ -267,8 +270,25 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Schema violations in this snapshot (empty = clean). `stale-lint
-    /// preflight` wraps each message as a diagnostic.
+    /// Decode a metrics-JSON export, the first half of [`from_json`](MetricsSnapshot::from_json).
+    pub fn decode(text: &str) -> Result<MetricsSnapshot, String> {
+        serde_json::from_str(text)
+            .map_err(|e| format!("does not deserialize as a metrics snapshot: {e}"))
+    }
+
+    /// The metrics export's one reader: decode, then refuse the first
+    /// violation [`validate`](MetricsSnapshot::validate) names.
+    pub fn from_json(text: &str) -> Result<MetricsSnapshot, String> {
+        let snapshot = MetricsSnapshot::decode(text)?;
+        snapshot
+            .validate()
+            .into_iter()
+            .next()
+            .map_or(Ok(snapshot), Err)
+    }
+
+    /// Every rule violation in this snapshot (empty = clean): schema,
+    /// version, each histogram's shape.
     pub fn validate(&self) -> Vec<String> {
         let mut out = Vec::new();
         if self.schema != METRICS_SCHEMA {
@@ -544,8 +564,16 @@ mod tests {
         assert_eq!(snap.counters["engine.stage.partition.wall_us"], 1235);
         assert!(snap.validate().is_empty(), "{:?}", snap.validate());
         let json = reg.export_json();
-        let parsed: MetricsSnapshot = serde_json::from_str(&json).expect("export parses");
-        assert_eq!(parsed, snap);
+        assert_eq!(MetricsSnapshot::from_json(&json), Ok(snap));
+        // The reader refuses what validation names, with the same words.
+        let future = json.replace("\"version\": 1", "\"version\": 9");
+        assert_ne!(future, json, "damage applied");
+        let refused = MetricsSnapshot::from_json(&future).expect_err("refused");
+        let named = MetricsSnapshot::decode(&future)
+            .expect("decodes")
+            .validate();
+        assert_eq!(Some(&refused), named.first());
+        assert!(MetricsSnapshot::from_json("{}").is_err());
     }
 
     #[test]

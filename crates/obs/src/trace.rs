@@ -9,14 +9,18 @@
 //! another thread, as with the supervisor's per-shard spans).
 //!
 //! The JSONL export ([`Trace::to_jsonl`]) is one header line
-//! ([`TraceHeader`]) followed by one [`SpanRecord`] object per line.
-//! [`validate_trace_jsonl`] checks the schema statically — `stale-lint
-//! preflight` calls it on `--trace-out` files.
+//! ([`TraceHeader`]) followed by one [`SpanRecord`] object per line. It
+//! has one reader, [`spans_from_jsonl`], which holds every rule: schema
+//! and version, dense allocation-ordered ids, each parent before its
+//! child, non-empty names, and a header span count that equals the
+//! lines. [`validate_trace_jsonl`] — what `stale-lint preflight` reports
+//! on `--trace-out` files — runs the same reader to completion.
 
 // Span timing with `Instant` is the whole point of this module; only
 // the duration fields carry it, never detection results.
 // stale-lint: trusted-file(wallclock-in-detector)
 
+use crate::faults::{Faults, Stop};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -267,33 +271,31 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Validate a `--trace-out` JSONL export. Returns one message per
-/// violation; empty means the file is schema-clean. Pure and panic-free
-/// on any input — `stale-lint preflight` wraps it.
-pub fn validate_trace_jsonl(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
+/// The trace's one reader (module docs list its rules). Returns the
+/// spans in file (id) order.
+fn read_spans(text: &str, faults: &mut Faults) -> Result<Vec<SpanRecord>, Stop> {
     let mut lines = text.lines();
-    let Some(first) = lines.next() else {
-        return vec!["empty file (expected a trace header line)".to_string()];
-    };
-    let header: TraceHeader = match serde_json::from_str(first) {
-        Ok(h) => h,
-        Err(e) => return vec![format!("header line does not parse: {e}")],
-    };
+    let first = lines
+        .next()
+        .ok_or_else(|| faults.fatal("empty file (expected a trace header line)".to_string()))?;
+    let header: TraceHeader = serde_json::from_str(first)
+        .map_err(|e| faults.fatal(format!("header line does not parse: {e}")))?;
     if header.schema != TRACE_SCHEMA {
-        out.push(format!(
+        faults.report(format!(
             "header schema {:?} (expected {TRACE_SCHEMA:?})",
             header.schema
-        ));
+        ))?;
     }
     if header.version != TRACE_VERSION {
-        out.push(format!(
+        faults.report(format!(
             "header version {} (expected {TRACE_VERSION})",
             header.version
-        ));
+        ))?;
     }
+    let mut spans = Vec::new();
     let mut span_lines = 0usize;
-    for (lineno, line) in lines.enumerate() {
+    for (i, line) in lines.enumerate() {
+        let lineno = i + 2;
         if line.trim().is_empty() {
             continue;
         }
@@ -301,10 +303,7 @@ pub fn validate_trace_jsonl(text: &str) -> Vec<String> {
         let rec: SpanRecord = match serde_json::from_str(line) {
             Ok(r) => r,
             Err(e) => {
-                out.push(format!(
-                    "line {}: does not parse as a span: {e}",
-                    lineno + 2
-                ));
+                faults.report(format!("line {lineno}: does not parse as a span: {e}"))?;
                 continue;
             }
         };
@@ -312,32 +311,49 @@ pub fn validate_trace_jsonl(text: &str) -> Vec<String> {
         // allocates before its children.
         let expected_id = span_lines - 1;
         if rec.id != expected_id {
-            out.push(format!(
-                "line {}: span id {} out of order (expected {expected_id})",
-                lineno + 2,
+            faults.report(format!(
+                "line {lineno}: span id {} out of order (expected {expected_id})",
                 rec.id
-            ));
+            ))?;
         }
         if let Some(p) = rec.parent {
             if p >= rec.id {
-                out.push(format!(
-                    "line {}: parent {p} does not precede span {}",
-                    lineno + 2,
+                faults.report(format!(
+                    "line {lineno}: parent {p} does not precede span {}",
                     rec.id
-                ));
+                ))?;
             }
         }
         if rec.name.is_empty() {
-            out.push(format!("line {}: empty span name", lineno + 2));
+            faults.report(format!("line {lineno}: empty span name"))?;
         }
+        spans.push(rec);
     }
     if span_lines != header.spans {
-        out.push(format!(
+        faults.report(format!(
             "header declares {} span(s) but the file holds {span_lines}",
             header.spans
-        ));
+        ))?;
     }
-    out
+    Ok(spans)
+}
+
+/// Read a `--trace-out` JSONL export back into its spans, in id order.
+/// Fails with the first violated rule of the trace's one reader.
+pub fn spans_from_jsonl(text: &str) -> Result<Vec<SpanRecord>, String> {
+    let mut faults = Faults::stop_at_first();
+    let spans = read_spans(text, &mut faults);
+    faults.verdict(spans)
+}
+
+/// Every violation in a `--trace-out` JSONL export, found by the trace's
+/// own reader run to completion. Empty exactly when [`spans_from_jsonl`]
+/// accepts the text. Pure and panic-free on any input — `stale-lint
+/// preflight` wraps it.
+pub fn validate_trace_jsonl(text: &str) -> Vec<String> {
+    let mut faults = Faults::collect_all();
+    let _ = read_spans(text, &mut faults);
+    faults.found
 }
 
 /// Human-readable microseconds (same scale the engine table uses).
@@ -434,9 +450,7 @@ mod tests {
         }
         let jsonl = trace.to_jsonl();
         assert!(validate_trace_jsonl(&jsonl).is_empty(), "{jsonl}");
-        let header: TraceHeader =
-            serde_json::from_str(jsonl.lines().next().unwrap_or("")).expect("header parses");
-        assert_eq!(header.spans, 2);
+        assert_eq!(spans_from_jsonl(&jsonl), Ok(trace.records()));
     }
 
     #[test]
@@ -453,5 +467,31 @@ mod tests {
         // Not a trace at all.
         assert!(!validate_trace_jsonl("{\"certs\": []}").is_empty());
         assert!(!validate_trace_jsonl("").is_empty());
+    }
+
+    #[test]
+    fn the_reader_refuses_what_validation_names() {
+        let trace = Trace::enabled();
+        {
+            let root = trace.span("a");
+            let _c = root.child("b");
+        }
+        let jsonl = trace.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let damaged = [
+            jsonl.replace("\"version\":1", "\"version\":9"),
+            format!("{}\n{}\n", lines[0], lines[1]),
+            format!("{}\n{}\n{}\n", lines[0], lines[2], lines[1]),
+            jsonl.replace("\"b\"", "\"\""),
+        ];
+        for text in &damaged {
+            assert_ne!(text, &jsonl, "damage applied");
+            let found = validate_trace_jsonl(text);
+            assert_eq!(
+                spans_from_jsonl(text).err().as_ref(),
+                found.first(),
+                "{text}"
+            );
+        }
     }
 }

@@ -6,33 +6,28 @@
 //! revoked it, the WHOIS and delegation history of the domains it
 //! names. Layer 2 is the decision audit ([`obs::AuditReport`]): what
 //! each detector decided about the fingerprint and why. Layer 3 is
-//! operational telemetry (the trace JSONL of the runs that touched
-//! it). `stale-bench timeline` renders this view from exported files;
-//! `stale-served` serves the same rendering from resident state over
-//! the `timeline` frame command and `GET /timeline?fp=`.
+//! operational telemetry (the spans of the runs that touched it).
+//! `stale-bench timeline` renders this view from exported files, each
+//! read by its format's one reader; `stale-served` serves the same
+//! rendering from resident state over the `timeline` frame command and
+//! `GET /timeline?fp=`. This module parses nothing itself.
 //!
 //! The join keys are facts of the certificate itself, recovered from
-//! the hex DER carried by its `cert-issued` event: CRL entries join on
-//! (authority key id, serial), domain lifecycle and delegation events
-//! join on the SAN list (exact match or parent of a SAN).
+//! the hex DER carried by its `cert-issued` event
+//! ([`WorldLog::certificate`], which also holds the certificate to the
+//! log's expiry rule): CRL entries join on (authority key id, serial),
+//! domain lifecycle and delegation events join on the SAN list (exact
+//! match or parent of a SAN).
 
-use obs::audit::{render_provenance, AuditReport, AMBIGUOUS_LIST_MAX};
-use obs::trace::TRACE_SCHEMA;
-use obs::{SpanRecord, TraceHeader};
+use obs::audit::{render_provenance, resolve_fingerprint_prefix, AuditReport};
+use obs::SpanRecord;
 use std::collections::BTreeSet;
-use worldsim::worldlog::decode_hex;
 use worldsim::{WorldEvent, WorldLog};
-use x509::cert::Certificate;
 use x509::revocation::RevocationReason;
 
 /// Resolve a fingerprint prefix against the `cert-issued` events of a
-/// world log. Mirrors [`AuditReport::decisions_for`]'s prefix
-/// semantics: unique prefixes resolve, ambiguous ones error with the
-/// candidates listed (capped at [`AMBIGUOUS_LIST_MAX`]).
+/// world log, with [`AuditReport::decisions_for`]'s prefix semantics.
 pub fn resolve_fingerprint(log: &WorldLog, prefix: &str) -> Result<String, String> {
-    if prefix.is_empty() {
-        return Err("empty fingerprint".to_string());
-    }
     let matching: BTreeSet<&str> = log
         .events
         .iter()
@@ -41,29 +36,7 @@ pub fn resolve_fingerprint(log: &WorldLog, prefix: &str) -> Result<String, Strin
             _ => None,
         })
         .collect();
-    let mut certs = matching.iter();
-    match (certs.next(), certs.next()) {
-        (None, _) => Err(format!(
-            "no cert-issued event mentions fingerprint {prefix:?}"
-        )),
-        (Some(cert), None) => Ok(cert.to_string()),
-        (Some(_), Some(_)) => {
-            let mut msg = format!(
-                "fingerprint prefix {prefix:?} is ambiguous ({} matches):",
-                matching.len()
-            );
-            for cert in matching.iter().take(AMBIGUOUS_LIST_MAX) {
-                msg.push_str(&format!("\n  {cert}"));
-            }
-            if matching.len() > AMBIGUOUS_LIST_MAX {
-                msg.push_str(&format!(
-                    "\n  ... and {} more",
-                    matching.len() - AMBIGUOUS_LIST_MAX
-                ));
-            }
-            Err(msg)
-        }
-    }
+    resolve_fingerprint_prefix(prefix, &matching, "cert-issued event").map(str::to_string)
 }
 
 /// Whether a world-log domain event concerns one of the certificate's
@@ -90,29 +63,20 @@ fn list(items: &[String]) -> String {
 
 /// Render the joined timeline for one certificate.
 ///
-/// `audit` and `trace_jsonl` are optional layers: `None` renders a
+/// `audit` and `spans` are optional layers: `None` renders a
 /// `(not loaded)` placeholder so the world-fact section is always
 /// available on its own. Errors on unknown or ambiguous prefixes
-/// (byte-compatible shape with `stale-bench explain` errors) and on
-/// logs whose DER does not decode.
+/// (byte-compatible shape with `stale-bench explain` errors) and on a
+/// certificate whose DER does not decode or whose expiry events break
+/// the log's rule.
 pub fn render_timeline(
     log: &WorldLog,
     audit: Option<&AuditReport>,
-    trace_jsonl: Option<&str>,
+    spans: Option<&[SpanRecord]>,
     prefix: &str,
 ) -> Result<String, String> {
     let cert = resolve_fingerprint(log, prefix)?;
-    let issued = log
-        .events
-        .iter()
-        .find_map(|ev| match ev {
-            WorldEvent::CertIssued { cert: c, der, .. } if *c == cert => Some(der),
-            _ => None,
-        })
-        .ok_or_else(|| format!("no cert-issued event for {cert}"))?;
-    let bytes = decode_hex(issued).ok_or_else(|| format!("cert-issued {cert}: der is not hex"))?;
-    let parsed =
-        Certificate::decode(&bytes).map_err(|e| format!("cert-issued {cert}: bad DER: {e:?}"))?;
+    let parsed = log.certificate(&cert)?;
     let serial = parsed.tbs.serial.to_string();
     let aki = parsed.tbs.authority_key_id().map(|k| k.to_string());
     let sans: Vec<String> = parsed.tbs.san().iter().map(|d| d.to_string()).collect();
@@ -214,34 +178,11 @@ pub fn render_timeline(
     // Layer 3: telemetry of the runs that touched the store. Spans are
     // per-run, not per-cert; the root spans situate the decision chain
     // in the pipeline that produced it.
-    match trace_jsonl {
+    match spans {
         None => out.push_str("telemetry (not loaded)\n"),
-        Some(text) => {
-            let mut lines = text.lines();
-            let first = lines.next().ok_or("empty trace file")?;
-            let header: TraceHeader =
-                serde_json::from_str(first).map_err(|e| format!("trace header: {e}"))?;
-            if header.schema != TRACE_SCHEMA {
-                return Err(format!(
-                    "schema {:?} is not {TRACE_SCHEMA:?}",
-                    header.schema
-                ));
-            }
-            let mut roots = Vec::new();
-            let mut total = 0usize;
-            for (lineno, line) in lines.enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let span: SpanRecord = serde_json::from_str(line)
-                    .map_err(|e| format!("trace line {}: {e}", lineno + 2))?;
-                total += 1;
-                if span.parent.is_none() {
-                    roots.push(span);
-                }
-            }
-            out.push_str(&format!("telemetry spans ({total})\n"));
-            for span in roots {
+        Some(spans) => {
+            out.push_str(&format!("telemetry spans ({})\n", spans.len()));
+            for span in spans.iter().filter(|s| s.parent.is_none()) {
                 out.push_str(&format!("  {} {}us\n", span.name, span.wall_us));
             }
         }
@@ -309,14 +250,13 @@ mod tests {
         // With a trace layer: span totals and root spans render.
         let trace = Trace::enabled();
         {
-            let _root = trace.span("detect");
+            let root = trace.span("detect");
+            let _kc = root.child("kc");
         }
-        let jsonl = trace.to_jsonl();
-        let body = render_timeline(&log, None, Some(&jsonl), &full).expect("renders");
-        assert!(body.contains("telemetry spans (1)"), "{body}");
+        let body = render_timeline(&log, None, Some(&trace.records()), &full).expect("renders");
+        assert!(body.contains("telemetry spans (2)"), "{body}");
         assert!(body.contains("  detect "), "{body}");
-        // Garbage trace input errors instead of rendering nonsense.
-        assert!(render_timeline(&log, None, Some("not json"), &full).is_err());
+        assert!(!body.contains("  kc "), "{body}");
     }
 
     #[test]

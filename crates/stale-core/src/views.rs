@@ -7,15 +7,7 @@
 //! what lets checkpoints taken at one width resume at the same width
 //! anywhere.
 
-/// FNV-1a over a byte string — the engine's stable routing hash.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use obs::fnv1a64;
 
 /// The routing hash of a routing-domain string. Shard assignment is
 /// `route_hash(key) % shards` everywhere.

@@ -200,11 +200,11 @@ impl<'w> DayFeed<'w> {
         delta
     }
 
-    /// Consecutive deltas of `day_batch` days covering `[self.start, through]`.
-    pub fn batches(&self, day_batch: usize, through: Date) -> Vec<(Date, Date)> {
+    /// Consecutive `[from, to]` windows of `day_batch` days tiling
+    /// `[from, through]`, `through` clamped to the feed's last day.
+    pub fn batches(&self, mut from: Date, day_batch: usize, through: Date) -> Vec<(Date, Date)> {
         let step = day_batch.max(1) as i64;
         let mut out = Vec::new();
-        let mut from = self.start;
         let through = through.min(self.end);
         while from <= through {
             let to = (from + stale_types::Duration::days(step - 1)).min(through);
@@ -267,7 +267,7 @@ mod tests {
         let data = World::run(ScenarioConfig::tiny());
         let feed = DayFeed::new(&data);
         for width in [1usize, 7, 30] {
-            let batches = feed.batches(width, feed.end());
+            let batches = feed.batches(feed.start(), width, feed.end());
             assert_eq!(batches.first().map(|b| b.0), Some(feed.start()));
             assert_eq!(batches.last().map(|b| b.1), Some(feed.end()));
             for pair in batches.windows(2) {
@@ -278,7 +278,15 @@ mod tests {
                 .map(|(f, t)| feed.delta(*f, *t).items())
                 .sum();
             assert_eq!(total, feed.delta(feed.start(), feed.end()).items());
+            // A resumed run tiles from its start day; a `through` past the
+            // feed is clamped to its last day.
+            let resume = feed.start() + stale_types::Duration::days(10);
+            let tail = feed.batches(resume, width, feed.end().succ());
+            assert_eq!(tail.first().map(|b| b.0), Some(resume));
+            assert_eq!(tail.last().map(|b| b.1), Some(feed.end()));
+            assert!(tail.iter().all(|(f, t)| f <= t));
         }
+        assert!(feed.batches(feed.end().succ(), 7, feed.end()).is_empty());
     }
 
     #[test]
@@ -287,7 +295,7 @@ mod tests {
         let feed = DayFeed::new(&data);
         let mut last_whois: std::collections::HashMap<&DomainName, Date> = Default::default();
         let mut last_dns: std::collections::HashMap<&DomainName, Date> = Default::default();
-        for (from, to) in feed.batches(7, feed.end()) {
+        for (from, to) in feed.batches(feed.start(), 7, feed.end()) {
             let delta = feed.delta(from, to);
             for (domain, creation) in &delta.whois {
                 if let Some(prev) = last_whois.insert(domain, *creation) {

@@ -56,6 +56,10 @@
 //!   order before any is applied; non-degenerate windows; DER that
 //!   decodes to the named certificate, with a non-degenerate validity,
 //!   first seen no earlier than its `notBefore` and at least one entry;
+//!   exactly one `cert-expired` event per issued certificate, dated on
+//!   its DER `notAfter`, and none naming a certificate the log never
+//!   issued ([`WorldLog::certificate`] holds one certificate to the same
+//!   rule);
 //!   one tally per CA; CRL indices dense and ascending, every entry's
 //!   authority key belonging to a certificate issuer in the log,
 //!   observed inside the CRL window and not a duplicate; per-domain
@@ -827,6 +831,11 @@ impl WorldLog {
         let mut next_crl_index = 0u64;
         let mut whois_days: BTreeMap<&str, Date> = BTreeMap::new();
         let mut dns_days: BTreeMap<&str, Date> = BTreeMap::new();
+        // Every issued certificate with its `notAfter` (`None` when its
+        // DER does not decode), and every expiry event: joined after the
+        // pass.
+        let mut issued: Vec<(&str, Option<Date>)> = Vec::new();
+        let mut expired: Vec<(&str, Date)> = Vec::new();
         for ev in &self.events {
             let kind = ev.kind();
             match ev {
@@ -836,6 +845,7 @@ impl WorldLog {
                     der,
                     entry_count,
                 } => {
+                    issued.push((cert, None));
                     let parsed = match decode_cert(cert, der) {
                         Ok(parsed) => parsed,
                         Err(e) => {
@@ -867,6 +877,9 @@ impl WorldLog {
                             validity.start
                         ))?;
                     }
+                    if let Some(last) = issued.last_mut() {
+                        last.1 = Some(parsed.tbs.not_after());
+                    }
                     issuers.extend(parsed.tbs.authority_key_id());
                     let entries = usize::try_from(*entry_count).unwrap_or(usize::MAX);
                     // The corpus keeps a fresh copy: the decoded
@@ -876,8 +889,9 @@ impl WorldLog {
                     monitor.ingest_entries(parsed.clone(), *day, entries);
                 }
                 // Expiry is implied by the DER; the event exists so the
-                // log reads as a timeline without decoding anything.
-                WorldEvent::CertExpired { .. } => {}
+                // log reads as a timeline without decoding anything, and
+                // is held to the DER after the pass.
+                WorldEvent::CertExpired { day, cert } => expired.push((cert, *day)),
                 WorldEvent::CrlPublished {
                     ca, attempted, ok, ..
                 } => {
@@ -975,6 +989,26 @@ impl WorldLog {
                 }
             }
         }
+        // A sort-merge join by certificate: maps keyed by 64-character ids
+        // cost the small world's replay about a seventh of its time.
+        issued.sort_unstable_by_key(|(cert, _)| *cert);
+        expired.sort_unstable_by_key(|(cert, _)| *cert);
+        let stray = |(c, _): &(&str, Date)| {
+            format!("cert-expired {c}: names no certificate issued in the log")
+        };
+        let mut rest = expired.as_slice();
+        for (cert, end) in &issued {
+            let (strays, tail) = rest.split_at(rest.iter().take_while(|(c, _)| c < cert).count());
+            let (own, tail) = tail.split_at(tail.iter().take_while(|(c, _)| c == cert).count());
+            rest = tail;
+            let wrong = end.and_then(|end| expiry_rule(cert, end, own).err());
+            for violation in strays.iter().map(stray).chain(wrong) {
+                faults.report(violation)?;
+            }
+        }
+        for violation in rest.iter().map(stray) {
+            faults.report(violation)?;
+        }
         for (i, rec) in crl.records().iter().enumerate() {
             if !issuers.contains(&rec.authority_key_id) {
                 faults.report(format!(
@@ -1012,6 +1046,30 @@ impl WorldLog {
             }
         }
         Ok(data)
+    }
+
+    /// The certificate `cert`'s `cert-issued` event carries, decoded by
+    /// the world pass's decoder and held to the same expiry rule: what a
+    /// view of one certificate (`stale-bench timeline`) checks instead of
+    /// running the whole world pass.
+    pub fn certificate(&self, cert: &str) -> Result<Certificate, String> {
+        let mut der = None;
+        let mut expiries = Vec::new();
+        for ev in &self.events {
+            match ev {
+                WorldEvent::CertIssued {
+                    cert: c, der: d, ..
+                } if c == cert => der = Some(d),
+                WorldEvent::CertExpired { day, cert: c } if c == cert => {
+                    expiries.push((cert, *day))
+                }
+                _ => {}
+            }
+        }
+        let der = der.ok_or_else(|| format!("no cert-issued event for {cert}"))?;
+        let parsed = decode_cert(cert, der)?;
+        expiry_rule(cert, parsed.tbs.not_after(), &expiries)?;
+        Ok(parsed)
     }
 
     /// Per-kind event tally, every kind pre-seeded at zero.
@@ -1315,6 +1373,22 @@ fn decode_cert(cert: &str, der: &str) -> Result<Certificate, String> {
     Certificate::decode(&bytes).map_err(|e| format!("cert-issued {cert}: bad DER: {e:?}"))
 }
 
+/// The expiry rule: a certificate has exactly one `cert-expired` event
+/// (`expiries` are those naming it), dated on its DER `notAfter`.
+fn expiry_rule(cert: &str, not_after: Date, expiries: &[(&str, Date)]) -> Result<(), String> {
+    match expiries {
+        [(_, day)] if *day == not_after => Ok(()),
+        [] => Err(format!("cert-issued {cert}: no cert-expired event")),
+        [(_, day)] => Err(format!(
+            "cert-expired {cert}: dated {day}, but the DER's notAfter is {not_after}"
+        )),
+        more => Err(format!(
+            "cert-expired {cert}: {} expiry events for one certificate",
+            more.len()
+        )),
+    }
+}
+
 /// The authority key, serial and reason a `crl-entry-added` event names.
 fn revocation_key(
     crl_index: u64,
@@ -1550,6 +1624,55 @@ mod tests {
             der.replace_range(10..11, flipped);
         }
         refused(&broken, "bad DER");
+    }
+
+    #[test]
+    fn expiries_are_held_to_the_der() {
+        let issued = |log: &WorldLog| {
+            log.events
+                .iter()
+                .find_map(|ev| match ev {
+                    WorldEvent::CertIssued { cert, .. } => Some(cert.clone()),
+                    _ => None,
+                })
+                .expect("the tiny world issues certificates")
+        };
+        let is_expiry_of = |cert: &str, ev: &WorldEvent| matches!(ev, WorldEvent::CertExpired { cert: c, .. } if c == cert);
+        let cert = issued(tiny());
+        assert!(tiny().certificate(&cert).is_ok());
+
+        // Moved past its notAfter: refused by the world pass and by the
+        // one-certificate view alike.
+        let mut moved = tiny().clone();
+        if let WorldEvent::CertExpired { day, .. } = first(&mut moved, |ev| is_expiry_of(&cert, ev))
+        {
+            *day = Date::parse("2030-01-01").expect("a day");
+        }
+        let moved = reseal(moved);
+        refused(&moved, "notAfter");
+        assert!(moved.certificate(&cert).unwrap_err().contains("notAfter"));
+
+        // Missing, doubled, or naming a certificate the log never issued.
+        let mut missing = tiny().clone();
+        missing.events.retain(|ev| !is_expiry_of(&cert, ev));
+        refused(&reseal(missing), "no cert-expired event");
+        let mut doubled = tiny().clone();
+        let expiry = doubled
+            .events
+            .iter()
+            .find(|ev| is_expiry_of(&cert, ev))
+            .cloned()
+            .expect("an expiry");
+        doubled.events.push(expiry);
+        let doubled = reseal(doubled);
+        refused(&doubled, "2 expiry events");
+        assert!(doubled.certificate(&cert).is_err());
+        let mut stray = tiny().clone();
+        stray.events.push(WorldEvent::CertExpired {
+            day: Date::parse("2030-01-01").expect("a day"),
+            cert: "f".repeat(64),
+        });
+        refused(&reseal(stray), "names no certificate");
     }
 
     // The line rules: refused by `from_jsonl` itself.

@@ -146,3 +146,68 @@ fn a_sidecar_save_stopped_before_its_rename_leaves_the_previous_sidecar() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+#[test]
+fn a_same_length_rewrite_under_an_existing_sidecar_answers_like_the_scan() {
+    let dir = std::env::temp_dir().join("stale_explain_index_rewrite_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("audit.jsonl");
+    let _ = std::fs::remove_file(ExplainIndex::sidecar_path(&path));
+
+    // The first lookup builds and saves the sidecar.
+    let audit = tiny_audit();
+    let jsonl = audit.to_jsonl();
+    std::fs::write(&path, &jsonl).expect("write store");
+    ExplainIndex::load_or_build(&path, &jsonl).expect("index builds");
+
+    // Rewrite one kc decision's fingerprint to another of the same
+    // length. Its CRL entry is the only one at its index, so canonical
+    // order holds; the verdict is unchanged, so coverage holds: the store
+    // is still a valid audit, of the same length.
+    let kc_at = |i: u64| {
+        audit
+            .decisions
+            .iter()
+            .filter(|d| matches!(d.provenance, obs::audit::Provenance::CrlEntry { crl_index, .. } if crl_index == i))
+            .count()
+    };
+    let at = audit
+        .decisions
+        .iter()
+        .position(|d| {
+            !d.cert.is_empty()
+                && matches!(d.provenance, obs::audit::Provenance::CrlEntry { crl_index, .. } if kc_at(crl_index) == 1)
+        })
+        .expect("a kc decision alone at its CRL index");
+    let mut rewritten = audit.clone();
+    let old = rewritten.decisions[at].cert.clone();
+    let new = format!(
+        "{}{}",
+        &old[..old.len() - 1],
+        if old.ends_with('0') { '1' } else { '0' }
+    );
+    rewritten.decisions[at].cert = new.clone();
+    let text = rewritten.to_jsonl();
+    assert_eq!(text.len(), jsonl.len(), "same length");
+    assert!(obs::audit::validate_audit_jsonl(&text).is_empty());
+    std::fs::write(&path, &text).expect("rewrite store");
+
+    // The sidecar no longer describes the store, so it is rebuilt, and
+    // every fingerprint (the old and the new one included) answers
+    // exactly as the full scan does.
+    let index = ExplainIndex::load_or_build(&path, &text).expect("index rebuilds");
+    assert!(index.matches(&text));
+    for cert in [&old, &new]
+        .into_iter()
+        .chain(rewritten.decisions.iter().map(|d| &d.cert))
+        .filter(|c| !c.is_empty())
+    {
+        assert_eq!(
+            index.render_explain_from(&text, cert),
+            rewritten.render_explain(cert),
+            "indexed explain for {cert} diverged from the scan"
+        );
+    }
+    let _ = std::fs::remove_file(ExplainIndex::sidecar_path(&path));
+    let _ = std::fs::remove_file(&path);
+}

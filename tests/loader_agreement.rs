@@ -8,11 +8,22 @@
 //! * checkpoint: every file preflight names is refused by
 //!   `Checkpoint::load`, and every refusal that does not need the run's
 //!   world (unreadable, parse, version, shard order, ledgers) is named by
-//!   preflight.
+//!   preflight;
+//! * decision audit: `validate_audit_jsonl` is empty exactly when
+//!   `AuditReport::from_jsonl` and `ExplainIndex::build` accept the text,
+//!   and their refusal is its first violation;
+//! * span trace: `validate_trace_jsonl` is empty exactly when
+//!   `spans_from_jsonl` accepts the text, refusing with its first
+//!   violation;
+//! * metrics export: preflight is clean exactly when
+//!   `MetricsSnapshot::from_json` accepts the text.
 //!
 //! Inputs are real exports damaged by truncation, bit flips, line swaps
 //! and runs of random bytes.
 
+use obs::audit::validate_audit_jsonl;
+use obs::trace::{spans_from_jsonl, validate_trace_jsonl};
+use obs::{AuditReport, ExplainIndex, MetricsSnapshot};
 use proptest::prelude::*;
 use stale_lint::preflight::{preflight_path, preflight_str};
 use stale_tls::engine::{Checkpoint, Engine, EngineConfig, Rejection};
@@ -57,14 +68,45 @@ fn damage(bytes: &[u8], kind: u8, a: u64, b: u64) -> Vec<u8> {
     out
 }
 
-/// A tenth of the tiny world's log, with every event kind.
+/// A tenth of the tiny world.
+fn small_world() -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::tiny();
+    cfg.initial_domains = 12;
+    cfg.eras.domain_births_per_day = cfg.eras.domain_births_per_day.scaled(0.1);
+    cfg
+}
+
+/// The small world's log, with every event kind.
 fn small_log() -> &'static str {
     static LOG: OnceLock<String> = OnceLock::new();
-    LOG.get_or_init(|| {
-        let mut cfg = ScenarioConfig::tiny();
-        cfg.initial_domains = 12;
-        cfg.eras.domain_births_per_day = cfg.eras.domain_births_per_day.scaled(0.1);
-        WorldLog::from_datasets(&World::run(cfg)).to_jsonl()
+    LOG.get_or_init(|| WorldLog::from_datasets(&World::run(small_world())).to_jsonl())
+}
+
+/// The decision audit, span trace and metrics export of one audited,
+/// traced engine run over the small world.
+struct ObsExports {
+    audit: String,
+    trace: String,
+    metrics: String,
+}
+
+fn obs_exports() -> &'static ObsExports {
+    static EXPORTS: OnceLock<ObsExports> = OnceLock::new();
+    EXPORTS.get_or_init(|| {
+        let data = World::run(small_world());
+        let psl = SuffixList::default_list();
+        let obs = obs::Obs::enabled();
+        let mut cfg = EngineConfig::with_shards(2);
+        cfg.audit = true;
+        let report = Engine::new(cfg)
+            .with_obs(obs.clone())
+            .run(&data, &psl)
+            .expect("audited run");
+        ObsExports {
+            audit: report.audit.expect("audit on").to_jsonl(),
+            trace: obs.trace.to_jsonl(),
+            metrics: obs.registry.export_json(),
+        }
     })
 }
 
@@ -106,6 +148,13 @@ fn clean_exports_pass_both() {
     assert!(WorldLog::from_jsonl(log)
         .and_then(|l| l.to_datasets())
         .is_ok());
+    let exports = obs_exports();
+    assert!(validate_audit_jsonl(&exports.audit).is_empty());
+    assert!(AuditReport::from_jsonl(&exports.audit).is_ok());
+    assert!(validate_trace_jsonl(&exports.trace).is_empty());
+    assert!(spans_from_jsonl(&exports.trace).is_ok());
+    assert!(preflight_str("metrics", &exports.metrics).is_empty());
+    assert!(MetricsSnapshot::from_json(&exports.metrics).is_ok());
     let (fp, text) = snapshot();
     let path = scratch("clean.json");
     std::fs::write(&path, text).expect("write");
@@ -158,5 +207,50 @@ proptest! {
         {
             prop_assert!(!diags.is_empty(), "damage {} {} {}: refused ({}) but preflight is clean", kind, a, b, why);
         }
+    }
+
+    #[test]
+    fn audit_preflight_agrees_with_its_readers(
+        kind in 0u8..4,
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        let bytes = damage(obs_exports().audit.as_bytes(), kind, a, b);
+        let text = String::from_utf8_lossy(&bytes);
+        let violations = validate_audit_jsonl(&text);
+        let refusal = AuditReport::from_jsonl(&text).err();
+        prop_assert_eq!(refusal.as_ref(), violations.first(), "damage {} {} {}", kind, a, b);
+        let index_refusal = ExplainIndex::build(&text).err();
+        prop_assert_eq!(index_refusal.as_ref(), violations.first(), "damage {} {} {}", kind, a, b);
+        let diags = preflight_str("audit", &text);
+        prop_assert_eq!(diags.is_empty(), refusal.is_none(), "damage {} {} {}: {:?}", kind, a, b, diags);
+    }
+
+    #[test]
+    fn trace_preflight_agrees_with_its_reader(
+        kind in 0u8..4,
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        let bytes = damage(obs_exports().trace.as_bytes(), kind, a, b);
+        let text = String::from_utf8_lossy(&bytes);
+        let violations = validate_trace_jsonl(&text);
+        let refusal = spans_from_jsonl(&text).err();
+        prop_assert_eq!(refusal.as_ref(), violations.first(), "damage {} {} {}", kind, a, b);
+        let diags = preflight_str("trace", &text);
+        prop_assert_eq!(diags.is_empty(), refusal.is_none(), "damage {} {} {}: {:?}", kind, a, b, diags);
+    }
+
+    #[test]
+    fn metrics_preflight_agrees_with_its_reader(
+        kind in 0u8..4,
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        let bytes = damage(obs_exports().metrics.as_bytes(), kind, a, b);
+        let text = String::from_utf8_lossy(&bytes);
+        let loads = MetricsSnapshot::from_json(&text).is_ok();
+        let diags = preflight_str("metrics", &text);
+        prop_assert_eq!(diags.is_empty(), loads, "damage {} {} {}: {:?}", kind, a, b, diags);
     }
 }
