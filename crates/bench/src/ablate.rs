@@ -150,14 +150,14 @@ pub fn cruise_liner_blast_radius(customers: usize, departure_day_offset: i64) ->
         }
         let victim = DomainName::parse("cust0.com").expect("valid");
         let when = start + Duration::days(departure_day_offset);
-        let stale = provider.depart(
+        provider.depart(
             &victim,
             when,
             dns::scan::DnsView::with_ns([DomainName::parse("ns1.away.net").expect("valid")]),
             &mut pool,
             &mut dns,
         );
-        stale.len()
+        provider.stale_certs_for(&victim, when).len()
     };
     (
         run(ProviderConfig::cloudflare_cruise_liner()),

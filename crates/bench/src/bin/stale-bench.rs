@@ -281,11 +281,11 @@ fn cmd_explain(rest: &[String]) -> ExitCode {
         AuditSource::File { path, text } => {
             // Through the sidecar index: byte-identical to the full scan
             // (tests/explain_index.rs), reading one fingerprint's lines.
-            let index = match obs::ExplainIndex::load_or_build(Path::new(&path), &text) {
+            let mut index = match obs::ExplainIndex::load_or_build(Path::new(&path), &text) {
                 Ok(i) => i,
                 Err(e) => return refused(&path, &e),
             };
-            finish_audit_query(index.render_explain_from(&text, fingerprint))
+            finish_audit_query(index.explain(Path::new(&path), &text, fingerprint))
         }
         AuditSource::Server(addr) => {
             match server_request(&addr, &format!("explain {fingerprint}")) {

@@ -287,12 +287,19 @@ pub fn compare(
 /// artifact (whose embedded `current` snapshot becomes the baseline —
 /// this is how CI chains run over run), or a raw metrics-JSON export,
 /// read through its one reader ([`Snapshot::from_json`]), which refuses
-/// what `stale-lint preflight` names.
+/// what `stale-lint preflight` names. An artifact's embedded snapshots
+/// are held to the same rules ([`Snapshot::validate`]).
 pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
-    match serde_json::from_str::<Comparison>(text) {
-        Ok(cmp) if cmp.schema == COMPARE_SCHEMA => Ok(cmp.current),
-        _ => Snapshot::from_json(text),
+    let cmp = match serde_json::from_str::<Comparison>(text) {
+        Ok(cmp) if cmp.schema == COMPARE_SCHEMA => cmp,
+        _ => return Snapshot::from_json(text),
+    };
+    for (which, snapshot) in [("baseline", &cmp.baseline), ("current", &cmp.current)] {
+        if let Some(reason) = snapshot.validate().into_iter().next() {
+            return Err(format!("embedded {which} snapshot: {reason}"));
+        }
     }
+    Ok(cmp.current)
 }
 
 #[cfg(test)]

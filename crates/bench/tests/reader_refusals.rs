@@ -2,8 +2,9 @@
 //! reader, so a file `stale-lint preflight` names is refused where the
 //! program loads it: `report`, `explain` and `timeline --audit` on a
 //! truncated audit, `timeline --trace` on a trace of another version and
-//! `compare` on a metrics export of another version each exit 1 with the
-//! reader's reason on stderr and nothing on stdout.
+//! `compare` on a metrics export — or a comparison artifact embedding a
+//! snapshot — of another version each exit 1 with the reader's reason on
+//! stderr and nothing on stdout.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -115,4 +116,39 @@ fn a_metrics_export_of_another_version_is_refused_by_compare() {
     let path = damaged("metrics.v9.json", &metrics);
     let clean = exports().join("metrics.json");
     refuses(&["compare"], &[&clean, &path], "version 9 (expected 1)");
+}
+
+#[test]
+fn a_comparison_artifact_embedding_another_version_is_refused_by_compare() {
+    let clean = exports().join("metrics.json");
+    let artifact = exports().join("compare.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_stale-bench"))
+        .arg("compare")
+        .args([&clean, &clean])
+        .arg("--out")
+        .arg(&artifact)
+        .output()
+        .expect("run stale-bench");
+    assert!(out.status.success(), "{out:?}");
+    // A clean artifact chains as a baseline.
+    let chained = Command::new(env!("CARGO_BIN_EXE_stale-bench"))
+        .arg("compare")
+        .args([&artifact, &clean])
+        .output()
+        .expect("run stale-bench");
+    assert!(chained.status.success(), "{chained:?}");
+
+    let mut cmp: stale_bench::compare::Comparison =
+        serde_json::from_str(&std::fs::read_to_string(&artifact).expect("read artifact"))
+            .expect("artifact parses");
+    cmp.current.version = 9;
+    let path = damaged(
+        "compare.current-v9.json",
+        &serde_json::to_string_pretty(&cmp).expect("render"),
+    );
+    refuses(
+        &["compare"],
+        &[&path, &clean],
+        "embedded current snapshot: version 9 (expected 1)",
+    );
 }

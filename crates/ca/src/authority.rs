@@ -3,7 +3,7 @@
 use crate::policy::CaPolicy;
 use crypto::{KeyPair, PublicKey};
 use ct::log::LogPool;
-use stale_types::{CaId, Date, DomainName, Duration, KeyId, SerialNumber};
+use stale_types::{CaId, Date, DateInterval, DomainName, Duration, KeyId, SerialNumber};
 use std::collections::BTreeMap;
 use std::fmt;
 use x509::revocation::{Crl, CrlEntry, RevocationReason};
@@ -62,8 +62,10 @@ pub struct CertificateAuthority {
     policy: CaPolicy,
     crl_url: String,
     next_serial: u128,
-    /// Issued certificates by serial (what CRL entries join back to).
-    issued: BTreeMap<SerialNumber, Certificate>,
+    /// Validity of every issued certificate by serial: what revocation
+    /// and OCSP check a serial against. The certificates themselves live
+    /// with whoever the CA issued them to.
+    issued: BTreeMap<SerialNumber, DateInterval>,
     /// Revocations by serial.
     revocations: BTreeMap<SerialNumber, CrlEntry>,
 }
@@ -145,7 +147,8 @@ impl CertificateAuthority {
             .submit(precert, today)
             .ok_or(IssueError::CtSubmissionFailed)?;
         let final_cert = base().scts(vec![sct]).sign(&self.key);
-        self.issued.insert(SerialNumber(serial), final_cert.clone());
+        self.issued
+            .insert(SerialNumber(serial), final_cert.tbs.validity);
         Ok(final_cert)
     }
 
@@ -190,9 +193,10 @@ impl CertificateAuthority {
         &self.crl_url
     }
 
-    /// Look up an issued certificate by serial.
-    pub fn issued(&self, serial: SerialNumber) -> Option<&Certificate> {
-        self.issued.get(&serial)
+    /// The validity of the certificate issued under `serial`, or `None`
+    /// for a serial this CA never issued.
+    pub fn issued(&self, serial: SerialNumber) -> Option<DateInterval> {
+        self.issued.get(&serial).copied()
     }
 
     /// Number of certificates issued.
@@ -222,7 +226,7 @@ impl CertificateAuthority {
             .serial(serial)
             .issuer(self.issuer_name())
             .sign(&self.key);
-        self.issued.insert(SerialNumber(serial), cert.clone());
+        self.issued.insert(SerialNumber(serial), cert.tbs.validity);
         cert
     }
 }
@@ -360,5 +364,31 @@ mod tests {
             .unwrap();
         assert_ne!(a.tbs.serial, b.tbs.serial);
         assert!(authority.issued(a.tbs.serial).is_some());
+    }
+
+    #[test]
+    fn issued_returns_the_validity_of_known_serials_only() {
+        let mut ct = pool();
+        let mut authority = ca(CaPolicy::commercial());
+        let cert = authority
+            .issue(&request(&["foo.com"]), d("2022-01-01"), &mut ct)
+            .unwrap();
+        let signed = authority.sign_certificate(
+            CertificateBuilder::tls_leaf(KeyPair::from_seed([9; 32]).public())
+                .subject_cn("bar.com")
+                .san(dn("bar.com"))
+                .validity_days(d("2022-02-01"), Duration::days(30)),
+        );
+        assert_eq!(authority.issued(cert.tbs.serial), Some(cert.tbs.validity));
+        assert_eq!(
+            authority.issued(signed.tbs.serial),
+            Some(signed.tbs.validity)
+        );
+        assert_eq!(authority.issued(SerialNumber(999)), None);
+        assert_eq!(authority.issued_count(), 2);
+        // OCSP answers from the same record.
+        let status = |serial| crate::ocsp::respond(&authority, serial, d("2022-02-10")).status;
+        assert_eq!(status(cert.tbs.serial), crate::ocsp::CertStatus::Good);
+        assert_eq!(status(SerialNumber(999)), crate::ocsp::CertStatus::Unknown);
     }
 }

@@ -221,10 +221,11 @@ impl ManagedTlsProvider {
 
     /// Depart: the customer points DNS at `new_view` (their new
     /// infrastructure). The provider updates its packing, but **retains
-    /// every key and certificate** covering the domain.
+    /// every key and certificate** covering the domain; ask
+    /// [`Self::stale_certs_for`] for the ones still valid — the §5.3
+    /// stale set.
     ///
-    /// Returns the certificates that remain valid for the departed domain
-    /// under provider control as of `today` — the §5.3 stale set.
+    /// Returns whether `domain` was a customer (nothing changes if not).
     pub fn depart(
         &mut self,
         domain: &DomainName,
@@ -232,9 +233,9 @@ impl ManagedTlsProvider {
         new_view: DnsView,
         ct: &mut LogPool,
         dns: &mut DnsHistory,
-    ) -> Vec<Certificate> {
+    ) -> bool {
         let Some(customer) = self.customers.remove(domain) else {
-            return Vec::new();
+            return false;
         };
         dns.record_change(domain.clone(), today, new_view);
         if let Some(bus_idx) = customer.bus {
@@ -247,7 +248,7 @@ impl ManagedTlsProvider {
         } else {
             self.per_domain.remove(domain);
         }
-        self.stale_certs_for(domain, today)
+        true
     }
 
     /// Remove a customer without issuing anything or touching DNS — used
@@ -447,13 +448,14 @@ mod tests {
         p.enroll(dn("alpha.com"), d("2018-05-01"), &mut ct, &mut dns);
         p.enroll(dn("beta.com"), d("2018-05-02"), &mut ct, &mut dns);
         let new_view = DnsView::with_ns([dn("ns1.newhost.net")]);
-        let stale = p.depart(
+        assert!(p.depart(
             &dn("alpha.com"),
             d("2018-08-01"),
             new_view,
             &mut ct,
             &mut dns,
-        );
+        ));
+        let stale = p.stale_certs_for(&dn("alpha.com"), d("2018-08-01"));
         // alpha.com appears on both earlier certs, both unexpired.
         assert_eq!(stale.len(), 2);
         assert!(stale
@@ -541,13 +543,17 @@ mod tests {
         let mut p = ManagedTlsProvider::new(ProviderConfig::cloudflare_cruise_liner(), comodo(), 1);
         let mut ct = pool();
         let mut dns = DnsHistory::new();
-        let stale = p.depart(
+        assert!(!p.depart(
             &dn("ghost.com"),
             d("2020-01-01"),
             DnsView::default(),
             &mut ct,
             &mut dns,
-        );
-        assert!(stale.is_empty());
+        ));
+        assert!(p
+            .stale_certs_for(&dn("ghost.com"), d("2020-01-01"))
+            .is_empty());
+        assert_eq!(p.all_issued().len(), 0);
+        assert_eq!(dns.domain_count(), 0);
     }
 }

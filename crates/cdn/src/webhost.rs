@@ -16,9 +16,27 @@ use dns::record::Ipv4Addr;
 use dns::scan::{DnsHistory, DnsView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stale_types::{Date, DomainName, SerialNumber};
+use stale_types::{Date, DateInterval, DomainName, SerialNumber};
 use std::collections::BTreeMap;
 use x509::Certificate;
+
+/// A hosted customer: the key the host generated and the serial and
+/// validity of the certificate currently serving the domain.
+struct Hosted {
+    key: KeyPair,
+    serial: SerialNumber,
+    validity: DateInterval,
+}
+
+impl Hosted {
+    fn new(key: KeyPair, cert: &Certificate) -> Self {
+        Hosted {
+            key,
+            serial: cert.tbs.serial,
+            validity: cert.tbs.validity,
+        }
+    }
+}
 
 /// A shared hosting provider with AutoSSL.
 pub struct WebHost {
@@ -27,8 +45,8 @@ pub struct WebHost {
     ca: CertificateAuthority,
     /// Shared edge IPs customers' A records point to.
     edge_ips: Vec<Ipv4Addr>,
-    /// Hosted customers: domain → (key, active certificate serial).
-    customers: BTreeMap<DomainName, (KeyPair, SerialNumber)>,
+    /// Hosted customers: domain → key and active certificate.
+    customers: BTreeMap<DomainName, Hosted>,
     /// Everything ever issued (keys never leave the host).
     all_issued: Vec<Certificate>,
     /// Renew once the active certificate is this old, even if far from
@@ -97,7 +115,7 @@ impl WebHost {
                 ct,
             )
             .expect("autossl issuance");
-        self.customers.insert(domain, (key, cert.tbs.serial));
+        self.customers.insert(domain, Hosted::new(key, &cert));
         self.all_issued.push(cert.clone());
         cert
     }
@@ -133,14 +151,8 @@ impl WebHost {
         let serials: Vec<SerialNumber> = self
             .customers
             .values()
-            .filter(
-                |(_, serial)| match (max_age_days, self.ca.issued(*serial)) {
-                    (Some(max), Some(cert)) => (today - cert.tbs.not_before()).num_days() <= max,
-                    (None, Some(_)) => true,
-                    (_, None) => false,
-                },
-            )
-            .map(|(_, serial)| *serial)
+            .filter(|c| max_age_days.is_none_or(|max| (today - c.validity.start).num_days() <= max))
+            .map(|c| c.serial)
             .collect();
         for serial in &serials {
             // Ignore already-revoked duplicates.
@@ -170,22 +182,17 @@ impl WebHost {
         let due: Vec<DomainName> = self
             .customers
             .iter()
-            .filter(|(_, (_, serial))| {
-                self.ca
-                    .issued(*serial)
-                    .map(|c| {
-                        c.tbs.not_after() <= horizon
-                            || self
-                                .renewal_age_days
-                                .is_some_and(|age| (today - c.tbs.not_before()).num_days() >= age)
-                    })
-                    .unwrap_or(false)
+            .filter(|(_, c)| {
+                c.validity.end <= horizon
+                    || self
+                        .renewal_age_days
+                        .is_some_and(|age| (today - c.validity.start).num_days() >= age)
             })
             .map(|(d, _)| d.clone())
             .collect();
         let mut renewed = 0;
         for domain in due {
-            let key = self.customers[&domain].0.clone();
+            let key = self.customers[&domain].key.clone();
             let cert = self
                 .ca
                 .issue(
@@ -198,7 +205,7 @@ impl WebHost {
                     ct,
                 )
                 .expect("autossl renewal");
-            self.customers.insert(domain, (key, cert.tbs.serial));
+            self.customers.insert(domain, Hosted::new(key, &cert));
             self.all_issued.push(cert);
             renewed += 1;
         }

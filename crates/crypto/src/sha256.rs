@@ -80,15 +80,17 @@ impl Sha256 {
     /// Finish and produce the digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
+        // Padding: 0x80, then zeros up to 56 bytes into a block (one
+        // `update`, compressing a full block first if needed), then the
+        // 64-bit big-endian length.
+        let mut padding = [0u8; 64];
+        padding[0] = 0x80;
+        let zeros = (119 - self.buf_len) % 64;
+        self.update(&padding[..1 + zeros]);
         // Manual write of the length so total_len isn't double-counted.
         let mut block = self.buf;
         block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block.clone());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());

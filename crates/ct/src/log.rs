@@ -97,12 +97,9 @@ impl CtLog {
         self.retired = true;
     }
 
-    /// Submit a certificate; returns the SCT on acceptance.
-    pub fn submit(
-        &mut self,
-        cert: Certificate,
-        today: Date,
-    ) -> Result<SignedCertificateTimestamp, LogError> {
+    /// Whether the log would accept `cert`: it is not retired and, for a
+    /// temporal shard, the certificate expires inside the window.
+    pub fn accepts(&self, cert: &Certificate) -> Result<(), LogError> {
         if self.retired {
             return Err(LogError::Retired);
         }
@@ -112,6 +109,16 @@ impl CtLog {
                 return Err(LogError::OutsideShardWindow { start, end });
             }
         }
+        Ok(())
+    }
+
+    /// Submit a certificate; returns the SCT on acceptance.
+    pub fn submit(
+        &mut self,
+        cert: Certificate,
+        today: Date,
+    ) -> Result<SignedCertificateTimestamp, LogError> {
+        self.accepts(&cert)?;
         let index = self.tree.append(&cert.encode());
         self.entries.push(LogEntry {
             index,
@@ -163,6 +170,11 @@ impl CtLog {
         &self.entries
     }
 
+    /// The entries by value, for a monitor that takes over the log.
+    pub fn into_entries(self) -> Vec<LogEntry> {
+        self.entries
+    }
+
     /// The underlying tree (for proof verification in tests).
     pub fn tree(&self) -> &MerkleTree {
         &self.tree
@@ -209,23 +221,29 @@ impl LogPool {
         self.logs.push(log);
     }
 
-    /// Submit to the first accepting log; returns `(log name, SCT)`.
+    /// Submit to the first accepting log; returns `(log name, SCT)`. A
+    /// certificate no log accepts is refused and the pool is unchanged.
     pub fn submit(
         &mut self,
         cert: Certificate,
         today: Date,
     ) -> Option<(String, SignedCertificateTimestamp)> {
-        for log in &mut self.logs {
-            if let Ok(sct) = log.submit(cert.clone(), today) {
-                return Some((log.name.clone(), sct));
-            }
-        }
-        None
+        let log = self
+            .logs
+            .iter_mut()
+            .find(|log| log.accepts(&cert).is_ok())?;
+        let sct = log.submit(cert, today).ok()?;
+        Some((log.name.clone(), sct))
     }
 
     /// Iterate logs.
     pub fn logs(&self) -> &[CtLog] {
         &self.logs
+    }
+
+    /// The logs by value, for a monitor that takes over the pool.
+    pub fn into_logs(self) -> Vec<CtLog> {
+        self.logs
     }
 
     /// Total entries across logs.
@@ -332,6 +350,33 @@ mod tests {
             .submit(cert("c.com", "2025-06-01", 398), d("2025-06-01"))
             .is_none());
         assert_eq!(pool.total_entries(), 2);
+    }
+
+    #[test]
+    fn pool_refuses_a_certificate_no_shard_covers_and_stays_unchanged() {
+        let mut pool = LogPool::with_yearly_shards("argon", 9, 2022, 2024);
+        pool.submit(cert("a.com", "2023-06-01", 90), d("2023-06-01"))
+            .unwrap();
+        let sizes = |p: &LogPool| p.logs().iter().map(CtLog::size).collect::<Vec<_>>();
+        let roots = |p: &LogPool| p.logs().iter().map(|l| l.tree().root()).collect::<Vec<_>>();
+        let (before_sizes, before_roots) = (sizes(&pool), roots(&pool));
+        // Expires 2021-03-31 and 2026-07-04: before and after every shard.
+        for refused in [
+            cert("early.com", "2021-01-01", 89),
+            cert("late.com", "2025-06-01", 398),
+        ] {
+            assert!(pool.submit(refused, d("2021-01-01")).is_none());
+        }
+        assert_eq!(sizes(&pool), before_sizes);
+        assert_eq!(roots(&pool), before_roots);
+        assert_eq!(pool.total_entries(), 1);
+        let names: Vec<_> = pool
+            .logs()
+            .iter()
+            .flat_map(|l| l.entries())
+            .map(|e| e.certificate.tbs.subject.common_name.clone())
+            .collect();
+        assert_eq!(names, ["a.com"]);
     }
 
     #[test]

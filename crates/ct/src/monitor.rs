@@ -80,11 +80,13 @@ impl CtMonitor {
         }
     }
 
-    /// Ingest every entry of every log in a pool.
-    pub fn ingest_pool(&mut self, pool: &LogPool) {
-        for log in pool.logs() {
-            for entry in log.entries() {
-                self.ingest(entry.certificate.clone(), entry.timestamp);
+    /// Ingest every entry of every log in a pool, taking the pool over:
+    /// each logged certificate moves into the corpus (or is dropped when
+    /// it collapses into one already there) instead of being copied.
+    pub fn ingest_pool(&mut self, pool: LogPool) {
+        for log in pool.into_logs() {
+            for entry in log.into_entries() {
+                self.ingest(entry.certificate, entry.timestamp);
             }
         }
     }

@@ -777,6 +777,33 @@ impl ExplainIndex {
     /// recomputed here). A store of another length is refused as stale,
     /// and an offset whose line names another certificate is an error.
     pub fn render_explain_from(&self, jsonl: &str, prefix: &str) -> Result<String, String> {
+        let cert = self.resolve(jsonl, prefix)?;
+        self.render_chain(jsonl, cert)
+    }
+
+    /// Render the explain body for `prefix` over the audit export at
+    /// `audit` (contents `jsonl`) through this index, as
+    /// [`load_or_build`](ExplainIndex::load_or_build) returned it. A
+    /// lookup that fails inside the index — an offset that does not land
+    /// on a decision line for the certificate — means the sidecar's body
+    /// is damaged under an intact header, not that the audit is: the
+    /// index is rebuilt through the audit's reader, the sidecar rewritten
+    /// best-effort, and the lookup answered from the rebuilt index.
+    pub fn explain(&mut self, audit: &Path, jsonl: &str, prefix: &str) -> Result<String, String> {
+        let cert = self.resolve(jsonl, prefix)?.to_string();
+        if let Ok(body) = self.render_chain(jsonl, &cert) {
+            return Ok(body);
+        }
+        *self = ExplainIndex::build(jsonl)?;
+        let _ = self
+            .stage_sidecar(audit)
+            .and_then(crate::persist::StagedFile::commit);
+        self.render_explain_from(jsonl, prefix)
+    }
+
+    /// The indexed certificate `prefix` names, in a store of the length
+    /// this index was built over.
+    fn resolve<'i>(&'i self, jsonl: &str, prefix: &str) -> Result<&'i str, String> {
         if self.source_bytes != jsonl.len() as u64 {
             return Err(format!(
                 "explain index is stale: built over {} bytes, store is {}",
@@ -784,7 +811,12 @@ impl ExplainIndex {
                 jsonl.len()
             ));
         }
-        let cert = resolve_in(&self.entries, prefix)?;
+        resolve_in(&self.entries, prefix)
+    }
+
+    /// Decode `cert`'s indexed decision lines and render its chain. An
+    /// error means an offset does not land on a decision line for `cert`.
+    fn render_chain(&self, jsonl: &str, cert: &str) -> Result<String, String> {
         let offsets = self
             .entries
             .get(cert)

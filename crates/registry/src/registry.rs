@@ -5,7 +5,7 @@ use crate::lifecycle::{DomainState, LifecyclePolicy, Registration};
 use serde::{Deserialize, Serialize};
 use stale_types::{AccountId, Date, DomainName, Duration};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::fmt;
 
 /// Observable registry events, emitted in order.
@@ -83,6 +83,9 @@ pub struct Registry {
     registrations: BTreeMap<DomainName, Registration>,
     /// Ordered event log.
     events: Vec<RegistryEvent>,
+    /// Every name the registry has ever released, so a registration can
+    /// tell a re-registration without scanning the event log.
+    released: HashSet<DomainName>,
     /// Day the registry has processed up to.
     clock: Date,
     /// Candidate release dates, lazily validated on pop. Renewals leave
@@ -100,6 +103,7 @@ impl Registry {
             policy: LifecyclePolicy::default(),
             registrations: BTreeMap::new(),
             events: Vec::new(),
+            released: HashSet::new(),
             clock: epoch,
             release_queue: BinaryHeap::new(),
         }
@@ -136,6 +140,7 @@ impl Registry {
             let actual = reg.release_date(&self.policy);
             if actual <= date {
                 self.registrations.remove(&domain);
+                self.released.insert(domain.clone());
                 self.events.push(RegistryEvent::Released {
                     domain,
                     date: actual,
@@ -171,10 +176,7 @@ impl Registry {
                 existing.state_at(self.clock, &self.policy),
             ));
         }
-        let re_registration = self
-            .events
-            .iter()
-            .any(|e| matches!(e, RegistryEvent::Released { domain: d, .. } if *d == domain));
+        let re_registration = self.released.contains(&domain);
         let reg = Registration {
             domain: domain.clone(),
             registrant,
@@ -337,6 +339,46 @@ mod tests {
                 if *registrant == AccountId(99))
         });
         assert!(re_reg, "re-registration flagged");
+    }
+
+    #[test]
+    fn every_re_registration_is_flagged_and_a_fresh_name_never_is() {
+        let mut r = registry();
+        r.register(dn("foo.com"), AccountId(1), 0, Duration::days(365))
+            .unwrap();
+        // Lapse and release (365 + 80 days), re-register, lapse again.
+        r.advance_to(d("2021-03-25"));
+        r.register(dn("foo.com"), AccountId(2), 0, Duration::days(365))
+            .unwrap();
+        r.register(dn("bar.com"), AccountId(3), 0, Duration::days(365))
+            .unwrap();
+        r.advance_to(d("2022-06-20"));
+        r.register(dn("foo.com"), AccountId(4), 0, Duration::days(365))
+            .unwrap();
+        r.register(dn("baz.com"), AccountId(5), 0, Duration::days(365))
+            .unwrap();
+        let flags: Vec<(AccountId, bool)> = r
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                RegistryEvent::Registered {
+                    registrant,
+                    re_registration,
+                    ..
+                } => Some((*registrant, *re_registration)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            flags,
+            vec![
+                (AccountId(1), false),
+                (AccountId(2), true),
+                (AccountId(3), false),
+                (AccountId(4), true),
+                (AccountId(5), false),
+            ]
+        );
     }
 
     #[test]

@@ -849,9 +849,12 @@ impl World {
     // ------------------------------------------------------------------
 
     fn finish(mut self) -> WorldDatasets {
+        let ct_raw_entries = self.pool.total_entries() as usize;
+        let ct_log_count = self.pool.logs().len();
         // Monitor ingests every log entry (precerts) and every final
-        // certificate the providers hold, exercising dedup.
-        self.monitor.ingest_pool(&self.pool);
+        // certificate the providers hold, exercising dedup. The pool is
+        // handed over, so no logged certificate is copied.
+        self.monitor.ingest_pool(self.pool);
         for cert in self.cdn.all_issued() {
             self.monitor.ingest(cert.clone(), cert.tbs.not_before());
         }
@@ -884,8 +887,6 @@ impl World {
             .chain(self.hosts.iter().map(|h| h.ca()))
             .collect();
         let (crl, crl_stats) = scraper.scrape(&cas, self.cfg.crl_window);
-        let ct_raw_entries = self.pool.total_entries() as usize;
-        let ct_log_count = self.pool.logs().len();
         WorldDatasets {
             monitor: self.monitor,
             crl,

@@ -291,24 +291,31 @@ impl TbsCertificate {
     /// omitted so precert and final certificate encode identically.
     pub fn encode(&self, for_dedup: bool) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.int(3); // version marker
-        e.uint(self.serial.0);
-        encode_name(&mut e, &self.issuer);
-        e.constructed(Tag::Sequence, |v| {
-            v.int(self.validity.start.days_since_epoch());
-            v.int(self.validity.end.days_since_epoch());
-        });
-        encode_name(&mut e, &self.subject);
-        e.octets(self.public_key.as_bytes());
-        e.constructed(Tag::Context0, |exts| {
-            for ext in &self.extensions {
-                if for_dedup && ext.is_ct_component() {
-                    continue;
+        self.encode_into(&mut e, for_dedup);
+        e.into_inner()
+    }
+
+    /// Append the TBS `SEQUENCE` to `e` (see [`Self::encode`]).
+    fn encode_into(&self, e: &mut Encoder, for_dedup: bool) {
+        e.constructed(Tag::Sequence, |t| {
+            t.int(3); // version marker
+            t.uint(self.serial.0);
+            encode_name(t, &self.issuer);
+            t.constructed(Tag::Sequence, |v| {
+                v.int(self.validity.start.days_since_epoch());
+                v.int(self.validity.end.days_since_epoch());
+            });
+            encode_name(t, &self.subject);
+            t.octets(self.public_key.as_bytes());
+            t.constructed(Tag::Context0, |exts| {
+                for ext in &self.extensions {
+                    if for_dedup && ext.is_ct_component() {
+                        continue;
+                    }
+                    encode_extension(exts, ext);
                 }
-                encode_extension(exts, ext);
-            }
+            });
         });
-        e.finish(Tag::Sequence)
     }
 
     /// Decode a TBS from DER.
@@ -551,9 +558,11 @@ impl Certificate {
     /// DER-encode `SEQUENCE { tbs, signature }`.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.raw(&self.tbs.encode(false));
-        e.octets(self.signature.as_bytes());
-        e.finish(Tag::Sequence)
+        e.constructed(Tag::Sequence, |c| {
+            self.tbs.encode_into(c, false);
+            c.octets(self.signature.as_bytes());
+        });
+        e.into_inner()
     }
 
     /// Decode a certificate.

@@ -94,24 +94,32 @@ impl std::error::Error for DerError {}
 /// Append a TLV with `tag` and raw `content` to `out`.
 pub fn write_tlv(out: &mut Vec<u8>, tag: Tag, content: &[u8]) {
     out.push(tag as u8);
-    write_length(out, content.len());
+    let (octets, n) = length_octets(content.len());
+    out.extend_from_slice(&octets[..n]);
     out.extend_from_slice(content);
 }
 
-fn write_length(out: &mut Vec<u8>, len: usize) {
+/// The definite-length octets for `len` and how many of them are used:
+/// the short form below 128, otherwise `0x80 | count` followed by the
+/// minimal big-endian length.
+fn length_octets(len: usize) -> ([u8; 9], usize) {
+    let mut octets = [0u8; 9];
     if len < 0x80 {
-        out.push(len as u8);
-    } else {
-        let bytes = (len as u64).to_be_bytes();
-        let skip = bytes.iter().take_while(|&&b| b == 0).count();
-        let sig = &bytes[skip..];
-        out.push(0x80 | sig.len() as u8);
-        out.extend_from_slice(sig);
+        octets[0] = len as u8;
+        return (octets, 1);
     }
+    let bytes = (len as u64).to_be_bytes();
+    let skip = bytes.iter().take_while(|&&b| b == 0).count();
+    let sig = &bytes[skip..];
+    octets[0] = 0x80 | sig.len() as u8;
+    octets[1..=sig.len()].copy_from_slice(sig);
+    (octets, sig.len() + 1)
 }
 
 /// An encoder for one constructed value; children append to the buffer and
-/// the whole value is wrapped on [`Encoder::finish`].
+/// the whole value is wrapped on [`Encoder::finish`]. Nested values are
+/// written in place: [`Encoder::constructed`] reserves one length octet,
+/// lets the children append after it, and patches the length in.
 pub struct Encoder {
     buf: Vec<u8>,
 }
@@ -133,12 +141,13 @@ impl Encoder {
     pub fn uint(&mut self, value: u128) -> &mut Self {
         let bytes = value.to_be_bytes();
         let skip = bytes.iter().take_while(|&&b| b == 0).count().min(15);
-        let mut content = Vec::with_capacity(17);
-        if bytes[skip] & 0x80 != 0 {
-            content.push(0);
+        let pad = bytes[skip] & 0x80 != 0;
+        self.buf.push(Tag::Integer as u8);
+        self.buf.push((16 - skip + usize::from(pad)) as u8);
+        if pad {
+            self.buf.push(0);
         }
-        content.extend_from_slice(&bytes[skip..]);
-        write_tlv(&mut self.buf, Tag::Integer, &content);
+        self.buf.extend_from_slice(&bytes[skip..]);
         self
     }
 
@@ -189,11 +198,22 @@ impl Encoder {
         self
     }
 
-    /// Append a nested constructed value built by `f`.
+    /// Append a nested constructed value built by `f`. The children are
+    /// written into this encoder's buffer after a one-octet length
+    /// placeholder; content of 128 bytes or more shifts right to make
+    /// room for the long-form length.
     pub fn constructed(&mut self, tag: Tag, f: impl FnOnce(&mut Encoder)) -> &mut Self {
-        let mut inner = Encoder::new();
-        f(&mut inner);
-        write_tlv(&mut self.buf, tag, &inner.buf);
+        self.buf.push(tag as u8);
+        self.buf.push(0);
+        let start = self.buf.len();
+        f(self);
+        let end = self.buf.len();
+        let (octets, n) = length_octets(end - start);
+        if n > 1 {
+            self.buf.resize(end + n - 1, 0);
+            self.buf.copy_within(start..end, start + n - 1);
+        }
+        self.buf[start - 1..start - 1 + n].copy_from_slice(&octets[..n]);
         self
     }
 
@@ -457,6 +477,63 @@ mod tests {
         ctx.finish().unwrap();
         seq.finish().unwrap();
         d.finish().unwrap();
+    }
+
+    /// `constructed` at content lengths on both sides of every length-form
+    /// boundary, nested two deep, equals the `write_tlv` composition byte
+    /// for byte and decodes back.
+    #[test]
+    fn constructed_matches_write_tlv_at_length_boundaries() {
+        for len in [0usize, 127, 128, 255, 256, 65_535, 65_536] {
+            // The [0] value holds one OCTET STRING whose whole TLV is
+            // `len` bytes long (nothing at all for 0).
+            let payload = (len > 0).then(|| {
+                let n = (0..len)
+                    .find(|&n| 1 + length_octets(n).1 + n == len)
+                    .expect("an OCTET STRING of this total length exists");
+                (0..n).map(|i| (i % 251) as u8).collect::<Vec<u8>>()
+            });
+            let mut e = Encoder::new();
+            e.uint(9);
+            e.constructed(Tag::Sequence, |outer| {
+                outer.utf8("x");
+                outer.constructed(Tag::Context0, |inner| {
+                    if let Some(payload) = &payload {
+                        inner.octets(payload);
+                    }
+                });
+                outer.boolean(true);
+            });
+            let got = e.into_inner();
+
+            let mut inner = Vec::new();
+            if let Some(payload) = &payload {
+                write_tlv(&mut inner, Tag::OctetString, payload);
+            }
+            assert_eq!(inner.len(), len, "inner content length");
+            let mut outer = Vec::new();
+            write_tlv(&mut outer, Tag::Utf8String, b"x");
+            write_tlv(&mut outer, Tag::Context0, &inner);
+            write_tlv(&mut outer, Tag::Boolean, &[0xFF]);
+            let mut want = Vec::new();
+            write_tlv(&mut want, Tag::Integer, &[9]);
+            write_tlv(&mut want, Tag::Sequence, &outer);
+            assert_eq!(got, want, "content length {len}");
+
+            let mut d = Decoder::new(&got);
+            assert_eq!(d.uint().unwrap(), 9);
+            let mut seq = d.nested(Tag::Sequence).unwrap();
+            assert_eq!(seq.utf8().unwrap(), "x");
+            let mut ctx = seq.nested(Tag::Context0).unwrap();
+            assert_eq!(ctx.remaining(), len);
+            if let Some(payload) = &payload {
+                assert_eq!(ctx.octets().unwrap(), &payload[..]);
+            }
+            ctx.finish().unwrap();
+            assert!(seq.boolean().unwrap());
+            seq.finish().unwrap();
+            d.finish().unwrap();
+        }
     }
 
     #[test]

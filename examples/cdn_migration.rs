@@ -58,13 +58,14 @@ fn main() {
     // 2. customer3.com migrates away on 2022-09-15.
     let victim = dn("customer3.com");
     let departure_day = d("2022-09-15");
-    let retained = provider.depart(
+    provider.depart(
         &victim,
         departure_day,
         DnsView::with_ns([dn("ns1.newhost.net"), dn("ns2.newhost.net")]),
         &mut ct,
         &mut adns,
     );
+    let retained = provider.stale_certs_for(&victim, departure_day);
     println!(
         "\n{departure_day}  {victim} migrates off the CDN; provider retains {} valid certificates naming it",
         retained.len()

@@ -211,3 +211,61 @@ fn a_same_length_rewrite_under_an_existing_sidecar_answers_like_the_scan() {
     let _ = std::fs::remove_file(ExplainIndex::sidecar_path(&path));
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn a_damaged_sidecar_body_under_an_intact_header_is_rebuilt_and_answers_like_the_scan() {
+    let dir = std::env::temp_dir().join("stale_explain_index_damaged_body_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("audit.jsonl");
+    let sidecar = ExplainIndex::sidecar_path(&path);
+    let _ = std::fs::remove_file(&sidecar);
+
+    // The first lookup builds and saves the sidecar.
+    let audit = tiny_audit();
+    let jsonl = audit.to_jsonl();
+    std::fs::write(&path, &jsonl).expect("write store");
+    ExplainIndex::load_or_build(&path, &jsonl).expect("index builds");
+    let clean = std::fs::read_to_string(&sidecar).expect("sidecar saved");
+
+    // Add 1 to the first offset of the first entry; the header (length,
+    // digest, count) still describes the store.
+    let mut lines: Vec<String> = clean.lines().map(str::to_string).collect();
+    let mut fields: Vec<String> = lines[1].split(' ').map(str::to_string).collect();
+    let cert = fields[0].clone();
+    let off: u64 = fields[1].parse().expect("offset");
+    fields[1] = (off + 1).to_string();
+    lines[1] = fields.join(" ");
+    let damaged: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    std::fs::write(&sidecar, &damaged).expect("damage sidecar");
+
+    // The damaged sidecar loads (its header matches) and its lookup fails.
+    let mut index = ExplainIndex::load_or_build(&path, &jsonl).expect("sidecar loads");
+    assert!(index.render_explain_from(&jsonl, &cert).is_err());
+
+    // The explain lookup rebuilds it, answers as the scan does, and
+    // rewrites the sidecar.
+    assert_eq!(
+        index.explain(&path, &jsonl, &cert),
+        audit.render_explain(&cert)
+    );
+    assert_eq!(
+        std::fs::read_to_string(&sidecar).expect("read sidecar"),
+        clean,
+        "the sidecar was rewritten"
+    );
+    for other in audit
+        .decisions
+        .iter()
+        .map(|d| &d.cert)
+        .filter(|c| !c.is_empty())
+    {
+        assert_eq!(
+            index.render_explain_from(&jsonl, other),
+            audit.render_explain(other),
+            "indexed explain for {other} diverged from the scan"
+        );
+    }
+    for p in [&path, &sidecar] {
+        let _ = std::fs::remove_file(p);
+    }
+}

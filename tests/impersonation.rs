@@ -41,13 +41,14 @@ fn former_cdn_impersonates_departed_customer_via_handshake() {
 
     // --- Departure: shop.com self-hosts with a fresh certificate from a
     // different CA.
-    let retained = provider.depart(
+    assert!(provider.depart(
         &dn("shop.com"),
         d("2022-07-01"),
         DnsView::with_ns([dn("ns1.self.net")]),
         &mut ct,
         &mut adns,
-    );
+    ));
+    let retained = provider.stale_certs_for(&dn("shop.com"), d("2022-07-01"));
     assert!(!retained.is_empty(), "provider retains valid certs");
 
     let self_root = KeyPair::from_seed([5; 32]);
