@@ -87,9 +87,7 @@ fn bench_incremental(c: &mut Criterion) {
     use engine::partition::route;
     use stale_core::detector::key_compromise::{self, RevocationAnalysis};
     use stale_core::detector::managed_tls::{self, ManagedTlsDetector};
-    use stale_core::detector::registrant_change::{
-        self, enumerate_changes, RegistrantChangeDetector,
-    };
+    use stale_core::detector::registrant_change::{self, RegistrantChangeDetector};
     use stale_core::incremental::{KcIncremental, MtdIncremental, RcIncremental};
     use worldsim::DayFeed;
 
@@ -152,10 +150,6 @@ fn bench_incremental(c: &mut Criterion) {
         mtd.ingest_day_observed(to, &mtd_detector, &slice.mtd, &slice.dns, sink);
     }
     let final_delta = feed.delta(last, last);
-    let change_index: std::collections::HashMap<_, _> = enumerate_changes(&data.whois)
-        .into_iter()
-        .map(|ch| ((ch.domain, ch.creation), ch.index))
-        .collect();
     group.bench_function("single_day_append", |b| {
         // The clone stands in for "state already resident in memory" (a
         // long-running ingester mutates in place), so it is setup, not
@@ -174,11 +168,7 @@ fn bench_incremental(c: &mut Criterion) {
                     vec![kc.finish()],
                 );
                 let kc_records = revocations.stale_records();
-                let rc_records = registrant_change::merge_shards(vec![rc
-                    .finish()
-                    .into_iter()
-                    .map(|(domain, creation, record)| (change_index[&(domain, creation)], record))
-                    .collect()]);
+                let rc_records = registrant_change::merge_shards(vec![rc.finish()]);
                 let mtd_records = managed_tls::merge_shards(vec![mtd.finish(&mtd_detector)]);
                 assert_eq!(
                     (kc_records.len(), rc_records.len(), mtd_records.len()),

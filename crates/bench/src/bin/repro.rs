@@ -57,14 +57,9 @@
 //!                               provenance) and write the merged audit as
 //!                               JSONL to F; detector results are
 //!                               byte-identical with auditing on or off
-//! serve:       --serve ADDR     instead of running experiments, boot a
-//!                               resident stale-served daemon on ADDR
-//!                               over the chosen preset (honoring
-//!                               --shards, --delay-days and --checkpoint)
-//!                               and serve until a client sends shutdown
-//!              --delay-days N   hold fed days back from daemon queries
-//!                               for N fed days (with --serve; default 0)
 //! ```
+//!
+//! The resident daemon over a preset is `stale-served`.
 //!
 //! Exit status: 0 on a clean run, 1 when any shard degraded or an engine
 //! error occurred, 2 on usage errors.
@@ -81,8 +76,6 @@ fn main() {
     let mut engine_cfg = EngineConfig::default();
     let mut incremental = false;
     let mut preflight = false;
-    let mut serve: Option<String> = None;
-    let mut delay_days = 0i64;
     let mut export_worldlog: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut metrics_json: Option<String> = None;
@@ -126,22 +119,6 @@ fn main() {
             },
             "--incremental" => incremental = true,
             "--preflight" => preflight = true,
-            "--serve" => {
-                serve = args_iter.next().cloned();
-                if serve.is_none() {
-                    eprintln!("--serve needs a bind address");
-                    std::process::exit(2);
-                }
-            }
-            "--delay-days" => {
-                delay_days = match args_iter.next().and_then(|v| v.parse::<i64>().ok()) {
-                    Some(n) if n >= 0 => n,
-                    _ => {
-                        eprintln!("--delay-days needs a non-negative integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--export-worldlog" => {
                 export_worldlog = args_iter.next().cloned();
                 if export_worldlog.is_none() {
@@ -221,35 +198,6 @@ fn main() {
         "tiny" => ScenarioConfig::tiny(),
         _ => ScenarioConfig::paper2023(),
     };
-    // Resident service mode: hand the scenario to a stale-served daemon
-    // and serve queries until a client sends `shutdown`. The daemon's
-    // answers are byte-identical to this binary's batch output over the
-    // same ingested days.
-    if let Some(listen) = serve {
-        let mut daemon_cfg = stale_served::DaemonConfig::new(preset, cfg);
-        daemon_cfg.shards = engine_cfg.shards.max(1);
-        daemon_cfg.delay_days = delay_days;
-        daemon_cfg.checkpoint = engine_cfg.checkpoint.clone();
-        let daemon = match stale_served::Daemon::start(daemon_cfg, &listen) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("cannot bind {listen}: {e}");
-                std::process::exit(2);
-            }
-        };
-        println!("listening on {}", daemon.addr());
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        eprintln!(
-            "serving preset {preset} on {} ({} shard(s), delay {delay_days} day(s)); \
-             send `shutdown` to exit",
-            daemon.addr(),
-            engine_cfg.shards.max(1),
-        );
-        daemon.wait_shutdown();
-        daemon.stop();
-        return;
-    }
     let mode = if incremental {
         format!(" [incremental, day-batch {}]", engine_cfg.day_batch.max(1))
     } else {

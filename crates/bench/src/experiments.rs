@@ -60,19 +60,9 @@ impl Experiments {
         (World::run(cfg), SuffixList::default_list())
     }
 
-    /// Simulate a world and run the detectors through the sharded engine.
-    /// The merged suite is byte-identical to [`Experiments::new`]'s for
-    /// any shard count.
-    pub fn with_engine(
-        cfg: ScenarioConfig,
-        engine_cfg: EngineConfig,
-    ) -> Result<EngineRun, EngineError> {
-        let (data, psl) = Experiments::build_world(cfg);
-        Experiments::with_engine_on(data, psl, engine_cfg)
-    }
-
     /// Run the sharded engine over an already-built world (see
-    /// [`Experiments::build_world`]).
+    /// [`Experiments::build_world`]). The merged suite is byte-identical
+    /// to [`Experiments::new`]'s for any shard count.
     pub fn with_engine_on(
         data: WorldDatasets,
         psl: SuffixList,
@@ -106,21 +96,12 @@ impl Experiments {
         })
     }
 
-    /// Simulate a world and run the detectors through the engine's
-    /// incremental driver: the day feed is replayed delta by delta into
-    /// persistent detector state. The merged suite — and therefore every
-    /// rendered table and figure — is byte-identical to the batch paths
-    /// when the feed is drained (`EngineConfig::through` unset).
-    pub fn with_engine_incremental(
-        cfg: ScenarioConfig,
-        engine_cfg: EngineConfig,
-    ) -> Result<EngineRun, EngineError> {
-        let (data, psl) = Experiments::build_world(cfg);
-        Experiments::with_engine_incremental_on(data, psl, engine_cfg)
-    }
-
-    /// Run the incremental engine over an already-built world (see
-    /// [`Experiments::build_world`]).
+    /// Run the engine incrementally over an already-built world (see
+    /// [`Experiments::build_world`]): the day feed is replayed delta by
+    /// delta into persistent detector state. The merged suite — and
+    /// therefore every rendered table and figure — is byte-identical to
+    /// the batch paths when the feed is drained (`EngineConfig::through`
+    /// unset).
     pub fn with_engine_incremental_on(
         data: WorldDatasets,
         psl: SuffixList,

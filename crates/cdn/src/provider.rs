@@ -163,6 +163,12 @@ impl ManagedTlsProvider {
         &self.all_issued
     }
 
+    /// Hand over every issued certificate, leaving the list empty (the CA
+    /// and its revocations stay, for the CRL scrape).
+    pub fn take_issued(&mut self) -> Vec<Certificate> {
+        std::mem::take(&mut self.all_issued)
+    }
+
     /// The DNS view a customer's domain shows while enrolled.
     pub fn enrolled_view(&self, domain: &DomainName, delegation: DelegationKind) -> DnsView {
         match delegation {

@@ -232,6 +232,12 @@ impl WebHost {
         &self.all_issued
     }
 
+    /// Hand over every issued certificate, leaving the list empty (the CA
+    /// and its revocations stay, for the CRL scrape).
+    pub fn take_issued(&mut self) -> Vec<Certificate> {
+        std::mem::take(&mut self.all_issued)
+    }
+
     /// Pick a random current customer (for simulating churn).
     pub fn random_customer(&mut self) -> Option<DomainName> {
         if self.customers.is_empty() {

@@ -57,7 +57,15 @@
 //!
 //! What needs the run — the world's fingerprint, the partition width, the
 //! certificates the corpus holds, completeness and `through` — is checked
-//! by the consumer and refused the same way. Saving is crash-safe
+//! by the consumer and refused the same way, and so is every ledger entry
+//! against the world (`Rejection::Unfounded`): restore holds each to what
+//! a fold of this world through `through` could hold — kc index and loser
+//! rows keyed by their certificate's own `(AKI, serial)`, rc creation
+//! dates that are WHOIS creation dates of the domain no later than
+//! `through`, rc and mtd certificate lists naming only certificates that
+//! carry that e2LD or customer, mtd departures that are undelegation days
+//! of the target's DNS change log inside the aDNS window, and delegation
+//! flags that match the DNS state at `through`. Saving is crash-safe
 //! ([`obs::persist`]): the new contents go to a temporary file in the
 //! target's directory, which is synced and then renamed over the target,
 //! so a crash leaves either the previous checkpoint or the new one, never
@@ -134,6 +142,16 @@ pub enum Rejection {
         /// The shard whose state did not resolve.
         shard: usize,
     },
+    /// A state's ledger holds an entry no fold of this world through the
+    /// checkpoint's day could hold (a kc row under another key, an rc
+    /// creation date WHOIS lacks, an mtd departure the DNS log does not
+    /// show, …).
+    Unfounded {
+        /// The shard whose state holds it.
+        shard: usize,
+        /// The ledger and the entry.
+        what: String,
+    },
     /// Some shard states are missing and this consumer needs all of them.
     Incomplete {
         /// States in the file.
@@ -169,6 +187,7 @@ impl std::fmt::Display for Rejection {
                     "shard {shard} names a certificate the corpus does not hold"
                 )
             }
+            Rejection::Unfounded { shard, what } => write!(f, "shard {shard} {what}"),
             Rejection::Incomplete { found, expected } => {
                 write!(f, "holds {found} of {expected} shard states")
             }

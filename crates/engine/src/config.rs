@@ -7,10 +7,10 @@ use std::path::PathBuf;
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Number of shards the datasets are partitioned into. `1` degrades to
-    /// a serial run through the same partition/merge machinery.
+    /// a serial run through the same partition/merge machinery. The run
+    /// drains the shard queue on [`EngineConfig::effective_workers`]
+    /// threads.
     pub shards: usize,
-    /// Worker threads draining the shard queue. Capped at `shards`.
-    pub workers: usize,
     /// Checkpoint file ([`crate::checkpoint`], one schema for both
     /// modes). Batch mode ([`crate::Engine::run`]): each shard's final
     /// state is saved as it completes, and saved shards are skipped when
@@ -43,10 +43,8 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        let parallelism = available_parallelism();
         EngineConfig {
-            shards: parallelism,
-            workers: parallelism,
+            shards: available_parallelism(),
             checkpoint: None,
             fail_shards: Vec::new(),
             fail_once_shards: Vec::new(),
@@ -67,9 +65,10 @@ impl EngineConfig {
         }
     }
 
-    /// Worker count actually used: `workers`, clamped to `[1, shards]`.
+    /// Worker threads a run uses: the host's available parallelism,
+    /// clamped to `[1, shards]`.
     pub fn effective_workers(&self) -> usize {
-        self.workers.clamp(1, self.shards.max(1))
+        available_parallelism().clamp(1, self.shards.max(1))
     }
 }
 

@@ -1,5 +1,5 @@
-//! The batch engine: route the whole window → fold each shard under the
-//! supervisor → merge.
+//! The batch engine: route the day feed's full delta → fold each shard
+//! under the supervisor → merge.
 //!
 //! Self-timing with `Instant` is sanctioned here (stage metrics never
 //! feed detection results); the wall-clock rule still flags
@@ -17,33 +17,27 @@ use obs::{Obs, Registry, SpanId};
 use psl::SuffixList;
 use stale_core::detector::key_compromise::{self, RevocationAnalysis};
 use stale_core::detector::managed_tls;
-use stale_core::detector::registrant_change::{self, enumerate_changes};
+use stale_core::detector::registrant_change;
 use stale_core::detector::DetectionSuite;
 use stale_core::staleness::StaleCertRecord;
-use stale_types::{Date, DomainName};
-use std::collections::HashMap;
+use stale_types::Date;
 use std::path::Path;
 use std::time::Instant;
-use worldsim::{DayDelta, WorldDatasets};
+use worldsim::{DayDelta, DayFeed, WorldDatasets};
 
 /// Errors the engine itself can raise (detector panics degrade shards
-/// instead of erroring; see [`EngineReport::degraded`]).
+/// instead of erroring; see [`EngineReport::degraded`], and an unusable
+/// checkpoint is refused and the run starts fresh).
 #[derive(Debug)]
 pub enum EngineError {
     /// A checkpoint file could not be written.
     Checkpoint(std::io::Error),
-    /// Cross-shard state disagreed at merge time (e.g. an ingested
-    /// registrant change missing from the global enumeration). Always a
-    /// bug or corrupt input, surfaced as an error instead of a panic so
-    /// the caller can diagnose the run.
-    Inconsistent(String),
 }
 
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineError::Checkpoint(e) => write!(f, "cannot write checkpoint: {e}"),
-            EngineError::Inconsistent(what) => write!(f, "inconsistent engine state: {what}"),
         }
     }
 }
@@ -113,10 +107,11 @@ impl Engine {
     /// Run the three detectors over `data`, sharded per the
     /// configuration, and merge deterministically.
     ///
-    /// Batch is the fold over the whole window: the bundle is routed once
-    /// as a single delta ([`DayDelta::whole`]), each shard folds its slice
+    /// Batch is the fold over the whole window: the bundle's [`DayFeed`]
+    /// is routed once as its full delta — the items incremental runs
+    /// fold, in the same day-major order — each shard folds its slice
     /// into fresh state and finishes as one supervised job, and the
-    /// outputs go through the same merge as the incremental driver's.
+    /// outputs go through the same merge as incremental runs.
     // stale-lint: entry(serial)
     pub fn run(&self, data: &WorldDatasets, psl: &SuffixList) -> Result<EngineReport, EngineError> {
         let obs = &self.obs;
@@ -124,11 +119,14 @@ impl Engine {
         let n = self.config.shards.max(1);
         root.count("shards", n as u64);
 
-        // Stage 1: partition — the whole window as one delta, routed once.
-        // Slices borrow the shared immutable world; nothing is copied.
+        // Stage 1: partition — the feed's full delta, routed once. Slices
+        // borrow the shared immutable world; nothing is copied.
         let partition_start = Instant::now();
         let mut partition_span = root.child("partition");
-        let delta = DayDelta::whole(data);
+        let delta = {
+            let feed = DayFeed::new(data);
+            feed.delta(feed.start(), feed.end())
+        };
         let dets = Detectors::new(data, psl);
         let slices = route(&delta, psl, &dets.mtd, n, self.config.effective_workers());
         let routed_items: usize = slices.iter().map(ShardSlice::items).sum();
@@ -295,7 +293,7 @@ impl Engine {
             outputs.push(c.output);
             shard_metrics.push(c.metrics);
         }
-        let StateView { suite, audit } = merge_outputs(data, cutoff, outputs, gathered)?;
+        let StateView { suite, audit } = merge_outputs(data, cutoff, outputs, gathered);
         if let Some(report) = &audit {
             report.register_coverage(&obs.registry);
         }
@@ -365,39 +363,25 @@ pub(crate) fn record_stage(registry: &Registry, stage: &StageMetrics) {
 }
 
 /// Merge finished shard outputs into the suite and, given the shards'
-/// gathered audit contributions, the decision audit. Batch, the incremental driver and the daemon's views
-/// all end here, which is what makes their reports byte-identical and
-/// shard-count-invariant: rc records are keyed by their global change
-/// index (the serial enumeration order), kc decisions are expanded from
-/// the global join, and every merge sorts canonically.
+/// gathered audit contributions, the decision audit. Batch, incremental
+/// runs and the daemon's views all end here, which is what makes their
+/// reports byte-identical and shard-count-invariant: kc
+/// decisions are expanded from the global join, and every merge sorts
+/// canonically (rc records by their own `(domain, invalidation,
+/// cert_id)`, the serial enumeration order).
 // stale-lint: entry(serial)
 pub(crate) fn merge_outputs(
     data: &WorldDatasets,
     cutoff: Date,
     outputs: Vec<ShardOutput>,
     audit: Option<ShardAudit>,
-) -> Result<StateView, EngineError> {
-    let change_index: HashMap<(DomainName, Date), usize> = enumerate_changes(&data.whois)
-        .into_iter()
-        .map(|c| ((c.domain, c.creation), c.index))
-        .collect();
+) -> StateView {
     let mut kc = Vec::with_capacity(outputs.len());
     let mut rc = Vec::with_capacity(outputs.len());
     let mut mtd = Vec::with_capacity(outputs.len());
     for output in outputs {
-        let mut shard_rc = Vec::with_capacity(output.rc.len());
-        for (domain, creation, record) in output.rc {
-            let key = (domain, creation);
-            let Some(&index) = change_index.get(&key) else {
-                return Err(EngineError::Inconsistent(format!(
-                    "registrant change for {} at {} has no entry in the global enumeration",
-                    key.0, key.1
-                )));
-            };
-            shard_rc.push((index, record));
-        }
         kc.push(output.kc);
-        rc.push(shard_rc);
+        rc.push(output.rc);
         mtd.push(output.mtd);
     }
     let audit = audit.map(|mut a| {
@@ -409,7 +393,7 @@ pub(crate) fn merge_outputs(
         obs::AuditReport::from_decisions(a.decisions)
     });
     let suite = merge_suite(data.crl.records().len(), cutoff, kc, rc, mtd);
-    Ok(StateView { suite, audit })
+    StateView { suite, audit }
 }
 
 /// The deterministic suite merge: exactly the three per-detector merge
@@ -418,7 +402,7 @@ fn merge_suite(
     crl_total: usize,
     cutoff: Date,
     kc: Vec<Vec<key_compromise::ShardMatch>>,
-    rc: Vec<Vec<(usize, StaleCertRecord)>>,
+    rc: Vec<Vec<StaleCertRecord>>,
     mtd: Vec<Vec<StaleCertRecord>>,
 ) -> DetectionSuite {
     let revocations = key_compromise::merge_shards(crl_total, cutoff, kc);
@@ -536,8 +520,7 @@ impl<'w> FoldJob<'_, 'w> {
         }
         let mut resumed = Vec::with_capacity(cp.states.len());
         for saved in &cp.states {
-            let state =
-                ShardState::restore(saved, self.data, &self.dets.rc, self.cutoff, cp.through)?;
+            let state = ShardState::restore(saved, self.data, self.dets, self.cutoff, cp.through)?;
             let done = self.finish(saved.shard, state, 0, &mut FoldTimes::default());
             resumed.push(CompletedShard {
                 state: None,

@@ -12,8 +12,8 @@
 //! deltas into persistent [`stale_core::incremental`] detector state,
 //! finished into shard outputs and merged. Around it sit four layers:
 //!
-//! 1. **Router** ([`partition`]) — slices a [`worldsim::DayDelta`] into
-//!    per-shard inputs. Certificates and registrant changes are routed by
+//! 1. **Router** ([`partition`]) — slices a [`worldsim::DayDelta`] of the
+//!    one [`worldsim::DayFeed`] into per-shard inputs. Certificates and registrant changes are routed by
 //!    e2LD, with cruise-liner certificates handed to every shard that
 //!    owns one of their domains (together with the keys it owns); CRL
 //!    records are keyed by `(AKI, serial)` rather than by domain, so they
@@ -28,23 +28,26 @@
 //!    queue depths and shard skew, rendered as a summary table by the
 //!    repro binary.
 //!
-//! Three drivers feed the kernel. [`Engine::run`] (batch) routes the
-//! whole window as a single delta and folds each shard as one supervised
-//! job, in parallel, saving each shard to the checkpoint as it completes.
-//! [`Engine::run_incremental`] replays a [`worldsim::DayFeed`] one
-//! day-batch at a time, emitting [`stale_core::incremental::StaleEvent`]s
-//! as staleness periods open and checkpointing every shard. The resident
-//! daemon keeps an [`IncrementalState`] alive and ingests one day per
-//! feed. All three end in the same merge.
+//! Three modes feed the kernel, all from the same [`worldsim::DayFeed`]
+//! in the same day-major order. [`Engine::run`] (batch) routes the feed's
+//! full delta once and folds each shard as one supervised job, in
+//! parallel, saving each shard to the checkpoint as it completes.
+//! [`Engine::run_incremental`] replays the feed one day-batch at a time,
+//! emitting [`stale_core::incremental::StaleEvent`]s as staleness periods
+//! open and checkpointing every shard. The resident daemon keeps an
+//! [`IncrementalState`] alive and ingests one day per feed. All three end
+//! in the same merge, and a shard's state at the feed end is the same in
+//! every mode, so their complete checkpoints are byte-identical.
 //!
 //! **Determinism guarantee:** for a fixed dataset bundle,
 //! [`Engine::run`] produces byte-identical reports for every shard count,
 //! including `shards = 1`, identical to [`Engine::run_incremental`] over
 //! the drained feed and to the serial
 //! [`stale_core::detector::DetectionSuite::run`]. The merge orders
-//! key-compromise matches by CRL index, registrant-change records by the
-//! global change enumeration, and managed-TLS records by customer domain —
-//! exactly the orders the serial detectors emit.
+//! key-compromise matches by CRL index, registrant-change records by
+//! their own `(domain, creation, certificate)` — the WHOIS enumeration
+//! order — and managed-TLS records by customer domain — exactly the
+//! orders the serial detectors emit.
 
 pub mod checkpoint;
 pub mod config;

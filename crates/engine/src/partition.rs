@@ -23,9 +23,8 @@
 //!   to their scan target's routing-key shard. Each customer is evaluated
 //!   by exactly one shard.
 //!
-//! Batch routes the whole window once ([`worldsim::DayDelta::whole`]);
-//! the incremental driver and the daemon route each day-delta as it
-//! arrives. Every mode folds the slices into the same per-shard state
+//! Batch routes the day feed's full delta once; incremental runs and the
+//! daemon route each day-delta of the same feed as it arrives. Every mode folds the slices into the same per-shard state
 //! ([`crate::stream`]), and the router derives each certificate's e2LDs
 //! and customer routing keys once, handing them to the shards instead of
 //! letting every shard re-derive them.

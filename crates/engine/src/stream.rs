@@ -13,8 +13,8 @@
 //! [`ShardOutput`] that the shared merge ([`crate::engine`]) combines.
 //! Three drivers feed it:
 //!
-//! * [`Engine::run`] (batch) folds the whole window as one delta, one
-//!   supervised job per shard;
+//! * [`Engine::run`] (batch) folds the bundle's [`DayFeed`] as one full
+//!   delta, one supervised job per shard;
 //! * [`Engine::run_incremental`] replays the bundle's [`DayFeed`] one
 //!   day-batch at a time through an [`IncrementalState`];
 //! * the resident daemon (`stale-served`) keeps an [`IncrementalState`]
@@ -23,11 +23,14 @@
 //!   the merged decision audit — **without consuming the state**, so it
 //!   can answer queries after every ingested day and keep ingesting.
 //!
-//! A delta's items fold to the same state however they are batched (a
-//! multi-day delta is exactly the concatenation of its single-day
-//! deltas), so every driver reports byte-identical results over the same
-//! bundle. With `EngineConfig::checkpoint` set, the incremental driver
-//! snapshots every shard ([`crate::checkpoint::Checkpoint`]) every
+//! Every mode takes its items from the one [`DayFeed`], in the same
+//! day-major order, and a multi-day delta is exactly the concatenation of
+//! its single-day deltas. So a shard's state after the feed's last day is
+//! the same however the feed was batched — a complete batch checkpoint is
+//! byte-identical to an incremental run's at the feed end — and every
+//! mode reports byte-identical results over the same bundle. With
+//! `EngineConfig::checkpoint` set, an incremental run snapshots every
+//! shard ([`crate::checkpoint::Checkpoint`]) every
 //! `checkpoint_every_days` ingested days and after the final delta; a
 //! matching checkpoint resumes ingestion after its last recorded day.
 
@@ -46,9 +49,11 @@ use stale_core::detector::key_compromise::{KcLoser, RevocationAnalysis, ShardMat
 use stale_core::detector::managed_tls::ManagedTlsDetector;
 use stale_core::detector::registrant_change::RegistrantChangeDetector;
 use stale_core::detector::DetectionSuite;
-use stale_core::incremental::{KcIncremental, MtdIncremental, RcIncremental, StaleEvent};
+use stale_core::incremental::{
+    KcIncremental, MtdIncremental, RcIncremental, RestoreError, StaleEvent,
+};
 use stale_core::staleness::StaleCertRecord;
-use stale_types::{Date, DomainName};
+use stale_types::Date;
 use std::time::Instant;
 use worldsim::{DayDelta, DayFeed, WorldDatasets};
 
@@ -99,9 +104,8 @@ pub(crate) struct ShardAudit {
 pub(crate) struct ShardOutput {
     /// Key-compromise join matches, in CRL-index order.
     pub(crate) kc: Vec<ShardMatch>,
-    /// Registrant-change records keyed by their `(domain, creation)`
-    /// change.
-    pub(crate) rc: Vec<(DomainName, Date, StaleCertRecord)>,
+    /// Registrant-change records.
+    pub(crate) rc: Vec<StaleCertRecord>,
     /// Managed-TLS departure records.
     pub(crate) mtd: Vec<StaleCertRecord>,
 }
@@ -131,23 +135,36 @@ impl<'w> ShardState<'w> {
     }
 
     /// Rebuild a saved state over the bundle it was taken from, through
-    /// `through`. Certificates are re-resolved by id; one the corpus does
-    /// not hold marks the checkpoint as another world's state.
+    /// `through`. Certificates are re-resolved by id, and every ledger
+    /// entry is held to what a fold of this world through `through` could
+    /// hold; a certificate the corpus lacks or an entry no such fold holds
+    /// marks the checkpoint as another world's state, or a forged one.
     pub(crate) fn restore(
         saved: &ShardStateSnapshot,
         data: &'w WorldDatasets,
-        rc_detector: &RegistrantChangeDetector<'_>,
+        dets: &Detectors<'_>,
         cutoff: Date,
         through: Date,
     ) -> Result<Self, Rejection> {
-        let unknown = Rejection::UnknownCertificate { shard: saved.shard };
+        let shard = saved.shard;
+        let refuse = |e: RestoreError| match e {
+            RestoreError::UnknownCertificate => Rejection::UnknownCertificate { shard },
+            RestoreError::Unfounded(what) => Rejection::Unfounded { shard, what },
+        };
         Ok(ShardState {
             kc: KcIncremental::restore(&saved.kc, &data.monitor, &data.crl, through, cutoff)
-                .ok_or_else(|| unknown.clone())?,
-            rc: RcIncremental::restore(&saved.rc, &data.monitor, rc_detector)
-                .ok_or_else(|| unknown.clone())?,
-            mtd: MtdIncremental::restore(&saved.mtd, &data.monitor, data.adns_window)
-                .ok_or(unknown)?,
+                .map_err(refuse)?,
+            rc: RcIncremental::restore(&saved.rc, &data.monitor, &dets.rc, &data.whois, through)
+                .map_err(refuse)?,
+            mtd: MtdIncremental::restore(
+                &saved.mtd,
+                &data.monitor,
+                &dets.mtd,
+                &data.adns,
+                data.adns_window,
+                through,
+            )
+            .map_err(refuse)?,
         })
     }
 
@@ -281,8 +298,10 @@ impl<'w> IncrementalState<'w> {
     /// Refused (with the reason) when the checkpoint belongs to another
     /// world, lacks a shard's state, breaks an invariant of the file
     /// ([`Checkpoint::violations`]: states out of shard order, ledgers
-    /// unsorted or holding a key twice), or names a certificate the
-    /// monitor does not hold — stale state is discarded, never trusted.
+    /// unsorted or holding a key twice), names a certificate the monitor
+    /// does not hold, or holds a ledger entry no fold of this world
+    /// through its day could hold — stale state is discarded, never
+    /// trusted.
     // stale-lint: entry(serial)
     pub fn restore(
         data: &'w WorldDatasets,
@@ -298,11 +317,11 @@ impl<'w> IncrementalState<'w> {
             });
         }
         let cutoff = RevocationAnalysis::cutoff_for(data.crl_window.start);
-        let rc_detector = RegistrantChangeDetector::new(psl);
+        let dets = Detectors::new(data, psl);
         let states = cp
             .states
             .iter()
-            .map(|s| ShardState::restore(s, data, &rc_detector, cutoff, cp.through))
+            .map(|s| ShardState::restore(s, data, &dets, cutoff, cp.through))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(IncrementalState {
             data,
@@ -370,15 +389,17 @@ impl<'w> IncrementalState<'w> {
     ///
     /// Every call over the same ingested prefix renders identical bytes,
     /// and a view over the drained feed is byte-identical to
-    /// [`Engine::run`] over the same bundle.
+    /// [`Engine::run`] over the same bundle. The merge cannot fail (what
+    /// it trusts was checked where it entered, at restore); the `Result`
+    /// keeps callers' error paths.
     pub fn view(&self, audit: bool) -> Result<StateView, EngineError> {
-        Ok(self.view_counted(audit)?.0)
+        Ok(self.view_counted(audit).0)
     }
 
     /// [`IncrementalState::view`] plus the pre-merge emitted-item count
     /// (the sum of every shard's finished kc/rc/mtd outputs) — what the
     /// engine's merge-stage metrics report as `items_in`.
-    pub fn view_counted(&self, audit: bool) -> Result<(StateView, usize), EngineError> {
+    pub fn view_counted(&self, audit: bool) -> (StateView, usize) {
         let dets = Detectors::new(self.data, self.psl);
         let mut merged = audit.then(ShardAudit::default);
         let outputs: Vec<ShardOutput> = self
@@ -387,10 +408,10 @@ impl<'w> IncrementalState<'w> {
             .map(|s| s.output(&dets, merged.as_mut(), &mut FoldTimes::default()))
             .collect();
         let emitted = outputs.iter().map(ShardOutput::items).sum();
-        Ok((
-            merge_outputs(self.data, self.cutoff, outputs, merged)?,
+        (
+            merge_outputs(self.data, self.cutoff, outputs, merged),
             emitted,
-        ))
+        )
     }
 }
 
@@ -417,7 +438,7 @@ impl Engine {
         let feed_start = Instant::now();
         let mut feed_span = root.child("feed");
         let feed = DayFeed::new(data);
-        let feed_items = feed.delta(feed.start(), feed.end()).items();
+        let feed_items = feed.items();
         let through = self.config.through.unwrap_or(feed.end()).min(feed.end());
         feed_span.count("items", feed_items as u64);
         drop(feed_span);
@@ -538,7 +559,7 @@ impl Engine {
         // Stage 3: finish each shard's state and run the batch merge.
         let merge_start = Instant::now();
         let mut merge_span = root.child("merge");
-        let (StateView { suite, audit }, emitted) = state.view_counted(self.config.audit)?;
+        let (StateView { suite, audit }, emitted) = state.view_counted(self.config.audit);
         if let Some(report) = &audit {
             report.register_coverage(&obs.registry);
         }

@@ -577,7 +577,7 @@ mod tests {
         let src = "fn f() {\n\
                        key_compromise::merge_shards();\n\
                        Self::helper();\n\
-                       obs::AuditLog::new();\n\
+                       obs::Registry::new();\n\
                    }\n";
         let m = model(src);
         let c = &m.fns[0].calls;
@@ -588,7 +588,7 @@ mod tests {
         assert_eq!(c[1].qualifier.as_deref(), Some("Self"));
         assert_eq!(
             (c[2].name.as_str(), c[2].qualifier.as_deref()),
-            ("new", Some("AuditLog"))
+            ("new", Some("Registry"))
         );
     }
 }

@@ -11,13 +11,13 @@
 //! [`DropReason`] enum — carrying the [`Provenance`] that justified it
 //! (source CRL entry, WHOIS creation date, or DNS day pair).
 //!
-//! Like the rest of `stale-obs`, the surface detectors see is
-//! write-only: they receive `&dyn` [`DecisionSink`] and can only emit.
-//! The engine buffers per-shard streams in an [`AuditLog`], then merges
-//! them into an [`AuditReport`] whose decision order is canonical
-//! (independent of shard count and thread interleaving) and whose
-//! per-detector [`CoverageSummary`] satisfies
-//! `candidates == kept + Σ dropped` by construction. The report exports
+//! Decisions are derived, never fed back: each shard's fold finishes its
+//! rc and mtd decisions from its ledgers, the kc decisions are expanded
+//! from the merged join, and the engine merges them into an
+//! [`AuditReport`] whose decision order is canonical (independent of
+//! shard count, mode and thread interleaving) and whose per-detector
+//! [`CoverageSummary`] satisfies `candidates == kept + Σ dropped` by
+//! construction. The report exports
 //! as JSONL (schema [`AUDIT_SCHEMA`] v[`AUDIT_VERSION`], via
 //! `repro --audit-out`).
 //!
@@ -41,7 +41,6 @@ use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// Schema tag on the JSONL header line.
 pub const AUDIT_SCHEMA: &str = "stale-obs-audit";
@@ -351,49 +350,6 @@ impl Decision {
             } => (rank, 0, customer, departed, &self.cert),
             Provenance::DnsDelegated { customer } => (rank, 0, customer, "", &self.cert),
         }
-    }
-}
-
-/// Write-only decision sink. Detector code receives `&dyn DecisionSink`
-/// and can only emit; nothing recorded is readable from inside a
-/// detector, so the byte-identical-results invariant stays structural.
-pub trait DecisionSink: Sync {
-    /// Record one decision.
-    fn decision(&self, d: Decision);
-}
-
-/// A sink that drops everything — the default when auditing is off.
-pub struct NullDecisionSink;
-
-impl DecisionSink for NullDecisionSink {
-    fn decision(&self, _d: Decision) {}
-}
-
-/// An in-memory decision buffer. Cloning shares the buffer; the engine
-/// gives each shard attempt a fresh log so a panicked attempt's partial
-/// stream is discarded with it.
-#[derive(Clone, Default)]
-pub struct AuditLog {
-    inner: Arc<Mutex<Vec<Decision>>>,
-}
-
-impl AuditLog {
-    /// An empty log.
-    pub fn new() -> AuditLog {
-        AuditLog::default()
-    }
-
-    /// Take every buffered decision, leaving the log empty.
-    pub fn drain(&self) -> Vec<Decision> {
-        let mut buf = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut *buf)
-    }
-}
-
-impl DecisionSink for AuditLog {
-    fn decision(&self, d: Decision) {
-        let mut buf = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        buf.push(d);
     }
 }
 

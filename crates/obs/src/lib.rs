@@ -36,10 +36,10 @@
 //!    resident daemon serves over its telemetry surface. Both are
 //!    write-only from the query path's point of view.
 //! 5. **Decision audit** ([`audit`]) — typed kept/dropped decisions
-//!    with provenance, reported through the write-only
-//!    [`audit::DecisionSink`] and merged by the engine into a
-//!    canonically ordered [`audit::AuditReport`] (JSONL schema
-//!    [`audit::AUDIT_SCHEMA`], via `repro --audit-out`).
+//!    with provenance, derived from the detectors' finished state and
+//!    merged by the engine into a canonically ordered
+//!    [`audit::AuditReport`] (JSONL schema [`audit::AUDIT_SCHEMA`], via
+//!    `repro --audit-out`).
 //! 6. **Crash-safe persistence** ([`persist`]) — the one temp-file,
 //!    sync and rename path that engine checkpoints and explain-index
 //!    sidecars are written through.
@@ -58,7 +58,7 @@ pub mod slowlog;
 pub mod trace;
 pub mod window;
 
-pub use audit::{AuditLog, AuditReport, Decision, DecisionSink, ExplainIndex, NullDecisionSink};
+pub use audit::{AuditReport, Decision, ExplainIndex};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use slowlog::{SlowLog, SlowQueryRecord};
 pub use trace::{SpanGuard, SpanId, SpanRecord, Trace, TraceHeader};

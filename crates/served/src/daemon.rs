@@ -71,8 +71,6 @@ pub struct DaemonConfig {
     /// complete batch or incremental checkpoint of the same world and
     /// width), and the default target of the `snapshot` command.
     pub checkpoint: Option<PathBuf>,
-    /// Maximum accepted request frame length.
-    pub max_frame: usize,
     /// Address for the read-only HTTP telemetry plane (`None` = off).
     pub http: Option<String>,
     /// Capture queries at or above this wall time in the slow-query log
@@ -88,11 +86,13 @@ pub struct DaemonConfig {
     /// instead of simulating `scenario` (the daemon as a log consumer:
     /// `feed-day` then replays log segments).
     pub worldlog: Option<PathBuf>,
-    /// Per-subscriber push-queue depth (full queues drop, never block).
-    pub sub_queue: usize,
-    /// Rolling-window ring capacity (last N ingest batches).
-    pub window: usize,
 }
+
+/// Per-subscriber push-queue depth (full queues drop, never block).
+const SUB_QUEUE: usize = 256;
+
+/// Rolling-window ring capacity (the last N ingest batches).
+const WINDOW_BATCHES: usize = 16;
 
 impl DaemonConfig {
     /// A config over `scenario` with defaults: 1 shard, no delay, no
@@ -104,14 +104,11 @@ impl DaemonConfig {
             shards: 1,
             delay_days: 0,
             checkpoint: None,
-            max_frame: proto::MAX_FRAME,
             http: None,
             slow_query_us: None,
             slow_query_log_len: None,
             checkpoint_every: None,
             worldlog: None,
-            sub_queue: 256,
-            window: 16,
         }
     }
 }
@@ -772,7 +769,7 @@ fn run_actor(cfg: DaemonConfig, rx: Receiver<ActorMsg>, obs: Obs, subs: Subscrib
             ),
             None => SlowLog::disabled(),
         },
-        window: WindowedHistogram::latency_us(cfg.window),
+        window: WindowedHistogram::latency_us(WINDOW_BATCHES),
         query_trace: Trace::disabled(),
         query_span: SpanId::none(),
     };
@@ -806,7 +803,6 @@ fn handle_conn(
     stream: TcpStream,
     tx: Sender<ActorMsg>,
     obs: Obs,
-    max_frame: usize,
     shutdown_tx: Sender<()>,
     subs: Subscribers,
 ) {
@@ -817,7 +813,7 @@ fn handle_conn(
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
     loop {
-        let payload = match proto::read_frame(&mut reader, max_frame) {
+        let payload = match proto::read_frame(&mut reader, proto::MAX_FRAME) {
             Ok(p) => p,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Oversized length prefix: the stream is unframed from
@@ -892,7 +888,6 @@ fn run_accept(
     tx: Sender<ActorMsg>,
     obs: Obs,
     stop: Arc<AtomicBool>,
-    max_frame: usize,
     shutdown_tx: Sender<()>,
     subs: Subscribers,
 ) {
@@ -908,7 +903,7 @@ fn run_accept(
         let subs = subs.clone();
         let _ = std::thread::Builder::new()
             .name("served-conn".to_string())
-            .spawn(move || handle_conn(stream, tx, obs, max_frame, shutdown_tx, subs));
+            .spawn(move || handle_conn(stream, tx, obs, shutdown_tx, subs));
     }
 }
 
@@ -968,8 +963,7 @@ impl Daemon {
             None => None,
         };
         let obs = Obs::disabled();
-        let subs = Subscribers::new(cfg.sub_queue, obs.registry.clone());
-        let max_frame = cfg.max_frame.max(proto::HEADER_LEN);
+        let subs = Subscribers::new(SUB_QUEUE, obs.registry.clone());
         let (tx, rx) = mpsc::channel();
         let (shutdown_tx, shutdown_rx) = mpsc::channel();
         let stop = Arc::new(AtomicBool::new(false));
@@ -990,7 +984,6 @@ impl Daemon {
                     accept_tx,
                     accept_obs,
                     accept_stop,
-                    max_frame,
                     shutdown_tx,
                     accept_subs,
                 )

@@ -266,10 +266,8 @@ pub(crate) fn probe_winners<'r>(
 }
 
 /// Shard-local half of the §4.1 join: this shard's certificates against
-/// the whole CRL, with item counts (`detector.kc.*`) reported through a
-/// write-only [`obs::CounterSink`]. CRL records that match no local
-/// certificate produce nothing; the merge step accounts them as
-/// unmatched. Also returns the duplicate-fingerprint losers: for every
+/// the whole CRL. CRL records that match no local certificate produce
+/// nothing; the merge step accounts them as unmatched. Also returns the duplicate-fingerprint losers: for every
 /// key some CRL record matched, the shard certificates that lost the
 /// newest-cert tiebreak. The loser set is a pure function
 /// of which certificates share a key, so summed over any sharding it is
@@ -277,15 +275,15 @@ pub(crate) fn probe_winners<'r>(
 /// the `shards_with_key - 1` losing shard winners back at merge time,
 /// which is what makes the audit shard-count-invariant.
 ///
-/// Builds a throwaway [`CrlKeyIndex`]; multi-shard callers should build
-/// the index once and use [`join_shard_audited_with`].
+/// Builds a throwaway [`CrlKeyIndex`] and counts nothing; callers that
+/// share the index or want the `detector.kc.*` counts use
+/// [`join_shard_audited_with`].
 pub fn join_shard_audited<'m>(
     certs: impl IntoIterator<Item = &'m DedupedCert>,
     crl: &CrlDataset,
     cutoff: Date,
-    sink: &dyn obs::CounterSink,
 ) -> (Vec<ShardMatch>, Vec<KcLoser>) {
-    join_shard_audited_with(certs, crl, &CrlKeyIndex::build(crl), cutoff, sink)
+    join_shard_audited_with(certs, crl, &CrlKeyIndex::build(crl), cutoff, &obs::NullSink)
 }
 
 /// The §4.1 shard join as a sort-merge over the shard's certificate keys
@@ -555,8 +553,7 @@ impl RevocationAnalysis {
     /// [`merge_shards`].
     pub fn run(crl: &CrlDataset, monitor: &CtMonitor, collection_start: Date) -> Self {
         let cutoff = Self::cutoff_for(collection_start);
-        let (matches, _) =
-            join_shard_audited(monitor.corpus_unfiltered(), crl, cutoff, &obs::NullSink);
+        let (matches, _) = join_shard_audited(monitor.corpus_unfiltered(), crl, cutoff);
         merge_shards(crl.records().len(), cutoff, vec![matches])
     }
 
@@ -721,7 +718,7 @@ mod tests {
             let mut losers = Vec::new();
             for s in 0..split {
                 let part = corpus.iter().copied().skip(s).step_by(split);
-                let (m, l) = join_shard_audited(part, &crl, cutoff, &obs::NullSink);
+                let (m, l) = join_shard_audited(part, &crl, cutoff);
                 shards.push(m);
                 losers.extend(l);
             }

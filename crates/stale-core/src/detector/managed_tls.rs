@@ -73,89 +73,53 @@ impl<'a> ManagedTlsDetector<'a> {
             .collect()
     }
 
-    /// Detect departures over `window` and return the stale certificates.
-    /// This is the single-shard composition of
-    /// [`Self::detect_shard_audited`] and [`merge_shards`].
+    /// Whether `customer` is one of the customers a managed `cert`
+    /// carries: a non-wildcard, non-marker SAN of a provider-managed
+    /// certificate — what a certificate listed under that customer must
+    /// be.
+    pub(crate) fn carries_customer(&self, cert: &DedupedCert, customer: &DomainName) -> bool {
+        !customer.is_wildcard()
+            && !self.is_marker_san(customer)
+            && self.is_managed_cert(cert)
+            && cert.certificate.tbs.san().contains(customer)
+    }
+
+    /// Detect departures over `window` and return the stale certificates:
+    /// the serial reference the engine's fold is compared against. Each
+    /// customer, in sorted order, is evaluated once over every managed
+    /// certificate naming it (in cert-id order), departure-major. Wildcard
+    /// SANs are not candidates: they carry no DNS signal of their own.
     pub fn detect(
         &self,
         adns: &DnsHistory,
         monitor: &CtMonitor,
         window: DateInterval,
     ) -> Vec<StaleCertRecord> {
-        merge_shards(vec![self.detect_shard_audited(
-            adns,
-            monitor.corpus_unfiltered(),
-            window,
-            &obs::NullSink,
-            &obs::NullDecisionSink,
-        )])
-    }
-
-    /// Detection over a set of certificates, each customer evaluated once
-    /// over every certificate naming it. Item counts (`detector.mtd.*`)
-    /// go to a write-only [`obs::CounterSink`] and audit decisions to a
-    /// write-only [`obs::DecisionSink`]: one per `(customer, departure,
-    /// certificate)` triple — kept or dropped `outside-validity-window`
-    /// — and, for customers whose delegation never departed, one
-    /// `delegation-still-present` drop per certificate. Wildcard SANs are
-    /// not candidates: they carry no DNS signal of their own.
-    pub fn detect_shard_audited<'m>(
-        &self,
-        adns: &DnsHistory,
-        certs: impl IntoIterator<Item = &'m DedupedCert>,
-        window: DateInterval,
-        sink: &dyn obs::CounterSink,
-        audit: &dyn obs::DecisionSink,
-    ) -> Vec<StaleCertRecord> {
-        // Customer domain → managed certificates naming it, in sorted
-        // customer order so output is independent of input order.
         let mut by_customer: BTreeMap<&DomainName, Vec<&DedupedCert>> = BTreeMap::new();
-        for cert in certs {
+        for cert in monitor.corpus_unfiltered() {
             if !self.is_managed_cert(cert) {
                 continue;
             }
             for domain in self.customer_domains(cert) {
-                // Wildcard SANs cannot be scanned in DNS; their apex SAN
-                // carries the delegation signal.
-                if domain.is_wildcard() {
-                    continue;
+                if !domain.is_wildcard() {
+                    by_customer.entry(domain).or_default().push(cert);
                 }
-                by_customer.entry(domain).or_default().push(cert);
             }
         }
-        for certs in by_customer.values_mut() {
-            certs.sort_by_key(|c| c.cert_id);
-        }
-        sink.add("detector.mtd.customers", by_customer.len() as u64);
-        sink.add(
-            "detector.mtd.cert_refs",
-            by_customer.values().map(|v| v.len() as u64).sum(),
-        );
         let mut records = Vec::new();
         for (domain, certs) in &by_customer {
-            let departures = self.departures_for(adns, domain, window);
-            if departures.is_empty() {
+            for departure in self.departures_for(adns, domain, window) {
                 for cert in certs {
-                    audit.decision(still_present_decision(domain, cert));
-                }
-                continue;
-            }
-            for departure in departures {
-                for cert in certs {
-                    audit.decision(departure_decision(domain, departure, cert));
-                    if let Some(record) = self.stale_record(domain, departure, cert) {
-                        records.push(record);
-                    }
+                    records.extend(self.stale_record(domain, departure, cert));
                 }
             }
         }
-        sink.add("detector.mtd.records", records.len() as u64);
         records
     }
 
     /// The §4.3 test for one `(customer, departure, certificate)` triple:
     /// if the certificate was still valid at the departure, build its
-    /// stale record. Shared by the batch and incremental paths.
+    /// stale record. Shared by the serial detector and the fold.
     pub fn stale_record(
         &self,
         domain: &DomainName,
@@ -222,11 +186,9 @@ impl<'a> ManagedTlsDetector<'a> {
 }
 
 /// The audit decision for one `(customer, departure, certificate)`
-/// candidate triple. Both the batch shard loop and the incremental
-/// finish-time derivation build decisions through this single function,
-/// so the two paths cannot disagree. The departure day is the first day
-/// the delegation was gone; the day before is the last it was observed
-/// (§4.3's neighbouring-day comparison).
+/// candidate triple, as the fold's finish derives it. The departure day
+/// is the first day the delegation was gone; the day before is the last
+/// it was observed (§4.3's neighbouring-day comparison).
 pub fn departure_decision(
     domain: &DomainName,
     departure: Date,
@@ -246,8 +208,8 @@ pub fn departure_decision(
 }
 
 /// The audit provenance of one departure: the §4.3 neighbouring-day pair
-/// (last day delegated, first day gone). Shared by the batch decision
-/// builder and the incremental event stream.
+/// (last day delegated, first day gone). Shared by the fold's decisions
+/// and its event stream.
 pub fn departure_provenance(domain: &DomainName, departure: Date) -> obs::audit::Provenance {
     obs::audit::Provenance::DnsDeparture {
         customer: domain.to_string(),

@@ -19,19 +19,6 @@ use registry::whois::WhoisDataset;
 use stale_types::{Date, DomainName};
 use std::collections::HashMap;
 
-/// A registrant change with its global position in the sorted
-/// `WhoisDataset::registrant_changes()` enumeration. The index is the
-/// merge key that restores serial output order across shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexedChange {
-    /// Position in the global change enumeration.
-    pub index: usize,
-    /// The re-registered domain (an e2LD).
-    pub domain: DomainName,
-    /// The new registry creation date.
-    pub creation: Date,
-}
-
 /// The registrant-change detector.
 pub struct RegistrantChangeDetector<'a> {
     psl: &'a SuffixList,
@@ -57,62 +44,19 @@ impl<'a> RegistrantChangeDetector<'a> {
         seen_e2lds
     }
 
-    /// Index a set of certificates by SAN e2LD.
-    fn index_certs<'m>(
-        &self,
-        certs: impl IntoIterator<Item = &'m DedupedCert>,
-    ) -> HashMap<DomainName, Vec<&'m DedupedCert>> {
-        let mut index: HashMap<DomainName, Vec<&DedupedCert>> = HashMap::new();
-        for cert in certs {
-            for e2ld in self.cert_e2lds(cert) {
-                index.entry(e2ld).or_default().push(cert);
-            }
-        }
-        index
-    }
-
-    /// Shard-local detection: match this shard's registrant changes
-    /// against this shard's certificates. Each change must arrive with
-    /// *all* certificates naming its domain, so every emitted record is
-    /// wholly owned by one shard. Item counts (`detector.rc.*`) go to a
-    /// write-only [`obs::CounterSink`], and one audit [`obs::Decision`]
-    /// per `(change, certificate)` candidate pair — kept, or dropped
-    /// `outside-validity-window` — to a write-only
-    /// [`obs::DecisionSink`]; neither can feed back into results.
-    pub fn detect_shard_audited<'m>(
-        &self,
-        changes: &[IndexedChange],
-        certs: impl IntoIterator<Item = &'m DedupedCert>,
-        sink: &dyn obs::CounterSink,
-        audit: &dyn obs::DecisionSink,
-    ) -> Vec<(usize, StaleCertRecord)> {
-        let index = self.index_certs(certs);
-        sink.add("detector.rc.changes", changes.len() as u64);
-        sink.add("detector.rc.indexed_e2lds", index.len() as u64);
-        // Summing lengths is order-independent and the sink is write-only,
-        // so this HashMap walk cannot leak iteration order into results.
-        // stale-lint: allow(nondeterministic-iteration)
-        let cert_refs: u64 = index.values().map(|v| v.len() as u64).sum();
-        sink.add("detector.rc.cert_refs", cert_refs);
-        let mut records = Vec::new();
-        for change in changes {
-            let Some(certs) = index.get(&change.domain) else {
-                continue;
-            };
-            for cert in certs {
-                audit.decision(rc_decision(&change.domain, change.creation, cert));
-                if let Some(record) = self.stale_record(&change.domain, change.creation, cert) {
-                    records.push((change.index, record));
-                }
-            }
-        }
-        sink.add("detector.rc.records", records.len() as u64);
-        records
+    /// Whether `cert` names a SAN under `e2ld` — what a certificate
+    /// listed under that e2LD must do.
+    pub(crate) fn names_e2ld(&self, cert: &DedupedCert, e2ld: &DomainName) -> bool {
+        cert.certificate.tbs.san().iter().any(|san| {
+            self.psl
+                .e2ld_of_san_str(san)
+                .is_ok_and(|e| e == e2ld.as_str())
+        })
     }
 
     /// The §4.2 test for one `(change, certificate)` pair: if the
     /// certificate's validity strictly spans the new creation date, build
-    /// its stale record. Both the batch and incremental paths call this,
+    /// its stale record. Both the serial detector and the fold call this,
     /// so they cannot disagree on the span test or the record shape.
     pub fn stale_record(
         &self,
@@ -149,41 +93,39 @@ impl<'a> RegistrantChangeDetector<'a> {
         })
     }
 
-    /// Detect stale certificates for every registrant change in `whois`.
-    /// This is the single-shard composition of
-    /// [`Self::detect_shard_audited`] and [`merge_shards`].
+    /// Detect stale certificates for every registrant change in `whois`:
+    /// the serial reference the engine's fold is compared against. One
+    /// pass indexes the corpus by SAN e2LD (in cert-id order), then each
+    /// change, in enumeration order, is tested against every certificate
+    /// naming its domain.
     pub fn detect(&self, whois: &WhoisDataset, monitor: &CtMonitor) -> Vec<StaleCertRecord> {
-        let changes = enumerate_changes(whois);
-        merge_shards(vec![self.detect_shard_audited(
-            &changes,
-            monitor.corpus_unfiltered(),
-            &obs::NullSink,
-            &obs::NullDecisionSink,
-        )])
+        let mut index: HashMap<DomainName, Vec<&DedupedCert>> = HashMap::new();
+        for cert in monitor.corpus_unfiltered() {
+            for e2ld in self.cert_e2lds(cert) {
+                index.entry(e2ld).or_default().push(cert);
+            }
+        }
+        let mut records = Vec::new();
+        for (domain, creation) in whois.registrant_changes() {
+            for cert in index.get(domain).into_iter().flatten() {
+                records.extend(self.stale_record(domain, creation, cert));
+            }
+        }
+        records
     }
 }
 
-/// The global, order-defining enumeration of registrant changes (sorted by
-/// domain, then chronological within a domain).
-pub fn enumerate_changes(whois: &WhoisDataset) -> Vec<IndexedChange> {
-    whois
-        .registrant_changes()
-        .enumerate()
-        .map(|(index, (domain, creation))| IndexedChange {
-            index,
-            domain: domain.clone(),
-            creation,
-        })
-        .collect()
-}
-
-/// Deterministic merge: sort by `(global change index, cert_id)`, which is
-/// exactly the serial emission order (changes in enumeration order, and
-/// within a change the corpus is scanned in cert-id order).
-pub fn merge_shards(shards: Vec<Vec<(usize, StaleCertRecord)>>) -> Vec<StaleCertRecord> {
-    let mut all: Vec<(usize, StaleCertRecord)> = shards.into_iter().flatten().collect();
-    all.sort_by_key(|(index, record)| (*index, record.cert_id));
-    all.into_iter().map(|(_, record)| record).collect()
+/// Deterministic merge: sort by `(domain, creation, cert_id)`, which is
+/// exactly the serial emission order — changes in the WHOIS enumeration
+/// order (the dataset is keyed by domain, each domain's creation dates
+/// chronological), and within a change the corpus in cert-id order. A
+/// record's `domain` and `invalidation` are its change's.
+pub fn merge_shards(shards: Vec<Vec<StaleCertRecord>>) -> Vec<StaleCertRecord> {
+    let mut all: Vec<StaleCertRecord> = shards.into_iter().flatten().collect();
+    all.sort_by(|a, b| {
+        (&a.domain, a.invalidation, a.cert_id).cmp(&(&b.domain, b.invalidation, b.cert_id))
+    });
+    all
 }
 
 /// `notBefore < creation < notAfter`, strictly, per §4.2.
@@ -199,9 +141,7 @@ pub fn validity_spans(cert: &DedupedCert, creation: Date) -> bool {
 }
 
 /// The audit decision for one `(registrant change, certificate)`
-/// candidate pair. Both the batch shard loop and the incremental
-/// finish-time derivation build decisions through this single function,
-/// so the two paths cannot disagree.
+/// candidate pair, as the fold's finish derives it.
 pub fn rc_decision(
     domain: &DomainName,
     creation: Date,

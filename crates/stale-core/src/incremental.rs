@@ -24,7 +24,10 @@
 //! (`tests/engine_equivalence.rs` and `tests/incremental_equivalence.rs`
 //! assert this). Each state also round-trips through a compact `Saved*`
 //! form (certificate bodies are re-resolved from the CT monitor by id) —
-//! the engine's checkpoint schema.
+//! the engine's checkpoint schema. Restoring holds every saved ledger
+//! entry to what a fold of the world through the saved day could hold
+//! ([`RestoreError`]), so a forged or foreign ledger is refused where it
+//! enters instead of surfacing as a wrong or failed merge.
 
 // Slice indexing here runs over routed-feed and snapshot indices.
 // stale-lint: scope(panic-index)
@@ -35,8 +38,9 @@ use crate::detector::registrant_change::{self, RegistrantChangeDetector};
 use crate::staleness::StaleCertRecord;
 use ca::scraper::{CrlDataset, RevocationRecord};
 use ct::monitor::{CtMonitor, DedupedCert};
-use dns::scan::DnsView;
+use dns::scan::{DnsHistory, DnsView};
 use obs::audit::Provenance;
+use registry::whois::WhoisDataset;
 use serde::{Deserialize, Serialize};
 use stale_types::{CertId, Date, DateInterval, DomainName, KeyId, SerialNumber};
 use std::collections::btree_map::Entry;
@@ -62,6 +66,21 @@ pub struct StaleEvent {
     /// layer attaches. `Option` only for checkpoint/serde compatibility
     /// with pre-audit event streams; new emissions always stamp it.
     pub provenance: Option<Provenance>,
+}
+
+/// Why a saved state cannot be restored over a world.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The state names a certificate the CT corpus does not hold.
+    UnknownCertificate,
+    /// A ledger entry that no fold of this world through the saved day
+    /// could hold: the message names the ledger and the entry.
+    Unfounded(String),
+}
+
+/// The corpus certificate a saved ledger names.
+fn resolve<'w>(monitor: &'w CtMonitor, cert_id: &CertId) -> Result<&'w DedupedCert, RestoreError> {
+    monitor.get(cert_id).ok_or(RestoreError::UnknownCertificate)
 }
 
 /// An interning table for domain names: dense `u32` ids for hash-heavy
@@ -294,27 +313,42 @@ impl<'w> KcIncremental<'w> {
 
     /// Rebuild from a checkpoint: certificates are re-resolved from the
     /// monitor by id, and the CRL side is re-seeded with every record
-    /// observed on or before `through`. `None` if the checkpoint names a
-    /// certificate the monitor does not hold — it belongs to a different
-    /// world, and stale state is discarded rather than trusted.
+    /// observed on or before `through`. Refused if the checkpoint names a
+    /// certificate the monitor does not hold, or files one under a key
+    /// other than its own `(AKI, serial)` — no fold of this world could
+    /// hold either, and stale state is discarded rather than trusted.
     pub fn restore(
         saved: &SavedKc,
         monitor: &'w CtMonitor,
         crl: &'w CrlDataset,
         through: Date,
         cutoff: Date,
-    ) -> Option<Self> {
+    ) -> Result<Self, RestoreError> {
+        let own_key = |ledger: &str, row: &(KeyId, SerialNumber, CertId)| {
+            let (aki, serial, cert_id) = row;
+            let cert = resolve(monitor, cert_id)?;
+            let tbs = &cert.certificate.tbs;
+            if tbs.authority_key_id() == Some(*aki) && tbs.serial == *serial {
+                Ok(cert)
+            } else {
+                Err(RestoreError::Unfounded(format!(
+                    "{ledger} files certificate {cert_id} under ({aki}, {serial}), not its own AKI and serial"
+                )))
+            }
+        };
         let mut state = KcIncremental::new(cutoff);
-        for (aki, serial, cert_id) in &saved.index {
-            let cert = monitor.get(cert_id)?;
-            state.index.insert((*aki, *serial), cert);
+        for row in &saved.index {
+            state
+                .index
+                .insert((row.0, row.1), own_key("kc.index", row)?);
         }
-        for (aki, serial, cert_id) in &saved.losers {
+        for row in &saved.losers {
+            own_key("kc.losers", row)?;
             state
                 .losers
-                .entry((*aki, *serial))
+                .entry((row.0, row.1))
                 .or_default()
-                .insert(*cert_id);
+                .insert(row.2);
         }
         for (idx, rec) in crl.records().iter().enumerate() {
             if rec.observed <= through {
@@ -326,7 +360,7 @@ impl<'w> KcIncremental<'w> {
                     .push(idx);
             }
         }
-        Some(state)
+        Ok(state)
     }
 }
 
@@ -365,11 +399,12 @@ pub struct RcIncremental<'w> {
     /// e2LD id → every creation date observed, chronological. Entries
     /// after the first are registrant changes.
     creations: BTreeMap<u32, Vec<Date>>,
-    /// Open staleness ledger: every spanning `(change, certificate)` match
-    /// discovered so far, appended as the symmetric join finds it. Keeping
-    /// the ledger online makes [`RcIncremental::finish`] an O(matches)
-    /// copy instead of a full re-derivation.
-    matches: Vec<(u32, Date, StaleCertRecord)>,
+    /// Open staleness ledger: the record of every spanning `(change,
+    /// certificate)` match discovered so far, appended as the symmetric
+    /// join finds it. Keeping the ledger online makes
+    /// [`RcIncremental::finish`] an O(matches) copy instead of a full
+    /// re-derivation.
+    matches: Vec<StaleCertRecord>,
 }
 
 /// Compact checkpoint form of [`RcIncremental`].
@@ -429,7 +464,7 @@ impl<'w> RcIncremental<'w> {
                 };
                 for creation in dates.iter().skip(1) {
                     if let Some(record) = detector.stale_record(e2ld, *creation, cert) {
-                        self.matches.push((id, *creation, record.clone()));
+                        self.matches.push(record.clone());
                         events.push(StaleEvent {
                             discovered,
                             record,
@@ -456,7 +491,7 @@ impl<'w> RcIncremental<'w> {
             if let Some(certs) = self.certs_by_e2ld.get(&id) {
                 for cert in certs {
                     if let Some(record) = detector.stale_record(domain, *creation, cert) {
-                        self.matches.push((id, *creation, record.clone()));
+                        self.matches.push(record.clone());
                         events.push(StaleEvent {
                             discovered,
                             record,
@@ -479,28 +514,19 @@ impl<'w> RcIncremental<'w> {
         self.certs_by_e2ld.len() + self.creations.len() + self.matches.len()
     }
 
-    /// All stale records so far, keyed by their `(domain, creation)`
-    /// change. The engine maps each key to its global change index (the
-    /// batch enumeration order) and reuses the batch merge (which sorts,
-    /// so ledger order is irrelevant). O(matches): the ledger is
-    /// maintained online by [`RcIncremental::ingest_day_observed`].
-    pub fn finish(&self) -> Vec<(DomainName, Date, StaleCertRecord)> {
-        self.matches
-            .iter()
-            .filter_map(|(id, creation, record)| {
-                let name = self.interner.name(*id)?;
-                Some((name.clone(), *creation, record.clone()))
-            })
-            .collect()
+    /// All stale records so far, in discovery order. A record carries its
+    /// change as `(domain, invalidation)`, which is all
+    /// [`registrant_change::merge_shards`] sorts by, so ledger order is
+    /// irrelevant. O(matches): the ledger is maintained online by
+    /// [`RcIncremental::ingest_day_observed`].
+    pub fn finish(&self) -> Vec<StaleCertRecord> {
+        self.matches.clone()
     }
 
     /// Per-candidate audit decisions for everything ingested so far: one
-    /// per `(change, certificate)` pair — the same candidate universe the
-    /// batch [`registrant_change::detect_shard_audited`] reports over
-    /// this shard's certificates, built through the shared
-    /// [`registrant_change::rc_decision`] so the two paths cannot
-    /// disagree. Emission order is irrelevant; the engine's audit merge
-    /// sorts canonically.
+    /// per `(change, certificate)` pair, kept or dropped through
+    /// [`registrant_change::rc_decision`]. Emission order is irrelevant;
+    /// the engine's audit merge sorts canonically.
     pub fn decisions(&self) -> Vec<obs::audit::Decision> {
         let mut out = Vec::new();
         for (id, dates) in &self.creations {
@@ -552,47 +578,57 @@ impl<'w> RcIncremental<'w> {
     /// match ledger is not checkpointed; it is re-derived here, once, from
     /// the restored join state (the full cross product of changes and
     /// certificates, exactly the pairs ingestion would have discovered).
-    /// `None` if the checkpoint names a certificate the monitor does not
-    /// hold — stale state from a different world is discarded.
+    /// Refused if the checkpoint names a certificate the monitor does not
+    /// hold, lists a certificate under an e2LD it does not name, or holds
+    /// a creation date that is not one of `whois`'s for that domain on or
+    /// before `through`.
     pub fn restore(
         saved: &SavedRc,
         monitor: &'w CtMonitor,
         detector: &RegistrantChangeDetector<'_>,
-    ) -> Option<Self> {
+        whois: &WhoisDataset,
+        through: Date,
+    ) -> Result<Self, RestoreError> {
         let mut state = RcIncremental::new();
         for (domain, cert_ids) in &saved.certs_by_e2ld {
+            let mut certs = Vec::with_capacity(cert_ids.len());
+            for cert_id in cert_ids {
+                let cert = resolve(monitor, cert_id)?;
+                if !detector.names_e2ld(cert, domain) {
+                    return Err(RestoreError::Unfounded(format!(
+                        "rc.certs_by_e2ld lists certificate {cert_id} under {domain}, which it does not name"
+                    )));
+                }
+                certs.push(cert);
+            }
             let id = state.interner.intern(domain);
-            let certs = cert_ids
-                .iter()
-                .map(|cid| monitor.get(cid))
-                .collect::<Option<Vec<_>>>()?;
             state.certs_by_e2ld.insert(id, certs);
         }
         for (domain, dates) in &saved.creations {
+            let held = whois.creation_dates(domain);
+            if let Some(date) = dates.iter().find(|d| **d > through || !held.contains(d)) {
+                return Err(RestoreError::Unfounded(format!(
+                    "rc.creations holds {date} for {domain}, not a WHOIS creation date of it through {through}"
+                )));
+            }
             let id = state.interner.intern(domain);
             state.creations.insert(id, dates.clone());
         }
-        let mut matches = Vec::new();
         for (id, dates) in &state.creations {
-            if dates.len() < 2 {
-                continue;
-            }
-            let Some(domain) = state.interner.name(*id) else {
-                continue;
-            };
-            let Some(certs) = state.certs_by_e2ld.get(id) else {
+            let (Some(domain), Some(certs)) =
+                (state.interner.name(*id), state.certs_by_e2ld.get(id))
+            else {
                 continue;
             };
             for creation in dates.iter().skip(1) {
                 for cert in certs {
-                    if let Some(record) = detector.stale_record(domain, *creation, cert) {
-                        matches.push((*id, *creation, record));
-                    }
+                    state
+                        .matches
+                        .extend(detector.stale_record(domain, *creation, cert));
                 }
             }
         }
-        state.matches = matches;
-        Some(state)
+        Ok(state)
     }
 }
 
@@ -726,9 +762,9 @@ impl<'w> MtdIncremental<'w> {
         self.delegated.len() + self.departures.len() + self.certs_by_customer.len()
     }
 
-    /// All stale records so far, in the batch shard's emission order
-    /// (customers sorted, departures chronological, certificates by id) —
-    /// exactly what [`ManagedTlsDetector::detect_shard_audited`] returns.
+    /// All stale records so far, customers sorted, departures
+    /// chronological, certificates by id — the serial
+    /// [`ManagedTlsDetector::detect`]'s order over this shard's customers.
     pub fn finish(&self, detector: &ManagedTlsDetector<'_>) -> Vec<StaleCertRecord> {
         let mut records = Vec::new();
         for (domain, certs) in &self.certs_by_customer {
@@ -749,14 +785,12 @@ impl<'w> MtdIncremental<'w> {
     }
 
     /// Per-candidate audit decisions for everything ingested so far:
-    /// one per `(customer, departure, certificate)` triple, or one
+    /// one per `(customer, departure, certificate)` triple
+    /// ([`managed_tls::departure_decision`]), or one
     /// `delegation-still-present` drop per certificate of a customer
-    /// with no departure — the same candidate universe the batch
-    /// [`ManagedTlsDetector::detect_shard_audited`] reports, built
-    /// through the shared [`managed_tls::departure_decision`] /
-    /// [`managed_tls::still_present_decision`] so the two paths cannot
-    /// disagree. Emission order is irrelevant; the engine's audit merge
-    /// sorts canonically.
+    /// with no departure ([`managed_tls::still_present_decision`]).
+    /// Emission order is irrelevant; the engine's audit merge sorts
+    /// canonically.
     pub fn decisions(&self) -> Vec<obs::audit::Decision> {
         let mut out = Vec::new();
         for (domain, certs) in &self.certs_by_customer {
@@ -811,29 +845,65 @@ impl<'w> MtdIncremental<'w> {
     }
 
     /// Rebuild from a checkpoint, re-resolving certificates by id.
-    /// `None` if the checkpoint names a certificate the monitor does not
-    /// hold — stale state from a different world is discarded.
-    pub fn restore(saved: &SavedMtd, monitor: &'w CtMonitor, window: DateInterval) -> Option<Self> {
+    /// Refused if the checkpoint names a certificate the monitor does not
+    /// hold or one that does not carry the customer it is listed under,
+    /// records a departure that is not an undelegation day of the
+    /// target's `adns` change log inside the window, or flags a target
+    /// delegated or undelegated against its DNS state at `through`.
+    pub fn restore(
+        saved: &SavedMtd,
+        monitor: &'w CtMonitor,
+        detector: &ManagedTlsDetector<'_>,
+        adns: &DnsHistory,
+        window: DateInterval,
+        through: Date,
+    ) -> Result<Self, RestoreError> {
         let mut state = MtdIncremental::new(window);
-        for domain in &saved.delegated {
-            let id = state.interner.intern(domain);
-            state.delegated.insert(id, true);
-        }
-        for domain in &saved.undelegated {
-            let id = state.interner.intern(domain);
-            state.delegated.insert(id, false);
+        for (ledger, domains, on) in [
+            ("mtd.delegated", &saved.delegated, true),
+            ("mtd.undelegated", &saved.undelegated, false),
+        ] {
+            for domain in domains {
+                let view = adns.view_at(domain, through);
+                if view.is_none_or(|v| detector.is_delegated(v) != on) {
+                    return Err(RestoreError::Unfounded(format!(
+                        "{ledger} lists {domain}, whose DNS state on {through} says otherwise"
+                    )));
+                }
+                let id = state.interner.intern(domain);
+                state.delegated.insert(id, on);
+            }
         }
         for (domain, days) in &saved.departures {
+            let log = adns.change_log(domain);
+            let departed = |day: &Date| {
+                let i = log.partition_point(|(d, _)| d < day);
+                let before = i.checked_sub(1).and_then(|p| log.get(p));
+                matches!((before, log.get(i)), (Some((_, was)), Some((d, now)))
+                    if d == day && detector.is_delegated(was) && !detector.is_delegated(now))
+            };
+            let inside = |day: &Date| *day > window.start && *day < window.end && *day <= through;
+            if let Some(day) = days.iter().find(|d| !inside(d) || !departed(d)) {
+                return Err(RestoreError::Unfounded(format!(
+                    "mtd.departures holds {day} for {domain}, not an undelegation day of its DNS change log in the window through {through}"
+                )));
+            }
             state.departures.insert(domain.clone(), days.clone());
         }
         for (domain, cert_ids) in &saved.certs_by_customer {
-            let certs = cert_ids
-                .iter()
-                .map(|cid| monitor.get(cid))
-                .collect::<Option<Vec<_>>>()?;
+            let mut certs = Vec::with_capacity(cert_ids.len());
+            for cert_id in cert_ids {
+                let cert = resolve(monitor, cert_id)?;
+                if !detector.carries_customer(cert, domain) {
+                    return Err(RestoreError::Unfounded(format!(
+                        "mtd.certs_by_customer lists certificate {cert_id} under {domain}, a customer it does not carry"
+                    )));
+                }
+                certs.push(cert);
+            }
             state.certs_by_customer.insert(domain.clone(), certs);
         }
-        Some(state)
+        Ok(state)
     }
 }
 

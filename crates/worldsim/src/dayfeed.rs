@@ -4,9 +4,10 @@
 //! entries, CRLs are downloaded every day (§4.1), WHOIS is snapshotted
 //! (§4.2) and aDNS scans run daily (§4.3). [`DayFeed`] recovers that shape
 //! from a [`WorldDatasets`] bundle: every item is assigned to the day it
-//! became observable, and the engine's incremental driver pulls one
-//! [`DayDelta`] per day (or per day-batch) instead of re-scanning the full
-//! ten-year corpus.
+//! became observable. [`DayFeed::new`] is the only code that turns the
+//! datasets into feed items, so every engine mode sees them in one order:
+//! incremental runs and the daemon pull one [`DayDelta`] per day (or per
+//! day-batch), and batch folds the feed's full delta at once.
 //!
 //! Observability dates:
 //! * CT: `DedupedCert::first_seen` (earliest log entry timestamp);
@@ -15,9 +16,9 @@
 //!   (the day the snapshot first shows the new date);
 //! * DNS: the date of each change-log entry (the scan that saw it).
 //!
-//! Ingesting every delta of the feed reconstructs exactly the batch
-//! detectors' inputs — the equivalence the incremental engine's tests
-//! assert byte-for-byte.
+//! Ingesting every delta of the feed reconstructs exactly the serial
+//! detectors' inputs — the equivalence the engine's tests assert byte for
+//! byte.
 
 use crate::datasets::WorldDatasets;
 use ca::scraper::RevocationRecord;
@@ -51,59 +52,11 @@ pub struct DayDelta<'w> {
     pub dns: Vec<(Date, &'w DomainName, &'w DnsView)>,
 }
 
-impl<'w> DayDelta<'w> {
-    /// Every item of `data` as one delta spanning the whole feed — what
-    /// the batch engine folds. It walks the datasets exactly as
-    /// [`DayFeed::new`] does: `from`/`to` are [`DayFeed::start`] and
-    /// [`DayFeed::end`], and the items are those of the feed's full
-    /// delta in dataset order (cert-id order for CT, CRL-record order,
-    /// domain order and chronological within a domain for WHOIS and
-    /// DNS) instead of date-major.
-    pub fn whole(data: &'w WorldDatasets) -> Self {
-        let certs: Vec<&DedupedCert> = data.monitor.corpus_unfiltered().collect();
-        let crl: Vec<(usize, &RevocationRecord)> = data.crl.records().iter().enumerate().collect();
-        let whois: Vec<(&DomainName, Date)> = data.whois.observations().collect();
-        let dns: Vec<(Date, &DomainName, &DnsView)> = dns_changes(data).collect();
-        let dates = certs
-            .iter()
-            .map(|c| c.first_seen)
-            .chain(crl.iter().map(|(_, r)| r.observed))
-            .chain(whois.iter().map(|(_, creation)| *creation))
-            .chain(dns.iter().map(|(date, _, _)| *date));
-        let (from, to) = span(data, dates.clone().min(), dates.max());
-        DayDelta {
-            from,
-            to,
-            certs,
-            crl,
-            whois,
-            dns,
-        }
-    }
-
+impl DayDelta<'_> {
     /// Total items carried by this delta.
     pub fn items(&self) -> usize {
         self.certs.len() + self.crl.len() + self.whois.len() + self.dns.len()
     }
-}
-
-/// Every DNS change-log entry, domain-major and chronological within a
-/// domain.
-fn dns_changes(data: &WorldDatasets) -> impl Iterator<Item = (Date, &DomainName, &DnsView)> {
-    data.adns
-        .change_logs()
-        .flat_map(|(domain, log)| log.iter().map(move |(date, view)| (*date, domain, view)))
-}
-
-/// The feed's span given its first and last observable days. An empty
-/// world still yields a well-formed (empty) feed, and the feed runs at
-/// least through the last simulated day.
-fn span(data: &WorldDatasets, first: Option<Date>, last: Option<Date>) -> (Date, Date) {
-    let start = first.unwrap_or(data.sim_window.start);
-    let end = last
-        .unwrap_or(data.sim_window.start)
-        .max(data.sim_window.end.pred());
-    (start, end)
 }
 
 /// A date-indexed view of the four datasets. Construction is one linear
@@ -133,8 +86,10 @@ impl<'w> DayFeed<'w> {
             whois.entry(creation).or_default().push((domain, creation));
         }
         let mut dns: BTreeMap<Date, Vec<(&DomainName, &DnsView)>> = BTreeMap::new();
-        for (date, domain, view) in dns_changes(data) {
-            dns.entry(date).or_default().push((domain, view));
+        for (domain, log) in data.adns.change_logs() {
+            for (date, view) in log {
+                dns.entry(*date).or_default().push((domain, view));
+            }
         }
         let first = [
             certs.keys().next(),
@@ -148,11 +103,21 @@ impl<'w> DayFeed<'w> {
             whois.keys().next_back(),
             dns.keys().next_back(),
         ];
-        let (start, end) = span(
-            data,
-            first.into_iter().flatten().min().copied(),
-            last.into_iter().flatten().max().copied(),
-        );
+        // An empty world still yields a well-formed (empty) feed, and the
+        // feed runs at least through the last simulated day.
+        let start = first
+            .into_iter()
+            .flatten()
+            .min()
+            .copied()
+            .unwrap_or(data.sim_window.start);
+        let end = last
+            .into_iter()
+            .flatten()
+            .max()
+            .copied()
+            .unwrap_or(data.sim_window.start)
+            .max(data.sim_window.end.pred());
         DayFeed {
             certs,
             crl,
@@ -171,6 +136,15 @@ impl<'w> DayFeed<'w> {
     /// Last day of the feed (at least the last simulated day).
     pub fn end(&self) -> Date {
         self.end
+    }
+
+    /// Total items the feed holds — the item count of its full delta,
+    /// without building it.
+    pub fn items(&self) -> usize {
+        self.certs.values().map(Vec::len).sum::<usize>()
+            + self.crl.values().map(Vec::len).sum::<usize>()
+            + self.whois.values().map(Vec::len).sum::<usize>()
+            + self.dns.values().map(Vec::len).sum::<usize>()
     }
 
     /// Number of days the feed spans.
@@ -230,36 +204,12 @@ mod tests {
         assert_eq!(full.crl.len(), data.crl.records().len());
         assert_eq!(full.whois.len(), data.whois.observations().count());
         assert_eq!(full.dns.len(), data.adns.change_count());
+        assert_eq!(feed.items(), full.items());
         // Indices cover 0..len uniquely.
         let mut idx: Vec<usize> = full.crl.iter().map(|(i, _)| *i).collect();
         idx.sort_unstable();
         idx.dedup();
         assert_eq!(idx.len(), data.crl.records().len());
-    }
-
-    #[test]
-    fn whole_delta_is_the_full_feed_in_dataset_order() {
-        let data = World::run(ScenarioConfig::tiny());
-        let feed = DayFeed::new(&data);
-        let whole = DayDelta::whole(&data);
-        assert_eq!((whole.from, whole.to), (feed.start(), feed.end()));
-        let full = feed.delta(feed.start(), feed.end());
-        let ids = |certs: &[&DedupedCert]| {
-            let mut ids: Vec<_> = certs.iter().map(|c| c.cert_id).collect();
-            ids.sort();
-            ids
-        };
-        assert_eq!(ids(&whole.certs), ids(&full.certs));
-        let mut crl: Vec<usize> = full.crl.iter().map(|(i, _)| *i).collect();
-        crl.sort_unstable();
-        assert_eq!(whole.crl.iter().map(|(i, _)| *i).collect::<Vec<_>>(), crl);
-        let mut whois = full.whois.clone();
-        whois.sort();
-        assert_eq!(whole.whois, whois, "domain-major, chronological per domain");
-        let mut dns: Vec<_> = full.dns.iter().map(|(d, n, _)| (*n, *d)).collect();
-        dns.sort();
-        let whole_dns: Vec<_> = whole.dns.iter().map(|(d, n, _)| (*n, *d)).collect();
-        assert_eq!(whole_dns, dns, "domain-major, chronological per domain");
     }
 
     #[test]

@@ -852,15 +852,19 @@ impl World {
         let ct_raw_entries = self.pool.total_entries() as usize;
         let ct_log_count = self.pool.logs().len();
         // Monitor ingests every log entry (precerts) and every final
-        // certificate the providers hold, exercising dedup. The pool is
-        // handed over, so no logged certificate is copied.
+        // certificate the providers hold, exercising dedup. The pool and
+        // the providers' certificate lists are handed over, so no
+        // certificate is copied; the providers keep their CAs for the CRL
+        // scrape.
         self.monitor.ingest_pool(self.pool);
-        for cert in self.cdn.all_issued() {
-            self.monitor.ingest(cert.clone(), cert.tbs.not_before());
+        for cert in self.cdn.take_issued() {
+            let seen = cert.tbs.not_before();
+            self.monitor.ingest(cert, seen);
         }
-        for host in &self.hosts {
-            for cert in host.all_issued() {
-                self.monitor.ingest(cert.clone(), cert.tbs.not_before());
+        for host in &mut self.hosts {
+            for cert in host.take_issued() {
+                let seen = cert.tbs.not_before();
+                self.monitor.ingest(cert, seen);
             }
         }
         // WHOIS feed from the registries' event logs.

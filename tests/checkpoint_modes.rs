@@ -5,6 +5,8 @@
 //!   the daemon with nothing re-ingested; an incremental checkpoint at the
 //!   feed end makes a batch run re-run zero shards. Every path renders the
 //!   same suite and audit bytes.
+//! * Batch and incremental runs fold the same feed items in the same
+//!   order, so their checkpoints at the feed end are byte-identical.
 //! * The loader refuses a real checkpoint truncated anywhere, and a save
 //!   interrupted before its rename leaves the previous file intact.
 //! * Every refusal names its reason, is counted, and leaves the results
@@ -16,7 +18,7 @@ use stale_tls::engine::{
 };
 use stale_tls::prelude::*;
 use stale_tls::stale_core::tables::TableView;
-use stale_tls::worldsim::DayDelta;
+use stale_tls::worldsim::DayFeed;
 use std::path::PathBuf;
 
 const SHARDS: usize = 4;
@@ -69,7 +71,7 @@ fn ok(client: &mut Client, line: &str) -> String {
 fn batch_checkpoint_resumes_incremental_and_boots_the_daemon_with_nothing_reingested() {
     let data = World::run(ScenarioConfig::tiny());
     let psl = SuffixList::default_list();
-    let end = DayDelta::whole(&data).to;
+    let end = DayFeed::new(&data).end();
     let path = scratch("batch.json");
 
     let batch = Engine::new(config(Some(&path)))
@@ -162,6 +164,41 @@ fn incremental_checkpoint_at_the_feed_end_reruns_no_batch_shard() {
 }
 
 #[test]
+fn batch_and_incremental_checkpoints_at_the_feed_end_are_byte_identical() {
+    let data = World::run(ScenarioConfig::tiny());
+    let psl = SuffixList::default_list();
+    let batch_path = scratch("one_order_batch.json");
+    let incremental_path = scratch("one_order_incremental.json");
+
+    Engine::new(config(Some(&batch_path)))
+        .run(&data, &psl)
+        .expect("batch run");
+    // Save once, at the feed end, not after every ingested day.
+    let mut cfg = config(Some(&incremental_path));
+    cfg.checkpoint_every_days = DayFeed::new(&data).day_count() + 1;
+    let obs = obs::Obs::enabled();
+    Engine::new(cfg)
+        .with_obs(obs.clone())
+        .run_incremental(&data, &psl)
+        .expect("incremental run");
+    assert_eq!(
+        obs.registry.snapshot().counters.get("checkpoint.saves"),
+        Some(&1)
+    );
+
+    let batch = std::fs::read(&batch_path).expect("batch checkpoint");
+    let incremental = std::fs::read(&incremental_path).expect("incremental checkpoint");
+    let first_difference = batch.iter().zip(&incremental).position(|(a, b)| a != b);
+    assert_eq!(
+        (batch.len(), first_difference),
+        (incremental.len(), None),
+        "batch and incremental checkpoints differ"
+    );
+    let _ = std::fs::remove_file(&batch_path);
+    let _ = std::fs::remove_file(&incremental_path);
+}
+
+#[test]
 fn truncated_checkpoints_are_refused_at_every_cut() {
     let data = World::run(ScenarioConfig::tiny());
     let psl = SuffixList::default_list();
@@ -204,7 +241,7 @@ fn truncated_checkpoints_are_refused_at_every_cut() {
 fn a_save_stopped_before_the_rename_leaves_the_previous_checkpoint_intact() {
     let data = World::run(ScenarioConfig::tiny());
     let psl = SuffixList::default_list();
-    let feed = stale_tls::worldsim::DayFeed::new(&data);
+    let feed = DayFeed::new(&data);
     let mid = feed.start() + Duration::days((feed.end() - feed.start()).num_days() / 2);
     let path = scratch("previous.json");
 

@@ -11,7 +11,7 @@
 use stale_tls::engine::{route, Engine, EngineConfig};
 use stale_tls::prelude::*;
 use stale_tls::stale_core::detector::managed_tls::ManagedTlsDetector;
-use stale_tls::worldsim::DayDelta;
+use stale_tls::worldsim::DayFeed;
 
 /// Same comparable byte form as `engine_equivalence.rs`.
 fn suite_bytes(suite: &DetectionSuite) -> String {
@@ -42,10 +42,17 @@ fn overprovisioned_shards_skip_empty_views_and_match() {
     let n = 32;
 
     let mtd_detector = ManagedTlsDetector::new(&data.cdn_config, &psl);
-    let occupied = route(&DayDelta::whole(&data), &psl, &mtd_detector, n, 1)
-        .iter()
-        .filter(|slice| !slice.is_empty())
-        .count();
+    let feed = DayFeed::new(&data);
+    let occupied = route(
+        &feed.delta(feed.start(), feed.end()),
+        &psl,
+        &mtd_detector,
+        n,
+        1,
+    )
+    .iter()
+    .filter(|slice| !slice.is_empty())
+    .count();
     assert!(occupied > 0, "micro world still routes something");
     assert!(
         occupied < n,

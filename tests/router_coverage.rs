@@ -2,7 +2,7 @@
 //! every candidate to exactly the shards that own it.
 //!
 //! Checked over arbitrary worlds and every shard count in `1..=16`, on
-//! the whole-window delta the batch engine folds:
+//! the day feed's full delta, which the batch engine folds:
 //!
 //! * every certificate is in exactly one key-compromise slice, the shard
 //!   of its first SAN's e2LD;
@@ -28,7 +28,7 @@ use stale_tls::prelude::*;
 use stale_tls::stale_core::detector::managed_tls::ManagedTlsDetector;
 use stale_tls::stale_core::detector::registrant_change::RegistrantChangeDetector;
 use stale_tls::stale_types::CertId;
-use stale_tls::worldsim::DayDelta;
+use stale_tls::worldsim::DayFeed;
 use std::collections::BTreeMap;
 
 /// The kc/mtd routing key: a name's e2LD, or the name itself when the
@@ -55,7 +55,8 @@ fn sorted<T: Ord>(mut items: Vec<T>) -> Vec<T> {
 }
 
 fn check_route(data: &WorldDatasets, psl: &SuffixList, n: usize) {
-    let delta = DayDelta::whole(data);
+    let feed = DayFeed::new(data);
+    let delta = feed.delta(feed.start(), feed.end());
     let rc_detector = RegistrantChangeDetector::new(psl);
     let mtd_detector = ManagedTlsDetector::new(&data.cdn_config, psl);
 
