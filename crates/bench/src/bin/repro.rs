@@ -14,11 +14,13 @@
 //! engine:      --shards N       partition width (default: available
 //!                               parallelism; results are byte-identical
 //!                               for every N)
-//!              --checkpoint F   JSON checkpoint of per-shard detector
-//!                               state; batch mode skips shards saved
-//!                               at the feed end, incremental mode
-//!                               resumes after the last ingested day
-//!                               (an unusable file is refused with the
+//!              --checkpoint F   JSON checkpoint: the last day folded
+//!                               in. Batch mode folds the whole window
+//!                               and writes it through the feed end
+//!                               after a complete run; incremental mode
+//!                               re-folds the feed through it, at any
+//!                               --shards, and resumes after it (an
+//!                               unusable file is refused with the
 //!                               reason on stderr and the run starts
 //!                               fresh)
 //!              --fail-shard K   inject a persistent panic into shard K
@@ -29,8 +31,8 @@
 //!              --through DATE   stop after ingesting DATE (catch-up runs)
 //!              --day-batch N    days per ingested delta (default 1)
 //!              --checkpoint-every N
-//!                               snapshot detector state every N ingested
-//!                               days (default 1; needs --checkpoint)
+//!                               record progress every N ingested days
+//!                               (default 1; needs --checkpoint)
 //! preflight:   --preflight      before any detector runs, validate the
 //!                               simulated world's world-fact log (and
 //!                               the --checkpoint file, if it exists)

@@ -1,110 +1,56 @@
-//! Checkpoint/resume: per-shard fold state, one schema for every mode.
+//! Checkpoint/resume: a checkpoint is a position in the day feed.
 //!
-//! Batch ([`crate::Engine::run`]), the incremental driver
-//! ([`crate::Engine::run_incremental`]) and the daemon all fold deltas
-//! into the same per-shard detector state ([`crate::stream`]), so one
-//! file format serves them all:
+//! Every detector is a fold over the world's daily feed ([`crate::stream`]),
+//! so a shard's state through day D is a pure function of the world and
+//! D. A checkpoint therefore records how far the fold got, not what it
+//! holds:
 //!
 //! ```json
-//! {
-//!   "version": 4,
-//!   "fingerprint": 1234567890,
-//!   "shards": 4,
-//!   "through": "2023-05-12",
-//!   "states": [
-//!     { "shard": 0, "kc": { "index": [...], "losers": [...] },
-//!       "rc": { ... }, "mtd": { ... } }
-//!   ]
-//! }
+//! { "version": 5, "fingerprint": 1234567890, "through": "2023-05-12" }
 //! ```
 //!
-//! `fingerprint` is [`worldsim::WorldDatasets::fingerprint`], `shards`
-//! the partition width and `through` the last day folded in. `states`
-//! holds one entry per saved shard, in strictly increasing shard order.
-//! The incremental driver and the daemon save every shard. Batch folds
-//! the whole window at once and saves each shard as it completes, so a
-//! batch file may hold a subset of the shards, always with `through` at
-//! the feed end. On resume, batch skips every shard saved at the feed
-//! end, while the incremental driver and the daemon restore all shards
-//! and carry on after `through`: a complete checkpoint from either mode
-//! resumes the other.
-//!
-//! Certificates are stored by id and re-resolved from the CT corpus on
-//! restore, and the CRL side of the key-compromise join is re-seeded from
-//! the dataset (every record observed on or before `through`).
+//! `fingerprint` is [`worldsim::WorldDatasets::fingerprint`] and `through`
+//! the last day folded in. Restoring one
+//! ([`crate::IncrementalState::restore`]) folds the world's own
+//! [`worldsim::DayFeed`] from its start through `through` into fresh
+//! state, at whatever partition width the resuming run has; the
+//! incremental driver and the daemon then carry on after `through`. Batch
+//! folds the whole window in one pass, so it reads no checkpoint; after a
+//! complete run it writes one through the feed end. This is the shape of
+//! a CT monitor's persisted state: a verified tree head, with the log
+//! re-read past it.
 //!
 //! The file has one reader, and the reader is the validator:
-//! [`Checkpoint::load`] refuses any file that breaks an invariant
-//! [`Checkpoint::save`] guarantees and restore assumes, with a
-//! [`Rejection`] naming the first, and the run starts fresh.
-//! [`Checkpoint::violations`] lists every one of them, and `stale-lint
-//! preflight` reports that list, so a file passes preflight exactly when
-//! it would load. The invariants (preflight rule ids in brackets):
-//! * schema version 4 (`checkpoint-version`; v2 incremental state and v3
-//!   batch completions land here) and the shape above
-//!   (`checkpoint-parse`);
-//! * every state's shard below the declared width (`checkpoint-shards`),
-//!   states in strictly increasing shard order (`checkpoint-order`);
-//! * `kc.index` rows in strictly increasing certificate-id order
-//!   (`checkpoint-monotone`) with one winner per `(AKI, serial)`, and
-//!   `kc.losers` sorted and unique (`checkpoint-order`);
-//! * every domain table (`rc.certs_by_e2ld`, `rc.creations`,
-//!   `mtd.delegated`, `mtd.undelegated`, `mtd.departures`,
-//!   `mtd.certs_by_customer`) sorted with no domain twice, and no scan
-//!   target both delegated and undelegated (`checkpoint-order`);
-//! * per-domain creation and departure dates strictly increasing
-//!   (`checkpoint-monotone`).
+//! [`Checkpoint::load`] refuses, with a [`Rejection`] naming the reason,
+//! an unreadable file, one that is not a checkpoint (`checkpoint-parse`
+//! in `stale-lint preflight`), another schema version
+//! (`checkpoint-version`; the v2–v4 files that stored detector state land
+//! here) or another world's fingerprint; the run then starts fresh. What
+//! needs the feed — a `through` outside it, or past the day an
+//! incremental run stops at — is refused by the consumer the same way.
+//! Nothing else in the file can be wrong: the state itself is recomputed
+//! from this world's facts.
 //!
-//! What needs the run — the world's fingerprint, the partition width, the
-//! certificates the corpus holds, completeness and `through` — is checked
-//! by the consumer and refused the same way, and so is every ledger entry
-//! against the world (`Rejection::Unfounded`): restore holds each to what
-//! a fold of this world through `through` could hold — kc index and loser
-//! rows keyed by their certificate's own `(AKI, serial)`, rc creation
-//! dates that are WHOIS creation dates of the domain no later than
-//! `through`, rc and mtd certificate lists naming only certificates that
-//! carry that e2LD or customer, mtd departures that are undelegation days
-//! of the target's DNS change log inside the aDNS window, and delegation
-//! flags that match the DNS state at `through`. Saving is crash-safe
-//! ([`obs::persist`]): the new contents go to a temporary file in the
-//! target's directory, which is synced and then renamed over the target,
-//! so a crash leaves either the previous checkpoint or the new one, never
-//! a torn file.
+//! Saving is crash-safe ([`obs::persist`]): the new contents go to a
+//! temporary file in the target's directory, which is synced and then
+//! renamed over the target, so a crash leaves either the previous
+//! checkpoint or the new one, never a torn file.
 
 use obs::persist::StagedFile;
 use serde::value::Value;
-use serde::{Deserialize, Serialize};
-use stale_core::incremental::{SavedKc, SavedMtd, SavedRc};
-use stale_types::{Date, DomainName};
-use std::collections::BTreeSet;
+use serde::{de, Deserialize, Serialize};
+use stale_types::Date;
 use std::path::Path;
 
-/// One shard's fold state, as persisted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardStateSnapshot {
-    /// Shard index.
-    pub shard: usize,
-    /// §4.1 join state.
-    pub kc: SavedKc,
-    /// §4.2 state.
-    pub rc: SavedRc,
-    /// §4.3 state.
-    pub mtd: SavedMtd,
-}
-
 /// The checkpoint file contents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Schema version; always [`Checkpoint::VERSION`].
     pub version: u32,
     /// Dataset-bundle fingerprint this checkpoint belongs to.
     pub fingerprint: u64,
-    /// Partition width it was taken at.
-    pub shards: usize,
-    /// Last day folded into every saved state.
+    /// Last day folded in.
     pub through: Date,
-    /// Saved shard states, in strictly increasing shard order.
-    pub states: Vec<ShardStateSnapshot>,
 }
 
 /// Why a checkpoint was refused. Every refusal means "start fresh"; the
@@ -115,7 +61,7 @@ pub enum Rejection {
     Unreadable(String),
     /// The contents are not a checkpoint.
     Parse(String),
-    /// Another schema version (v2 and v3 files land here).
+    /// Another schema version (the v2–v4 files land here).
     Version(Option<i128>),
     /// Taken over a different dataset bundle.
     Fingerprint {
@@ -123,41 +69,6 @@ pub enum Rejection {
         found: u64,
         /// Fingerprint of this run's bundle.
         expected: u64,
-    },
-    /// Taken at a different partition width.
-    Width {
-        /// Width in the file.
-        found: usize,
-        /// This run's width.
-        expected: usize,
-    },
-    /// A state whose shard is out of order, duplicated or beyond the
-    /// width.
-    ShardOrder(String),
-    /// A saved detector ledger out of order, not unique or not
-    /// chronological.
-    Ledger(String),
-    /// A state names a certificate the CT corpus does not hold.
-    UnknownCertificate {
-        /// The shard whose state did not resolve.
-        shard: usize,
-    },
-    /// A state's ledger holds an entry no fold of this world through the
-    /// checkpoint's day could hold (a kc row under another key, an rc
-    /// creation date WHOIS lacks, an mtd departure the DNS log does not
-    /// show, …).
-    Unfounded {
-        /// The shard whose state holds it.
-        shard: usize,
-        /// The ledger and the entry.
-        what: String,
-    },
-    /// Some shard states are missing and this consumer needs all of them.
-    Incomplete {
-        /// States in the file.
-        found: usize,
-        /// The width.
-        expected: usize,
     },
     /// Taken through a day this run cannot resume from.
     Through(String),
@@ -176,21 +87,6 @@ impl std::fmt::Display for Rejection {
                 f,
                 "taken over another world (fingerprint {found}, expected {expected})"
             ),
-            Rejection::Width { found, expected } => {
-                write!(f, "taken at {found} shard(s), this run has {expected}")
-            }
-            Rejection::ShardOrder(what) => write!(f, "shard order: {what}"),
-            Rejection::Ledger(what) => write!(f, "ledger: {what}"),
-            Rejection::UnknownCertificate { shard } => {
-                write!(
-                    f,
-                    "shard {shard} names a certificate the corpus does not hold"
-                )
-            }
-            Rejection::Unfounded { shard, what } => write!(f, "shard {shard} {what}"),
-            Rejection::Incomplete { found, expected } => {
-                write!(f, "holds {found} of {expected} shard states")
-            }
             Rejection::Through(what) => f.write_str(what),
         }
     }
@@ -198,97 +94,52 @@ impl std::fmt::Display for Rejection {
 
 impl std::error::Error for Rejection {}
 
-/// One broken invariant of a checkpoint file, as [`Checkpoint::violations`]
-/// lists it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Violation {
-    /// A state's shard is not below the declared width.
-    Width(String),
-    /// States out of strictly increasing shard order.
-    ShardOrder(String),
-    /// A ledger unsorted or holding a key twice, or a scan target both
-    /// delegated and undelegated.
-    Order(String),
-    /// `kc.index` rows out of certificate-id order, or per-domain dates
-    /// not strictly increasing.
-    Monotone(String),
-}
-
-impl Violation {
-    /// The `stale-lint preflight` rule id.
-    pub fn rule(&self) -> &'static str {
-        match self {
-            Violation::Width(_) => "checkpoint-shards",
-            Violation::ShardOrder(_) | Violation::Order(_) => "checkpoint-order",
-            Violation::Monotone(_) => "checkpoint-monotone",
-        }
-    }
-
-    /// Which state and ledger, and what is wrong.
-    pub fn message(&self) -> &str {
-        match self {
-            Violation::Width(m)
-            | Violation::ShardOrder(m)
-            | Violation::Order(m)
-            | Violation::Monotone(m) => m,
-        }
+/// `through` is written as its `YYYY-MM-DD` day, so an operator can read
+/// how far a checkpoint got.
+impl Serialize for Checkpoint {
+    fn serialize(&self) -> Value {
+        Value::Obj(vec![
+            ("version".to_string(), self.version.serialize()),
+            ("fingerprint".to_string(), self.fingerprint.serialize()),
+            ("through".to_string(), Value::Str(self.through.to_string())),
+        ])
     }
 }
 
-impl From<Violation> for Rejection {
-    fn from(v: Violation) -> Rejection {
-        match v {
-            Violation::Width(m) | Violation::ShardOrder(m) => Rejection::ShardOrder(m),
-            Violation::Order(m) | Violation::Monotone(m) => Rejection::Ledger(m),
-        }
+impl Deserialize for Checkpoint {
+    fn deserialize(v: &Value) -> Result<Self, de::Error> {
+        let through: String = de::field(v, "through")?;
+        Ok(Checkpoint {
+            version: de::field(v, "version")?,
+            fingerprint: de::field(v, "fingerprint")?,
+            through: Date::parse(&through)
+                .map_err(|e| de::Error(format!("field `through`: {e}")))?,
+        })
     }
 }
 
 impl Checkpoint {
     /// The schema version.
-    pub const VERSION: u32 = 4;
+    pub const VERSION: u32 = 5;
 
-    /// An empty checkpoint through `through` (batch fills it shard by
-    /// shard).
-    pub fn new(fingerprint: u64, shards: usize, through: Date) -> Self {
+    /// A checkpoint through `through` over the bundle with `fingerprint`.
+    pub fn new(fingerprint: u64, through: Date) -> Self {
         Checkpoint {
             version: Self::VERSION,
             fingerprint,
-            shards,
             through,
-            states: Vec::new(),
-        }
-    }
-
-    /// Whether every shard's state is present.
-    pub fn is_complete(&self) -> bool {
-        self.states.len() == self.shards
-    }
-
-    /// Whether `shard`'s state is present.
-    pub fn has(&self, shard: usize) -> bool {
-        self.states
-            .binary_search_by_key(&shard, |s| s.shard)
-            .is_ok()
-    }
-
-    /// Add (or replace) one shard's state, keeping shard order.
-    pub fn insert(&mut self, state: ShardStateSnapshot) {
-        match self.states.binary_search_by_key(&state.shard, |s| s.shard) {
-            Ok(i) => self.states[i] = state,
-            Err(i) => self.states.insert(i, state),
         }
     }
 
     /// Load the checkpoint at `path` for a run over the bundle with
-    /// `fingerprint` at `shards`. `Ok(None)` when there is no file; a file
-    /// that exists but does not pass [`Checkpoint::decode`] and
+    /// `fingerprint`. `Ok(None)` when there is no file; a file that
+    /// exists but does not pass [`Checkpoint::decode`] and
     /// [`Checkpoint::verify_for_run`] is refused with the reason.
     /// Startup-time restore: the daemon's actor blocks on this read
     /// exactly once, before it serves anything.
     // stale-lint: entry(serial)
     // stale-lint: trusted(blocking-io-in-actor)
-    pub fn load(path: &Path, fingerprint: u64, shards: usize) -> Result<Option<Self>, Rejection> {
+    pub fn load(path: &Path, fingerprint: u64) -> Result<Option<Self>, Rejection> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -297,13 +148,12 @@ impl Checkpoint {
         let value: Value =
             serde_json::from_str(&text).map_err(|e| Rejection::Parse(e.to_string()))?;
         let cp = Checkpoint::decode(&value)?;
-        cp.verify_for_run(fingerprint, shards)?;
+        cp.verify_for_run(fingerprint)?;
         Ok(Some(cp))
     }
 
     /// Decode a checkpoint document: refused on another schema version,
-    /// then on any shape but this schema's. The file's own invariants
-    /// are [`Checkpoint::violations`].
+    /// then on any shape but this schema's.
     pub fn decode(value: &Value) -> Result<Checkpoint, Rejection> {
         let version = value.get("version").and_then(Value::as_i128);
         if version != Some(i128::from(Self::VERSION)) {
@@ -313,10 +163,8 @@ impl Checkpoint {
     }
 
     /// Check that this checkpoint belongs to a run over the bundle with
-    /// `fingerprint` at `shards`, and that it keeps every invariant of
-    /// the file ([`Checkpoint::violations`]; the first one is the
-    /// refusal).
-    pub fn verify_for_run(&self, fingerprint: u64, shards: usize) -> Result<(), Rejection> {
+    /// `fingerprint`.
+    pub fn verify_for_run(&self, fingerprint: u64) -> Result<(), Rejection> {
         if self.version != Self::VERSION {
             return Err(Rejection::Version(Some(i128::from(self.version))));
         }
@@ -326,41 +174,7 @@ impl Checkpoint {
                 expected: fingerprint,
             });
         }
-        if self.shards != shards {
-            return Err(Rejection::Width {
-                found: self.shards,
-                expected: shards,
-            });
-        }
-        match self.violations().into_iter().next() {
-            Some(v) => Err(v.into()),
-            None => Ok(()),
-        }
-    }
-
-    /// Every invariant of the file this checkpoint breaks — what
-    /// [`Checkpoint::save`] guarantees and restore assumes (module docs
-    /// list them). Empty for anything `save` wrote.
-    pub fn violations(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let mut previous: Option<usize> = None;
-        for (i, state) in self.states.iter().enumerate() {
-            if state.shard >= self.shards {
-                out.push(Violation::Width(format!(
-                    "states[{i}] claims shard {} of a width of {}",
-                    state.shard, self.shards
-                )));
-            }
-            if let Some(p) = previous.filter(|p| state.shard <= *p) {
-                out.push(Violation::ShardOrder(format!(
-                    "states[{i}] claims shard {} after shard {p}",
-                    state.shard
-                )));
-            }
-            previous = Some(state.shard);
-            state.ledger_violations(&format!("states[{i}]"), &mut out);
-        }
-        out
+        Ok(())
     }
 
     /// Persist to `path`, crash-safely: [`Checkpoint::stage`] then
@@ -383,102 +197,13 @@ impl Checkpoint {
     }
 }
 
-impl ShardStateSnapshot {
-    /// The ledger invariants of one saved state, `at` naming it.
-    fn ledger_violations(&self, at: &str, out: &mut Vec<Violation>) {
-        let ids: Vec<_> = self.kc.index.iter().map(|(_, _, id)| id).collect();
-        if !strictly_increasing(&ids) {
-            out.push(Violation::Monotone(format!(
-                "{at}.kc.index cert ids are not strictly increasing"
-            )));
-        }
-        let mut keys = BTreeSet::new();
-        if let Some((aki, serial, _)) = self
-            .kc
-            .index
-            .iter()
-            .find(|(aki, serial, _)| !keys.insert((aki, serial)))
-        {
-            out.push(Violation::Order(format!(
-                "{at}.kc.index holds two winners for ({aki}, {serial})"
-            )));
-        }
-        if !strictly_increasing(&self.kc.losers) {
-            out.push(Violation::Order(format!(
-                "{at}.kc.losers rows are not sorted and unique"
-            )));
-        }
-        let tables: [(&str, Vec<&DomainName>); 6] = [
-            (
-                "rc.certs_by_e2ld",
-                self.rc.certs_by_e2ld.iter().map(|(d, _)| d).collect(),
-            ),
-            (
-                "rc.creations",
-                self.rc.creations.iter().map(|(d, _)| d).collect(),
-            ),
-            ("mtd.delegated", self.mtd.delegated.iter().collect()),
-            ("mtd.undelegated", self.mtd.undelegated.iter().collect()),
-            (
-                "mtd.departures",
-                self.mtd.departures.iter().map(|(d, _)| d).collect(),
-            ),
-            (
-                "mtd.certs_by_customer",
-                self.mtd.certs_by_customer.iter().map(|(d, _)| d).collect(),
-            ),
-        ];
-        for (field, domains) in tables {
-            if !strictly_increasing(&domains) {
-                out.push(Violation::Order(format!(
-                    "{at}.{field} domains are not sorted and unique"
-                )));
-            }
-        }
-        let delegated: BTreeSet<_> = self.mtd.delegated.iter().collect();
-        if let Some(both) = self.mtd.undelegated.iter().find(|d| delegated.contains(d)) {
-            out.push(Violation::Order(format!(
-                "{at}: {both} is both delegated and undelegated"
-            )));
-        }
-        for (field, ledger) in [
-            ("rc.creations", &self.rc.creations),
-            ("mtd.departures", &self.mtd.departures),
-        ] {
-            for (domain, dates) in ledger {
-                if let Some([prev, date]) = dates.windows(2).find(|w| w[1] <= w[0]) {
-                    out.push(Violation::Monotone(format!(
-                        "{at}.{field}[{domain}]: {date} does not follow {prev}"
-                    )));
-                }
-            }
-        }
-    }
-}
-
-fn strictly_increasing<T: Ord>(items: &[T]) -> bool {
-    items.windows(2).all(|w| w[0] < w[1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn state(shard: usize) -> ShardStateSnapshot {
-        ShardStateSnapshot {
-            shard,
-            kc: SavedKc::default(),
-            rc: SavedRc::default(),
-            mtd: SavedMtd::default(),
-        }
-    }
-
     fn sample() -> Checkpoint {
-        let mut cp = Checkpoint::new(42, 3, Date::parse("2022-11-30").unwrap());
-        cp.insert(state(2));
-        cp.insert(state(0));
-        cp
+        Checkpoint::new(42, Date::parse("2022-11-30").unwrap())
     }
 
     fn scratch(name: &str) -> PathBuf {
@@ -491,63 +216,18 @@ mod tests {
     fn roundtrip_and_validation() {
         let path = scratch("roundtrip.json");
         let cp = sample();
-        assert_eq!(
-            cp.states.iter().map(|s| s.shard).collect::<Vec<_>>(),
-            [0, 2]
-        );
-        assert!(cp.has(2) && !cp.has(1) && !cp.is_complete());
         cp.save(&path).unwrap();
-        assert_eq!(Checkpoint::load(&path, 42, 3), Ok(Some(cp)));
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            r#"{"version":5,"fingerprint":42,"through":"2022-11-30"}"#
+        );
+        assert_eq!(Checkpoint::load(&path, 42), Ok(Some(cp)));
         assert!(matches!(
-            Checkpoint::load(&path, 43, 3),
+            Checkpoint::load(&path, 43),
             Err(Rejection::Fingerprint { .. })
         ));
-        assert!(matches!(
-            Checkpoint::load(&path, 42, 4),
-            Err(Rejection::Width { .. })
-        ));
-        assert_eq!(Checkpoint::load(&scratch("missing.json"), 42, 3), Ok(None));
+        assert_eq!(Checkpoint::load(&scratch("missing.json"), 42), Ok(None));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn shard_labels_must_be_strictly_increasing_below_the_width() {
-        let cp = sample();
-        let mut swapped = cp.clone();
-        swapped.states.reverse();
-        let mut duplicated = cp.clone();
-        duplicated.states[1].shard = 0;
-        let mut beyond = cp.clone();
-        beyond.states[1].shard = 3;
-        for bad in [swapped, duplicated, beyond] {
-            assert!(matches!(
-                bad.verify_for_run(42, 3),
-                Err(Rejection::ShardOrder(_))
-            ));
-        }
-        assert_eq!(cp.verify_for_run(42, 3), Ok(()));
-    }
-
-    #[test]
-    fn ledger_violations_are_listed_under_their_rule_and_refused() {
-        use stale_types::domain::dn;
-        assert!(sample().violations().is_empty());
-        let mut cp = sample();
-        cp.states[0].mtd.delegated = vec![dn("a.com")];
-        cp.states[0].mtd.undelegated = vec![dn("a.com")];
-        cp.states[1].rc.creations = vec![(
-            dn("b.com"),
-            vec![
-                Date::parse("2021-05-01").unwrap(),
-                Date::parse("2020-01-01").unwrap(),
-            ],
-        )];
-        let rules: Vec<_> = cp.violations().iter().map(Violation::rule).collect();
-        assert_eq!(rules, ["checkpoint-order", "checkpoint-monotone"]);
-        assert!(matches!(
-            cp.verify_for_run(42, 3),
-            Err(Rejection::Ledger(why)) if why.contains("both delegated and undelegated")
-        ));
     }
 
     #[test]
@@ -558,18 +238,22 @@ mod tests {
             r#"{"version": 3, "fingerprint": 42, "shards": 2, "completed": []}"#,
         )
         .unwrap();
-        assert_eq!(
-            Checkpoint::load(&v3, 42, 2),
-            Err(Rejection::Version(Some(3)))
-        );
+        assert_eq!(Checkpoint::load(&v3, 42), Err(Rejection::Version(Some(3))));
         let garbage = scratch("garbage.json");
         std::fs::write(&garbage, "not json {").unwrap();
         assert!(matches!(
-            Checkpoint::load(&garbage, 42, 2),
+            Checkpoint::load(&garbage, 42),
             Err(Rejection::Parse(_))
         ));
-        let _ = std::fs::remove_file(&v3);
-        let _ = std::fs::remove_file(&garbage);
+        let shapeless = scratch("shapeless.json");
+        std::fs::write(&shapeless, r#"{"version": 5, "fingerprint": 42}"#).unwrap();
+        assert!(matches!(
+            Checkpoint::load(&shapeless, 42),
+            Err(Rejection::Parse(_))
+        ));
+        for p in [&v3, &garbage, &shapeless] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     #[test]
@@ -578,13 +262,12 @@ mod tests {
         let old = sample();
         old.save(&path).unwrap();
         let before = std::fs::read(&path).unwrap();
-        let mut new = sample();
-        new.insert(state(1));
+        let new = Checkpoint::new(42, Date::parse("2022-12-01").unwrap());
         let staged = new.stage(&path).unwrap();
         assert!(staged.temp_path().exists());
         assert_eq!(std::fs::read(&path).unwrap(), before);
         staged.commit().unwrap();
-        assert_eq!(Checkpoint::load(&path, 42, 3), Ok(Some(new)));
+        assert_eq!(Checkpoint::load(&path, 42), Ok(Some(new)));
         let _ = std::fs::remove_file(&path);
     }
 }

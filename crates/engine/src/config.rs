@@ -11,12 +11,12 @@ pub struct EngineConfig {
     /// drains the shard queue on [`EngineConfig::effective_workers`]
     /// threads.
     pub shards: usize,
-    /// Checkpoint file ([`crate::checkpoint`], one schema for both
-    /// modes). Batch mode ([`crate::Engine::run`]): each shard's final
-    /// state is saved as it completes, and saved shards are skipped when
-    /// re-running against the same dataset bundle. Incremental mode
-    /// ([`crate::Engine::run_incremental`]): every shard's state is
-    /// snapshotted and the run resumes after the last checkpointed day.
+    /// Checkpoint file ([`crate::checkpoint`]: the last day folded in,
+    /// one schema for every mode). Batch mode ([`crate::Engine::run`])
+    /// reads none and records the feed end after a complete run.
+    /// Incremental mode ([`crate::Engine::run_incremental`]) re-folds the
+    /// feed through a matching checkpoint's day, at any width, and resumes
+    /// after it, recording its own progress as it goes.
     pub checkpoint: Option<PathBuf>,
     /// Fault injection (tests / `repro --fail-shard`): these shards panic
     /// on every attempt and end up degraded.
@@ -30,9 +30,9 @@ pub struct EngineConfig {
     /// Incremental mode: stop after ingesting this day (catch-up through a
     /// cutoff). `None` drains the full feed.
     pub through: Option<Date>,
-    /// Incremental mode: write the state checkpoint after at least this
-    /// many ingested days (when `checkpoint` is set). The final state is
-    /// always written.
+    /// Incremental mode: write the checkpoint after at least this many
+    /// ingested days (when `checkpoint` is set). The final day is always
+    /// written.
     pub checkpoint_every_days: usize,
     /// Record per-candidate decision audits (`repro --audit-out`). The
     /// audit stream is write-only from the detectors' side and never

@@ -6,7 +6,7 @@
 //! `SystemTime` in this file.
 // stale-lint: trusted-file(wallclock-in-detector)
 
-use crate::checkpoint::{Checkpoint, Rejection, ShardStateSnapshot};
+use crate::checkpoint::{Checkpoint, Rejection};
 use crate::config::EngineConfig;
 use crate::metrics::{DegradedShardMetrics, EngineMetrics, ShardMetrics, StageMetrics};
 use crate::partition::{route, ShardSlice};
@@ -111,7 +111,9 @@ impl Engine {
     /// is routed once as its full delta — the items incremental runs
     /// fold, in the same day-major order — each shard folds its slice
     /// into fresh state and finishes as one supervised job, and the
-    /// outputs go through the same merge as incremental runs.
+    /// outputs go through the same merge as incremental runs. It reads
+    /// no checkpoint; with [`EngineConfig::checkpoint`] set, a complete
+    /// run records the feed end there (a degraded one records nothing).
     // stale-lint: entry(serial)
     pub fn run(&self, data: &WorldDatasets, psl: &SuffixList) -> Result<EngineReport, EngineError> {
         let obs = &self.obs;
@@ -152,64 +154,30 @@ impl Engine {
             through,
             cutoff,
             audit: self.config.audit,
-            snapshot: self.config.checkpoint.is_some(),
         };
-
-        // Checkpoint: finish the shards saved at the feed end from their
-        // saved state, fold the rest.
-        let mut restore_span = root.child("checkpoint.restore");
-        let mut checkpoint = Checkpoint::new(data.fingerprint(), n, through);
-        let mut completed: Vec<CompletedShard> = Vec::with_capacity(n);
-        let mut rejected = None;
-        if let Some(path) = &self.config.checkpoint {
-            match job.resume(path, n) {
-                Ok(Some((cp, resumed))) => {
-                    checkpoint = cp;
-                    completed = resumed;
-                }
-                Ok(None) => {}
-                Err(why) => rejected = Some(self.reject(path, &why)),
-            }
-        }
-        let resumed_shards = completed.len();
-        restore_span.count("resumed_shards", resumed_shards as u64);
-        drop(restore_span);
-        obs.registry
-            .add("engine.resumed_shards", resumed_shards as u64);
-        if resumed_shards > 0 {
-            obs.registry.add("checkpoint.restores", 1);
-        }
 
         // A fresh shard with an empty slice can only finish empty:
         // synthesize its completion instead of paying supervisor setup for
         // it. Shards with injected faults still spawn — the panic is the
         // point of those runs.
-        let mut skipped = 0u64;
+        let mut completed: Vec<CompletedShard> = Vec::with_capacity(n);
         for (shard, slice) in slices.iter().enumerate() {
-            if checkpoint.has(shard)
-                || !slice.is_empty()
+            if !slice.is_empty()
                 || self.config.fail_shards.contains(&shard)
                 || self.config.fail_once_shards.contains(&shard)
             {
                 continue;
             }
-            let done = job.finish(
+            completed.push(job.finish(
                 shard,
                 ShardState::new(data, cutoff),
                 0,
                 &mut FoldTimes::default(),
-            );
-            if let Some(state) = done.state {
-                checkpoint.insert(state);
-            }
-            completed.push(CompletedShard {
-                state: None,
-                ..done
-            });
-            skipped += 1;
+            ));
         }
-        if skipped > 0 {
-            obs.registry.add("engine.shards_skipped", skipped);
+        if !completed.is_empty() {
+            obs.registry
+                .add("engine.shards_skipped", completed.len() as u64);
         }
         let jobs: Vec<usize> = (0..n)
             .filter(|s| !completed.iter().any(|c| c.metrics.shard == *s))
@@ -235,40 +203,19 @@ impl Engine {
             job.fold(shard, attempt, &obs.registry)
         };
 
-        let mut checkpoint_error: Option<std::io::Error> = None;
-        let (results, degraded, queue_depths) = run_shards(
-            jobs,
-            config.effective_workers(),
-            obs,
-            detect_id,
-            run_shard,
-            |_, _, done: &mut CompletedShard| {
-                let (Some(path), Some(state)) = (&config.checkpoint, done.state.take()) else {
-                    return;
-                };
-                checkpoint.insert(state);
-                let save_start = Instant::now();
-                if let Err(e) = checkpoint.save(path) {
-                    checkpoint_error.get_or_insert(e);
-                }
-                obs.registry.add("checkpoint.saves", 1);
-                obs.registry.observe_latency_us(
-                    "checkpoint.save_us",
-                    save_start.elapsed().as_micros() as u64,
-                );
-            },
-        );
+        let (results, degraded, queue_depths) =
+            run_shards(jobs, config.effective_workers(), obs, detect_id, run_shard);
         completed.extend(results.into_iter().flatten().map(|(_, _, done)| done));
         drop(detect_span);
         obs.registry
             .record_histogram("engine.queue.depth", &queue_depths);
-        if let Some(e) = checkpoint_error {
-            return Err(EngineError::Checkpoint(e));
-        }
         let stage_detect_wall = detect_start.elapsed().as_micros() as u64;
         drop(slices);
+        if degraded.is_empty() {
+            self.save_checkpoint(data, through, root.id())?;
+        }
 
-        // Collect outputs (restored + synthesized + fresh) in shard order.
+        // Collect outputs (synthesized + folded) in shard order.
         completed.sort_by_key(|c| c.metrics.shard);
         let emitted: usize = completed.iter().map(|c| c.output.items()).sum();
         let stage_detect = StageMetrics {
@@ -320,9 +267,9 @@ impl Engine {
                 })
                 .collect(),
             queue_depth: queue_depths.snapshot(),
-            resumed_shards,
+            resumed_shards: 0,
             ingest: None,
-            checkpoint_rejected: rejected,
+            checkpoint_rejected: None,
         };
         Ok(EngineReport {
             suite,
@@ -332,6 +279,31 @@ impl Engine {
             events: Vec::new(),
             audit,
         })
+    }
+
+    /// Record `through` as the checkpoint at the configured path,
+    /// crash-safely (nothing to do without one).
+    pub(crate) fn save_checkpoint(
+        &self,
+        data: &WorldDatasets,
+        through: Date,
+        parent: SpanId,
+    ) -> Result<(), EngineError> {
+        let Some(path) = &self.config.checkpoint else {
+            return Ok(());
+        };
+        let save_start = Instant::now();
+        let span = self.obs.trace.child(parent, "checkpoint.save");
+        let result = Checkpoint::new(data.fingerprint(), through)
+            .save(path)
+            .map_err(EngineError::Checkpoint);
+        drop(span);
+        self.obs.registry.add("checkpoint.saves", 1);
+        self.obs.registry.observe_latency_us(
+            "checkpoint.save_us",
+            save_start.elapsed().as_micros() as u64,
+        );
+        result
     }
 
     /// Account a refused checkpoint: count it and return the reason for
@@ -420,9 +392,6 @@ struct CompletedShard {
     /// The shard's decision-audit contribution (when auditing).
     audit: Option<ShardAudit>,
     metrics: ShardMetrics,
-    /// The shard's final state, taken only when checkpointing (handed to
-    /// the checkpoint as the shard completes).
-    state: Option<ShardStateSnapshot>,
 }
 
 /// What every batch fold job shares, borrowed for the run.
@@ -434,7 +403,6 @@ struct FoldJob<'a, 'w> {
     through: Date,
     cutoff: Date,
     audit: bool,
-    snapshot: bool,
 }
 
 impl<'w> FoldJob<'_, 'w> {
@@ -472,8 +440,8 @@ impl<'w> FoldJob<'_, 'w> {
     }
 
     /// Finish a shard's final state into its completion: merge output,
-    /// audit contribution (when auditing), metrics (timings so far in
-    /// `times`) and, when checkpointing, the state's snapshot.
+    /// audit contribution (when auditing) and metrics (timings so far in
+    /// `times`).
     fn finish(
         &self,
         shard: usize,
@@ -497,36 +465,6 @@ impl<'w> FoldJob<'_, 'w> {
             },
             output,
             audit,
-            state: self.snapshot.then(|| state.snapshot(shard)),
         }
-    }
-
-    /// Load the checkpoint at `path` and finish every shard it saved at
-    /// the feed end from that saved state. `Ok(None)` when there is no
-    /// file; any unusable file is refused as a whole.
-    fn resume(
-        &self,
-        path: &Path,
-        n: usize,
-    ) -> Result<Option<(Checkpoint, Vec<CompletedShard>)>, Rejection> {
-        let Some(cp) = Checkpoint::load(path, self.data.fingerprint(), n)? else {
-            return Ok(None);
-        };
-        if cp.through != self.through {
-            return Err(Rejection::Through(format!(
-                "taken through {}, but batch resumes only at the feed end {}",
-                cp.through, self.through
-            )));
-        }
-        let mut resumed = Vec::with_capacity(cp.states.len());
-        for saved in &cp.states {
-            let state = ShardState::restore(saved, self.data, self.dets, self.cutoff, cp.through)?;
-            let done = self.finish(saved.shard, state, 0, &mut FoldTimes::default());
-            resumed.push(CompletedShard {
-                state: None,
-                ..done
-            });
-        }
-        Ok(Some((cp, resumed)))
     }
 }

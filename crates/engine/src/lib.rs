@@ -22,8 +22,9 @@
 //!    work queue. A panicking shard is isolated, retried once, and then
 //!    reported as a [`supervisor::DegradedShard`] instead of aborting the
 //!    run.
-//! 3. **Checkpoints** ([`checkpoint`]) — one schema of per-shard fold
-//!    state, saved crash-safely and resumed by every mode.
+//! 3. **Checkpoints** ([`checkpoint`]) — a position in the feed (the last
+//!    day folded in), saved crash-safely; resuming re-folds the feed
+//!    through it, at any partition width.
 //! 4. **Metrics** ([`metrics`]) — per-stage wall time, items in/out,
 //!    queue depths and shard skew, rendered as a summary table by the
 //!    repro binary.
@@ -31,13 +32,13 @@
 //! Three modes feed the kernel, all from the same [`worldsim::DayFeed`]
 //! in the same day-major order. [`Engine::run`] (batch) routes the feed's
 //! full delta once and folds each shard as one supervised job, in
-//! parallel, saving each shard to the checkpoint as it completes.
-//! [`Engine::run_incremental`] replays the feed one day-batch at a time,
-//! emitting [`stale_core::incremental::StaleEvent`]s as staleness periods
-//! open and checkpointing every shard. The resident daemon keeps an
-//! [`IncrementalState`] alive and ingests one day per feed. All three end
-//! in the same merge, and a shard's state at the feed end is the same in
-//! every mode, so their complete checkpoints are byte-identical.
+//! parallel, and after a complete run records the feed end as its
+//! checkpoint. [`Engine::run_incremental`] replays the feed one day-batch
+//! at a time, emitting [`stale_core::incremental::StaleEvent`]s as
+//! staleness periods open and checkpointing how far it got. The resident
+//! daemon keeps an [`IncrementalState`] alive and ingests one day per
+//! feed. All three end in the same merge, so a checkpoint written by one
+//! mode resumes the others.
 //!
 //! **Determinism guarantee:** for a fixed dataset bundle,
 //! [`Engine::run`] produces byte-identical reports for every shard count,
@@ -57,7 +58,7 @@ pub mod partition;
 pub mod stream;
 pub mod supervisor;
 
-pub use checkpoint::{Checkpoint, Rejection, ShardStateSnapshot, Violation};
+pub use checkpoint::{Checkpoint, Rejection};
 pub use config::EngineConfig;
 pub use engine::{Engine, EngineError, EngineReport};
 pub use metrics::{EngineMetrics, IngestBatchMetrics, IngestMetrics, ShardMetrics, StageMetrics};

@@ -128,7 +128,8 @@ pub struct EngineMetrics {
     /// Queue depth observed at each job pop, as a bounded histogram
     /// (exact max preserved).
     pub queue_depth: HistogramSnapshot,
-    /// Shards restored from a checkpoint instead of recomputed.
+    /// Shards resumed from a checkpoint (incremental runs; batch folds
+    /// the whole window and resumes none).
     pub resumed_shards: usize,
     /// Incremental-mode ingest detail (`None` for batch runs).
     pub ingest: Option<IngestMetrics>,

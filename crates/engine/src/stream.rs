@@ -2,8 +2,7 @@
 //!
 //! Self-timing with `Instant` is sanctioned here (fold metrics never
 //! feed detection results), and slice indexing is in scope for the
-//! panic rule: the indices below come from routed feeds and restored
-//! checkpoints.
+//! panic rule: the indices below come from routed feeds.
 //!
 //! The paper defines every detector over daily feeds (§4.1 daily CRL
 //! downloads, §4.2 WHOIS snapshots, §4.3 neighbouring-day aDNS diffs), so
@@ -25,33 +24,32 @@
 //!
 //! Every mode takes its items from the one [`DayFeed`], in the same
 //! day-major order, and a multi-day delta is exactly the concatenation of
-//! its single-day deltas. So a shard's state after the feed's last day is
-//! the same however the feed was batched — a complete batch checkpoint is
-//! byte-identical to an incremental run's at the feed end — and every
-//! mode reports byte-identical results over the same bundle. With
-//! `EngineConfig::checkpoint` set, an incremental run snapshots every
-//! shard ([`crate::checkpoint::Checkpoint`]) every
-//! `checkpoint_every_days` ingested days and after the final delta; a
-//! matching checkpoint resumes ingestion after its last recorded day.
+//! its single-day deltas. So a shard's state after any day is the same
+//! however the feed was batched, and every mode reports byte-identical
+//! results over the same bundle. That also makes a shard's state through
+//! day D a pure function of the world and D, which is all a checkpoint
+//! ([`crate::checkpoint::Checkpoint`]) records: with
+//! `EngineConfig::checkpoint` set, an incremental run records the last
+//! ingested day every `checkpoint_every_days` ingested days and after the
+//! final delta, and [`IncrementalState::restore`] resumes from one by
+//! folding the feed through that day into fresh state.
 
 // stale-lint: trusted-file(wallclock-in-detector)
 // stale-lint: scope(panic-index)
 
-use crate::checkpoint::{Checkpoint, Rejection, ShardStateSnapshot};
+use crate::checkpoint::{Checkpoint, Rejection};
 use crate::engine::{merge_outputs, record_stage, Engine, EngineError, EngineReport};
 use crate::metrics::{EngineMetrics, IngestBatchMetrics, IngestMetrics, StageMetrics};
 use crate::partition::{route, ShardSlice};
 use ca::scraper::RevocationRecord;
 use obs::audit::Decision;
-use obs::{AuditReport, CounterSink, Histogram, HistogramSnapshot, SpanId};
+use obs::{AuditReport, CounterSink, Histogram, HistogramSnapshot};
 use psl::SuffixList;
 use stale_core::detector::key_compromise::{KcLoser, RevocationAnalysis, ShardMatch};
 use stale_core::detector::managed_tls::ManagedTlsDetector;
 use stale_core::detector::registrant_change::RegistrantChangeDetector;
 use stale_core::detector::DetectionSuite;
-use stale_core::incremental::{
-    KcIncremental, MtdIncremental, RcIncremental, RestoreError, StaleEvent,
-};
+use stale_core::incremental::{KcIncremental, MtdIncremental, RcIncremental, StaleEvent};
 use stale_core::staleness::StaleCertRecord;
 use stale_types::Date;
 use std::time::Instant;
@@ -131,50 +129,6 @@ impl<'w> ShardState<'w> {
             kc: KcIncremental::new(cutoff),
             rc: RcIncremental::new(),
             mtd: MtdIncremental::new(data.adns_window),
-        }
-    }
-
-    /// Rebuild a saved state over the bundle it was taken from, through
-    /// `through`. Certificates are re-resolved by id, and every ledger
-    /// entry is held to what a fold of this world through `through` could
-    /// hold; a certificate the corpus lacks or an entry no such fold holds
-    /// marks the checkpoint as another world's state, or a forged one.
-    pub(crate) fn restore(
-        saved: &ShardStateSnapshot,
-        data: &'w WorldDatasets,
-        dets: &Detectors<'_>,
-        cutoff: Date,
-        through: Date,
-    ) -> Result<Self, Rejection> {
-        let shard = saved.shard;
-        let refuse = |e: RestoreError| match e {
-            RestoreError::UnknownCertificate => Rejection::UnknownCertificate { shard },
-            RestoreError::Unfounded(what) => Rejection::Unfounded { shard, what },
-        };
-        Ok(ShardState {
-            kc: KcIncremental::restore(&saved.kc, &data.monitor, &data.crl, through, cutoff)
-                .map_err(refuse)?,
-            rc: RcIncremental::restore(&saved.rc, &data.monitor, &dets.rc, &data.whois, through)
-                .map_err(refuse)?,
-            mtd: MtdIncremental::restore(
-                &saved.mtd,
-                &data.monitor,
-                &dets.mtd,
-                &data.adns,
-                data.adns_window,
-                through,
-            )
-            .map_err(refuse)?,
-        })
-    }
-
-    /// The persisted form of this state.
-    pub(crate) fn snapshot(&self, shard: usize) -> ShardStateSnapshot {
-        ShardStateSnapshot {
-            shard,
-            kc: self.kc.save(),
-            rc: self.rc.save(),
-            mtd: self.mtd.save(),
         }
     }
 
@@ -293,44 +247,34 @@ impl<'w> IncrementalState<'w> {
         }
     }
 
-    /// Restore every shard from a checkpoint over the *same* bundle.
-    ///
+    /// Resume at `shards` width from a checkpoint over the *same* bundle:
+    /// fresh state with `feed` folded in from its start through the
+    /// checkpoint's day, the stale events discarded. The fold is
+    /// deterministic and a multi-day delta is the concatenation of its
+    /// days, so this is the state every run of this world through that
+    /// day holds at this width, whatever width wrote the checkpoint.
     /// Refused (with the reason) when the checkpoint belongs to another
-    /// world, lacks a shard's state, breaks an invariant of the file
-    /// ([`Checkpoint::violations`]: states out of shard order, ledgers
-    /// unsorted or holding a key twice), names a certificate the monitor
-    /// does not hold, or holds a ledger entry no fold of this world
-    /// through its day could hold — stale state is discarded, never
-    /// trusted.
+    /// world or its day lies outside the feed.
     // stale-lint: entry(serial)
     pub fn restore(
         data: &'w WorldDatasets,
         psl: &'w SuffixList,
+        shards: usize,
+        feed: &DayFeed<'w>,
         cp: &Checkpoint,
     ) -> Result<Self, Rejection> {
-        let n = cp.shards.max(1);
-        cp.verify_for_run(data.fingerprint(), n)?;
-        if !cp.is_complete() {
-            return Err(Rejection::Incomplete {
-                found: cp.states.len(),
-                expected: n,
-            });
+        cp.verify_for_run(data.fingerprint())?;
+        if cp.through < feed.start() || cp.through > feed.end() {
+            return Err(Rejection::Through(format!(
+                "taken through {}, outside the feed {}..{}",
+                cp.through,
+                feed.start(),
+                feed.end()
+            )));
         }
-        let cutoff = RevocationAnalysis::cutoff_for(data.crl_window.start);
-        let dets = Detectors::new(data, psl);
-        let states = cp
-            .states
-            .iter()
-            .map(|s| ShardState::restore(s, data, &dets, cutoff, cp.through))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(IncrementalState {
-            data,
-            psl,
-            shards: n,
-            cutoff,
-            states,
-            through: Some(cp.through),
-        })
+        let mut state = IncrementalState::new(data, psl, shards);
+        state.ingest_delta(&feed.delta(feed.start(), cp.through), &obs::NullSink);
+        Ok(state)
     }
 
     /// Partition width.
@@ -369,18 +313,11 @@ impl<'w> IncrementalState<'w> {
         events
     }
 
-    /// Snapshot every shard. `None` until the first delta has been
-    /// ingested (an empty state has no `through` day, and resuming it is
-    /// the same as starting fresh).
+    /// The checkpoint of this state: how far it has folded. `None` until
+    /// the first delta has been ingested (an empty state has no `through`
+    /// day, and resuming it is the same as starting fresh).
     pub fn snapshot(&self) -> Option<Checkpoint> {
-        let mut cp = Checkpoint::new(self.data.fingerprint(), self.shards, self.through?);
-        cp.states = self
-            .states
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| s.snapshot(shard))
-            .collect();
-        Some(cp)
+        Some(Checkpoint::new(self.data.fingerprint(), self.through?))
     }
 
     /// Materialize the merged suite (and, with `audit`, the merged
@@ -389,9 +326,9 @@ impl<'w> IncrementalState<'w> {
     ///
     /// Every call over the same ingested prefix renders identical bytes,
     /// and a view over the drained feed is byte-identical to
-    /// [`Engine::run`] over the same bundle. The merge cannot fail (what
-    /// it trusts was checked where it entered, at restore); the `Result`
-    /// keeps callers' error paths.
+    /// [`Engine::run`] over the same bundle. The merge cannot fail (its
+    /// every input is this world's own fold); the `Result` keeps callers'
+    /// error paths.
     pub fn view(&self, audit: bool) -> Result<StateView, EngineError> {
         Ok(self.view_counted(audit).0)
     }
@@ -450,14 +387,14 @@ impl Engine {
         };
         record_stage(&obs.registry, &stage_feed);
 
-        // Checkpoint: resume every shard after the last ingested day. A
-        // checkpoint past `through` is unusable (its state already
-        // contains days the caller asked to exclude) and is refused.
+        // Checkpoint: re-fold the feed through its day and resume after
+        // it. A checkpoint past `through` is unusable (the caller asked
+        // to stop before it) and is refused.
         let restore_span = root.child("checkpoint.restore");
         let mut rejected = None;
         let restored = match &self.config.checkpoint {
             Some(path) => {
-                let restored = Checkpoint::load(path, data.fingerprint(), n).and_then(|cp| {
+                let restored = Checkpoint::load(path, data.fingerprint()).and_then(|cp| {
                     let Some(cp) = cp else { return Ok(None) };
                     if cp.through > through {
                         return Err(Rejection::Through(format!(
@@ -465,7 +402,7 @@ impl Engine {
                             cp.through
                         )));
                     }
-                    IncrementalState::restore(data, psl, &cp).map(Some)
+                    IncrementalState::restore(data, psl, n, &feed, &cp).map(Some)
                 });
                 restored.unwrap_or_else(|why| {
                     rejected = Some(self.reject(path, &why));
@@ -538,15 +475,15 @@ impl Engine {
             days_since_ckpt += days;
 
             if days_since_ckpt >= self.config.checkpoint_every_days.max(1) {
-                self.write_checkpoint(&state, root.id())?;
+                self.save_checkpoint(data, to, root.id())?;
                 days_since_ckpt = 0;
             }
         }
         ingest.batch_wall = batch_wall.snapshot();
         ingest.slowest = slowest;
-        // The final state is always persisted (when checkpointing at all).
-        if days_since_ckpt > 0 {
-            self.write_checkpoint(&state, root.id())?;
+        // The final day is always recorded (when checkpointing at all).
+        if let Some(last) = state.through().filter(|_| days_since_ckpt > 0) {
+            self.save_checkpoint(data, last, root.id())?;
         }
         let stage_ingest = StageMetrics {
             name: "ingest".to_string(),
@@ -592,29 +529,5 @@ impl Engine {
             events,
             audit,
         })
-    }
-
-    fn write_checkpoint(
-        &self,
-        state: &IncrementalState<'_>,
-        parent: SpanId,
-    ) -> Result<(), EngineError> {
-        let Some(path) = &self.config.checkpoint else {
-            return Ok(());
-        };
-        let Some(cp) = state.snapshot() else {
-            return Ok(());
-        };
-        let save_start = Instant::now();
-        let mut span = self.obs.trace.child(parent, "checkpoint.save");
-        span.count("shards", cp.shards as u64);
-        let result = cp.save(path).map_err(EngineError::Checkpoint);
-        drop(span);
-        self.obs.registry.add("checkpoint.saves", 1);
-        self.obs.registry.observe_latency_us(
-            "checkpoint.save_us",
-            save_start.elapsed().as_micros() as u64,
-        );
-        result
     }
 }

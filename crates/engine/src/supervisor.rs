@@ -4,8 +4,7 @@
 //! threads. A shard that panics is caught with `catch_unwind`, retried
 //! once in place, and — if it panics again — reported as a
 //! [`DegradedShard`] while every other shard's results survive. Results
-//! flow back over a bounded channel so the supervisor can checkpoint each
-//! completion incrementally.
+//! flow back to the supervisor over a bounded channel.
 //!
 //! Observability: every attempt runs under its own span (child of the
 //! caller's detect span), panic recoveries get a marker span, and the
@@ -50,19 +49,15 @@ pub type ShardResult<T> = Option<(usize, u32, T)>;
 
 /// Run `jobs` shard jobs on `workers` threads. `run(shard, attempt, span)`
 /// does the work (attempt counts from 1; `span` is the attempt's span id,
-/// for nesting child spans); `on_complete(shard, attempts, &mut T)` is
-/// called on the supervisor thread after each success, in completion
-/// order (for incremental checkpointing; it may take parts of the value
-/// it persists). Returns per-shard results in
-/// shard order (`None` for degraded shards), the degraded list sorted by
-/// shard, and the queue-depth histogram.
+/// for nesting child spans). Returns per-shard results in shard order
+/// (`None` for degraded shards), the degraded list sorted by shard, and
+/// the queue-depth histogram.
 pub fn run_shards<T, F>(
     jobs: Vec<usize>,
     workers: usize,
     obs: &Obs,
     parent: SpanId,
     run: F,
-    mut on_complete: impl FnMut(usize, u32, &mut T),
 ) -> (Vec<ShardResult<T>>, Vec<DegradedShard>, Histogram)
 where
     T: Send,
@@ -156,11 +151,8 @@ where
                 JobResult::Done {
                     shard,
                     attempts,
-                    mut value,
-                } => {
-                    on_complete(shard, attempts, &mut value);
-                    results[shard] = Some((shard, attempts, value));
-                }
+                    value,
+                } => results[shard] = Some((shard, attempts, value)),
                 JobResult::Failed(d) => degraded.push(d),
             }
         }
@@ -190,14 +182,10 @@ mod tests {
     #[test]
     fn all_jobs_complete() {
         let obs = Obs::disabled();
-        let (results, degraded, depths) = run_shards(
-            vec![0, 1, 2, 3],
-            2,
-            &obs,
-            SpanId::none(),
-            |shard, _, _| shard * 10,
-            |_, _, _| {},
-        );
+        let (results, degraded, depths) =
+            run_shards(vec![0, 1, 2, 3], 2, &obs, SpanId::none(), |shard, _, _| {
+                shard * 10
+            });
         assert!(degraded.is_empty());
         let values: Vec<usize> = results.into_iter().map(|r| r.unwrap().2).collect();
         assert_eq!(values, vec![0, 10, 20, 30]);
@@ -207,19 +195,13 @@ mod tests {
     #[test]
     fn panicking_shard_degrades_others_survive() {
         let obs = Obs::disabled();
-        let (results, degraded, _) = run_shards(
-            vec![0, 1, 2],
-            2,
-            &obs,
-            SpanId::none(),
-            |shard, _, _| {
+        let (results, degraded, _) =
+            run_shards(vec![0, 1, 2], 2, &obs, SpanId::none(), |shard, _, _| {
                 if shard == 1 {
                     panic!("shard 1 is cursed");
                 }
                 shard
-            },
-            |_, _, _| {},
-        );
+            });
         assert_eq!(degraded.len(), 1);
         assert_eq!(degraded[0].shard, 1);
         assert_eq!(degraded[0].attempts, MAX_ATTEMPTS);
@@ -235,20 +217,14 @@ mod tests {
     fn first_attempt_panic_is_retried() {
         let obs = Obs::disabled();
         let tries = AtomicUsize::new(0);
-        let (results, degraded, _) = run_shards(
-            vec![0],
-            1,
-            &obs,
-            SpanId::none(),
-            |shard, attempt, _| {
+        let (results, degraded, _) =
+            run_shards(vec![0], 1, &obs, SpanId::none(), |shard, attempt, _| {
                 tries.fetch_add(1, Ordering::SeqCst);
                 if attempt == 1 {
                     panic!("transient");
                 }
                 shard + 100
-            },
-            |_, _, _| {},
-        );
+            });
         assert!(degraded.is_empty());
         assert_eq!(tries.load(Ordering::SeqCst), 2);
         let (shard, attempts, value) = results[0].unwrap();
@@ -257,39 +233,16 @@ mod tests {
     }
 
     #[test]
-    fn completion_callback_sees_every_success() {
-        let obs = Obs::disabled();
-        let mut seen = Vec::new();
-        run_shards(
-            vec![3, 5],
-            2,
-            &obs,
-            SpanId::none(),
-            |shard, _, _| shard,
-            |shard, _, _| seen.push(shard),
-        );
-        seen.sort_unstable();
-        assert_eq!(seen, vec![3, 5]);
-    }
-
-    #[test]
     fn attempt_spans_nest_under_parent_with_recovery_markers() {
         let obs = Obs::enabled();
         let root = obs.span("detect");
         let root_id = root.id();
-        run_shards(
-            vec![0],
-            1,
-            &obs,
-            root_id,
-            |_, attempt, _| {
-                if attempt == 1 {
-                    panic!("transient");
-                }
-                0usize
-            },
-            |_, _, _| {},
-        );
+        run_shards(vec![0], 1, &obs, root_id, |_, attempt, _| {
+            if attempt == 1 {
+                panic!("transient");
+            }
+            0usize
+        });
         drop(root);
         let records = obs.trace.records();
         let attempts: Vec<_> = records

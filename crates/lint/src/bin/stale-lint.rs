@@ -27,7 +27,7 @@
 use stale_lint::diagnostics::{render_human, render_json};
 use stale_lint::reach::Analysis;
 use stale_lint::{preflight, rules, source, Baseline};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn analysis_for(root: &PathBuf) -> Result<Analysis, ExitCode> {
+fn analysis_for(root: &Path) -> Result<Analysis, ExitCode> {
     match source::collect_sources(root) {
         Ok(files) => Ok(Analysis::new(&files)),
         Err(e) => {

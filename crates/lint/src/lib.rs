@@ -37,8 +37,8 @@
 //!   certificate, CRL entries under an issuer key present in the log,
 //!   strictly chronological per-domain WHOIS/DNS streams, a fingerprint
 //!   that re-folds, …), an engine checkpoint through
-//!   [`engine::Checkpoint`]'s validator (schema version, shard order,
-//!   sorted and unique ledgers), and the observability exports through
+//!   [`engine::Checkpoint`]'s decoder (schema version and shape), and
+//!   the observability exports through
 //!   theirs. Preflight only dispatches, so a file passes it exactly when
 //!   the program would load it. The paper's own pipeline had to
 //!   sanitize its CRL/CT/WHOIS feeds before analysis (§4); this is the

@@ -10,9 +10,8 @@
 //! silently-wrong report. This module holds no rule of its own:
 //! * engine checkpoints ([`engine::checkpoint`]): a file that
 //!   [`engine::Checkpoint::decode`] refuses is `checkpoint-version` or
-//!   `checkpoint-parse`; otherwise every
-//!   [`engine::Checkpoint::violations`] entry under its rule id
-//!   (`checkpoint-shards`, `checkpoint-order`, `checkpoint-monotone`);
+//!   `checkpoint-parse` (a checkpoint holds only a schema version, a
+//!   world fingerprint and a day, so a file that decodes is well formed);
 //! * world-fact logs (`repro --export-worldlog`): `worldlog-schema`, one
 //!   per violation that [`worldsim::WorldLog::from_jsonl`] and
 //!   [`worldsim::WorldLog::to_datasets`] find
@@ -60,7 +59,8 @@ pub fn preflight_path(path: &Path) -> Vec<Diagnostic> {
 /// with a `stale-obs-trace`, `stale-obs-audit` or `stale-obs-worldlog`
 /// header is a span trace, decision audit or world-fact log; a JSON
 /// document with a `stale-obs-metrics` schema tag a metrics export, and
-/// one with `states` (or an earlier schema's `completed`) a checkpoint.
+/// one with a `fingerprint` (the world key every checkpoint schema
+/// carries) a checkpoint.
 pub fn preflight_str(label: &str, text: &str) -> Vec<Diagnostic> {
     // Trace, audit and world-log exports are JSONL, not one JSON
     // document — sniff their header line before insisting the whole
@@ -102,13 +102,13 @@ pub fn preflight_str(label: &str, text: &str) -> Vec<Diagnostic> {
             Err(e) => vec![diag("metrics-parse", label, e)],
             Ok(snapshot) => named("metrics-schema", label, snapshot.validate()),
         }
-    } else if value.get("states").is_some() || value.get("completed").is_some() {
+    } else if value.get("fingerprint").is_some() {
         preflight_checkpoint(label, &value)
     } else {
         vec![diag(
             "preflight-schema",
             label,
-            "file is neither a checkpoint (no `states`/`completed`) nor an observability \
+            "file is neither a checkpoint (no `fingerprint`) nor an observability \
              export or world-fact log (no recognized `schema` tag)"
                 .to_string(),
         )]
@@ -128,11 +128,7 @@ pub fn preflight_checkpoint(label: &str, value: &Value) -> Vec<Diagnostic> {
             )]
         }
         Err(why) => vec![diag("checkpoint-parse", label, why.to_string())],
-        Ok(cp) => cp
-            .violations()
-            .into_iter()
-            .map(|v| diag(v.rule(), label, v.message().to_string()))
-            .collect(),
+        Ok(_) => Vec::new(),
     }
 }
 

@@ -3,11 +3,9 @@
 //! freshly exported world-fact log, checkpoint and observability export
 //! pass clean.
 
-use engine::checkpoint::{Checkpoint, ShardStateSnapshot};
-use stale_core::incremental::{SavedKc, SavedMtd, SavedRc};
+use engine::checkpoint::Checkpoint;
 use stale_lint::preflight::preflight_str;
-use stale_types::domain::dn;
-use stale_types::{CertId, Date, KeyId, SerialNumber};
+use stale_types::Date;
 use std::sync::OnceLock;
 use worldsim::{ScenarioConfig, World};
 
@@ -18,19 +16,8 @@ fn rules(diags: &[stale_lint::Diagnostic]) -> Vec<&'static str> {
     rules
 }
 
-fn empty_state(shard: usize) -> ShardStateSnapshot {
-    ShardStateSnapshot {
-        shard,
-        kc: SavedKc::default(),
-        rc: SavedRc::default(),
-        mtd: SavedMtd::default(),
-    }
-}
-
 fn minimal_checkpoint() -> Checkpoint {
-    let mut cp = Checkpoint::new(7, 1, Date::parse("2022-11-30").unwrap());
-    cp.insert(empty_state(0));
-    cp
+    Checkpoint::new(7, Date::parse("2022-11-30").unwrap())
 }
 
 #[test]
@@ -38,109 +25,24 @@ fn well_formed_checkpoint_passes() {
     let json = serde_json::to_string(&minimal_checkpoint()).unwrap();
     let diags = preflight_str("ckpt", &json);
     assert!(diags.is_empty(), "{diags:?}");
-    // A batch checkpoint holding a subset of the shards is well formed.
-    let mut partial = Checkpoint::new(7, 4, Date::parse("2022-11-30").unwrap());
-    partial.insert(empty_state(2));
-    let json = serde_json::to_string(&partial).unwrap();
-    let diags = preflight_str("ckpt", &json);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn checkpoint_shard_order_violations_named() {
-    let mut cp = Checkpoint::new(7, 2, Date::parse("2022-11-30").unwrap());
-    cp.states = vec![empty_state(1), empty_state(0)];
-    let json = serde_json::to_string(&cp).unwrap();
-    let diags = preflight_str("ckpt", &json);
-    assert_eq!(rules(&diags), ["checkpoint-order"], "{diags:?}");
-
-    cp.states = vec![empty_state(0), empty_state(0)];
-    let json = serde_json::to_string(&cp).unwrap();
-    let diags = preflight_str("ckpt", &json);
-    assert_eq!(rules(&diags), ["checkpoint-order"], "{diags:?}");
-
-    let mut cp = minimal_checkpoint();
-    cp.states[0].shard = 3; // beyond the declared width
-    let json = serde_json::to_string(&cp).unwrap();
-    let diags = preflight_str("ckpt", &json);
-    assert_eq!(rules(&diags), ["checkpoint-shards"], "{diags:?}");
-}
-
-#[test]
-fn checkpoint_monotonicity_violations_named() {
-    // kc index with non-increasing cert ids.
-    let mut cp = minimal_checkpoint();
-    cp.states[0].kc = SavedKc {
-        index: vec![
-            (
-                KeyId::from_bytes([1; 20]),
-                SerialNumber(1),
-                CertId::from_bytes([9; 32]),
-            ),
-            (
-                KeyId::from_bytes([1; 20]),
-                SerialNumber(2),
-                CertId::from_bytes([3; 32]),
-            ),
-        ],
-        losers: Vec::new(),
-    };
-    let json = serde_json::to_string(&cp).unwrap();
-    let diags = preflight_str("ckpt", &json);
-    assert!(
-        diags.iter().any(|d| d.rule == "checkpoint-monotone"),
-        "{diags:?}"
-    );
-
-    // Unsorted delegated domains, and a domain both delegated and not.
-    let mut cp = minimal_checkpoint();
-    cp.states[0].mtd = SavedMtd {
-        delegated: vec![dn("b.com"), dn("a.com")],
-        undelegated: vec![dn("b.com")],
-        departures: Vec::new(),
-        certs_by_customer: Vec::new(),
-    };
-    let json = serde_json::to_string(&cp).unwrap();
-    let diags = preflight_str("ckpt", &json);
-    assert!(
-        diags.iter().any(|d| d.rule == "checkpoint-order"),
-        "{diags:?}"
-    );
-
-    // Non-chronological per-domain creation dates.
-    let mut cp = minimal_checkpoint();
-    cp.states[0].rc = SavedRc {
-        certs_by_e2ld: Vec::new(),
-        creations: vec![(
-            dn("a.com"),
-            vec![
-                Date::parse("2021-05-01").unwrap(),
-                Date::parse("2020-01-01").unwrap(),
-            ],
-        )],
-    };
-    let json = serde_json::to_string(&cp).unwrap();
-    let diags = preflight_str("ckpt", &json);
-    assert!(
-        diags.iter().any(|d| d.rule == "checkpoint-monotone"),
-        "{diags:?}"
-    );
 }
 
 #[test]
 fn earlier_checkpoint_schemas_are_named_by_version() {
-    // A v3 batch checkpoint (completed shards) and a v2 incremental one
-    // (shard states): both are stale schemas, named, not misparsed.
+    // A v3 batch checkpoint (completed shards) and v2 and v4 ones (shard
+    // states): all stale schemas, named, not misparsed.
     let v3 = r#"{"version": 3, "fingerprint": 7, "shards": 2, "completed": []}"#;
     let diags = preflight_str("ckpt", v3);
     assert_eq!(rules(&diags), ["checkpoint-version"], "{diags:?}");
-    let mut v2 = minimal_checkpoint();
-    v2.version = 2;
-    let json = serde_json::to_string(&v2).unwrap();
-    let diags = preflight_str("ckpt", &json);
-    assert_eq!(rules(&diags), ["checkpoint-version"], "{diags:?}");
+    for version in [2, 4] {
+        let mut old = minimal_checkpoint();
+        old.version = version;
+        let json = serde_json::to_string(&old).unwrap();
+        let diags = preflight_str("ckpt", &json);
+        assert_eq!(rules(&diags), ["checkpoint-version"], "{diags:?}");
+    }
     // The right version with the wrong shape is a parse failure.
-    let malformed = r#"{"version": 4, "fingerprint": 7, "shards": 2, "states": 5}"#;
+    let malformed = r#"{"version": 5, "fingerprint": 7, "through": 5}"#;
     let diags = preflight_str("ckpt", malformed);
     assert_eq!(rules(&diags), ["checkpoint-parse"], "{diags:?}");
 }

@@ -13,10 +13,11 @@
 //! --delay-days N
 //!               hold fed days back from queries for N fed days
 //! --checkpoint FILE
-//!               restore detector state from FILE at boot (a complete
-//!               batch or incremental checkpoint of the same world and
-//!               width; anything else is refused with the reason on
-//!               stderr) and use it as the default `snapshot` target
+//!               resume from FILE at boot: re-fold the feed through the
+//!               day it records (a batch, incremental or daemon
+//!               checkpoint of the same world, taken at any width;
+//!               anything else is refused with the reason on stderr)
+//!               and use it as the default `snapshot` target
 //! --checkpoint-every N
 //!               auto-snapshot to the --checkpoint file after every N
 //!               ingested days (needs --checkpoint)

@@ -68,8 +68,9 @@ pub struct DaemonConfig {
     /// Days a fed day is held back from queries (0 = immediate).
     pub delay_days: i64,
     /// Checkpoint path: restored at boot when present and matching (a
-    /// complete batch or incremental checkpoint of the same world and
-    /// width), and the default target of the `snapshot` command.
+    /// batch, incremental or daemon checkpoint of the same world, taken
+    /// at any width: boot re-folds the feed through its day), and the
+    /// default target of the `snapshot` command.
     pub checkpoint: Option<PathBuf>,
     /// Address for the read-only HTTP telemetry plane (`None` = off).
     pub http: Option<String>,
@@ -665,9 +666,8 @@ impl<'w> Actor<'w> {
             started.elapsed().as_micros() as u64,
         );
         Ok(format!(
-            "wrote checkpoint through {} ({} shard(s)) to {}",
+            "wrote checkpoint through {} to {}",
             cp.through,
-            cp.shards,
             path.display()
         ))
     }
@@ -725,10 +725,11 @@ fn run_actor(cfg: DaemonConfig, rx: Receiver<ActorMsg>, obs: Obs, subs: Subscrib
         build_start.elapsed().as_micros() as u64,
     );
     let shards = cfg.shards.max(1);
+    let feed = DayFeed::new(&data);
     let restored = cfg.checkpoint.as_deref().and_then(|path| {
-        Checkpoint::load(path, data.fingerprint(), shards)
+        Checkpoint::load(path, data.fingerprint())
             .and_then(|cp| {
-                cp.map(|cp| IncrementalState::restore(&data, &psl, &cp))
+                cp.map(|cp| IncrementalState::restore(&data, &psl, shards, &feed, &cp))
                     .transpose()
             })
             .unwrap_or_else(|why| {
@@ -749,7 +750,7 @@ fn run_actor(cfg: DaemonConfig, rx: Receiver<ActorMsg>, obs: Obs, subs: Subscrib
         preset: cfg.preset,
         data: &data,
         psl: &psl,
-        feed: DayFeed::new(&data),
+        feed,
         state,
         fed,
         delay_days: cfg.delay_days,

@@ -73,17 +73,6 @@ impl<'a> ManagedTlsDetector<'a> {
             .collect()
     }
 
-    /// Whether `customer` is one of the customers a managed `cert`
-    /// carries: a non-wildcard, non-marker SAN of a provider-managed
-    /// certificate — what a certificate listed under that customer must
-    /// be.
-    pub(crate) fn carries_customer(&self, cert: &DedupedCert, customer: &DomainName) -> bool {
-        !customer.is_wildcard()
-            && !self.is_marker_san(customer)
-            && self.is_managed_cert(cert)
-            && cert.certificate.tbs.san().contains(customer)
-    }
-
     /// Detect departures over `window` and return the stale certificates:
     /// the serial reference the engine's fold is compared against. Each
     /// customer, in sorted order, is evaluated once over every managed

@@ -44,16 +44,6 @@ impl<'a> RegistrantChangeDetector<'a> {
         seen_e2lds
     }
 
-    /// Whether `cert` names a SAN under `e2ld` — what a certificate
-    /// listed under that e2LD must do.
-    pub(crate) fn names_e2ld(&self, cert: &DedupedCert, e2ld: &DomainName) -> bool {
-        cert.certificate.tbs.san().iter().any(|san| {
-            self.psl
-                .e2ld_of_san_str(san)
-                .is_ok_and(|e| e == e2ld.as_str())
-        })
-    }
-
     /// The §4.2 test for one `(change, certificate)` pair: if the
     /// certificate's validity strictly spans the new creation date, build
     /// its stale record. Both the serial detector and the fold call this,

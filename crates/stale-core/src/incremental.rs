@@ -22,25 +22,22 @@
 //! reconstructs **exactly** the serial detector's output over what was
 //! folded, so the deterministic merges produce byte-identical reports
 //! (`tests/engine_equivalence.rs` and `tests/incremental_equivalence.rs`
-//! assert this). Each state also round-trips through a compact `Saved*`
-//! form (certificate bodies are re-resolved from the CT monitor by id) —
-//! the engine's checkpoint schema. Restoring holds every saved ledger
-//! entry to what a fold of the world through the saved day could hold
-//! ([`RestoreError`]), so a forged or foreign ledger is refused where it
-//! enters instead of surfacing as a wrong or failed merge.
+//! assert this). The states are never persisted: folding is
+//! deterministic, so a state through day D is a pure function of the
+//! world and D, and the engine resumes from a checkpoint by folding the
+//! world's feed through D again.
 
-// Slice indexing here runs over routed-feed and snapshot indices.
+// Slice indexing here runs over routed-feed indices.
 // stale-lint: scope(panic-index)
 
 use crate::detector::key_compromise::{self, JoinOutcome, KcLoser, ShardMatch};
 use crate::detector::managed_tls::{self, ManagedTlsDetector};
 use crate::detector::registrant_change::{self, RegistrantChangeDetector};
 use crate::staleness::StaleCertRecord;
-use ca::scraper::{CrlDataset, RevocationRecord};
-use ct::monitor::{CtMonitor, DedupedCert};
-use dns::scan::{DnsHistory, DnsView};
+use ca::scraper::RevocationRecord;
+use ct::monitor::DedupedCert;
+use dns::scan::DnsView;
 use obs::audit::Provenance;
-use registry::whois::WhoisDataset;
 use serde::{Deserialize, Serialize};
 use stale_types::{CertId, Date, DateInterval, DomainName, KeyId, SerialNumber};
 use std::collections::btree_map::Entry;
@@ -66,21 +63,6 @@ pub struct StaleEvent {
     /// layer attaches. `Option` only for checkpoint/serde compatibility
     /// with pre-audit event streams; new emissions always stamp it.
     pub provenance: Option<Provenance>,
-}
-
-/// Why a saved state cannot be restored over a world.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RestoreError {
-    /// The state names a certificate the CT corpus does not hold.
-    UnknownCertificate,
-    /// A ledger entry that no fold of this world through the saved day
-    /// could hold: the message names the ledger and the entry.
-    Unfounded(String),
-}
-
-/// The corpus certificate a saved ledger names.
-fn resolve<'w>(monitor: &'w CtMonitor, cert_id: &CertId) -> Result<&'w DedupedCert, RestoreError> {
-    monitor.get(cert_id).ok_or(RestoreError::UnknownCertificate)
 }
 
 /// An interning table for domain names: dense `u32` ids for hash-heavy
@@ -150,7 +132,7 @@ pub struct KcIncremental<'w> {
     cutoff: Date,
     /// `(AKI, serial)` → certificate, max `cert_id` winning ties (the
     /// batch join's insert-overwrite winner over a cert-id-ordered corpus).
-    /// Ordered so `save()` iterates deterministically.
+    /// Ordered: `finish()` probes it in key order.
     index: BTreeMap<(KeyId, SerialNumber), &'w DedupedCert>,
     /// CRL records seen so far, by global CRL index.
     seen: BTreeMap<usize, &'w RevocationRecord>,
@@ -160,19 +142,6 @@ pub struct KcIncremental<'w> {
     /// (every key, whether or not a CRL record ever probed it; the
     /// [`KcIncremental::losers`] accessor filters to probed keys).
     losers: BTreeMap<(KeyId, SerialNumber), BTreeSet<CertId>>,
-}
-
-/// Compact checkpoint form of [`KcIncremental`]: the certificate index
-/// only. The CRL side is rebuilt from the dataset (records observed on or
-/// before the checkpoint day), which is cheap relative to re-routing and
-/// re-indexing the certificate corpus.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SavedKc {
-    /// `(AKI, serial, winning cert id)` rows of the join index.
-    pub index: Vec<(KeyId, SerialNumber, CertId)>,
-    /// `(AKI, serial, displaced cert id)` duplicate-fingerprint losers,
-    /// unfiltered, sorted by key then certificate id.
-    pub losers: Vec<(KeyId, SerialNumber, CertId)>,
 }
 
 impl<'w> KcIncremental<'w> {
@@ -294,74 +263,6 @@ impl<'w> KcIncremental<'w> {
         }
         out
     }
-
-    /// Checkpoint form (certificate index plus the duplicate ledger; see
-    /// [`SavedKc`]).
-    pub fn save(&self) -> SavedKc {
-        let mut index: Vec<(KeyId, SerialNumber, CertId)> = self
-            .index
-            .iter()
-            .map(|((aki, serial), cert)| (*aki, *serial, cert.cert_id))
-            .collect();
-        index.sort_by_key(|(_, _, id)| *id);
-        let mut losers = Vec::new();
-        for ((aki, serial), dup_ids) in &self.losers {
-            losers.extend(dup_ids.iter().map(|id| (*aki, *serial, *id)));
-        }
-        SavedKc { index, losers }
-    }
-
-    /// Rebuild from a checkpoint: certificates are re-resolved from the
-    /// monitor by id, and the CRL side is re-seeded with every record
-    /// observed on or before `through`. Refused if the checkpoint names a
-    /// certificate the monitor does not hold, or files one under a key
-    /// other than its own `(AKI, serial)` — no fold of this world could
-    /// hold either, and stale state is discarded rather than trusted.
-    pub fn restore(
-        saved: &SavedKc,
-        monitor: &'w CtMonitor,
-        crl: &'w CrlDataset,
-        through: Date,
-        cutoff: Date,
-    ) -> Result<Self, RestoreError> {
-        let own_key = |ledger: &str, row: &(KeyId, SerialNumber, CertId)| {
-            let (aki, serial, cert_id) = row;
-            let cert = resolve(monitor, cert_id)?;
-            let tbs = &cert.certificate.tbs;
-            if tbs.authority_key_id() == Some(*aki) && tbs.serial == *serial {
-                Ok(cert)
-            } else {
-                Err(RestoreError::Unfounded(format!(
-                    "{ledger} files certificate {cert_id} under ({aki}, {serial}), not its own AKI and serial"
-                )))
-            }
-        };
-        let mut state = KcIncremental::new(cutoff);
-        for row in &saved.index {
-            state
-                .index
-                .insert((row.0, row.1), own_key("kc.index", row)?);
-        }
-        for row in &saved.losers {
-            own_key("kc.losers", row)?;
-            state
-                .losers
-                .entry((row.0, row.1))
-                .or_default()
-                .insert(row.2);
-        }
-        for (idx, rec) in crl.records().iter().enumerate() {
-            if rec.observed <= through {
-                state.seen.insert(idx, rec);
-                state
-                    .seen_by_key
-                    .entry((rec.authority_key_id, rec.serial))
-                    .or_default()
-                    .push(idx);
-            }
-        }
-        Ok(state)
-    }
 }
 
 fn push_kc_event(
@@ -394,7 +295,6 @@ pub struct RcIncremental<'w> {
     /// Interned e2LD table shared by both sides of the join.
     interner: DomainInterner,
     /// e2LD id → certificates naming it (arrival order; the merge sorts).
-    /// Ordered so `save()` and `restore()` iterate deterministically.
     certs_by_e2ld: BTreeMap<u32, Vec<&'w DedupedCert>>,
     /// e2LD id → every creation date observed, chronological. Entries
     /// after the first are registrant changes.
@@ -405,15 +305,6 @@ pub struct RcIncremental<'w> {
     /// [`RcIncremental::finish`] an O(matches) copy instead of a full
     /// re-derivation.
     matches: Vec<StaleCertRecord>,
-}
-
-/// Compact checkpoint form of [`RcIncremental`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SavedRc {
-    /// e2LD → certificate ids naming it, in arrival order.
-    pub certs_by_e2ld: Vec<(DomainName, Vec<CertId>)>,
-    /// Domain → creation dates observed, chronological.
-    pub creations: Vec<(DomainName, Vec<Date>)>,
 }
 
 impl<'w> RcIncremental<'w> {
@@ -547,89 +438,6 @@ impl<'w> RcIncremental<'w> {
         }
         out
     }
-
-    /// Checkpoint form.
-    pub fn save(&self) -> SavedRc {
-        let mut certs_by_e2ld: Vec<(DomainName, Vec<CertId>)> = self
-            .certs_by_e2ld
-            .iter()
-            .filter_map(|(id, certs)| {
-                let name = self.interner.name(*id)?;
-                Some((name.clone(), certs.iter().map(|c| c.cert_id).collect()))
-            })
-            .collect();
-        certs_by_e2ld.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut creations: Vec<(DomainName, Vec<Date>)> = self
-            .creations
-            .iter()
-            .filter_map(|(id, dates)| {
-                let name = self.interner.name(*id)?;
-                Some((name.clone(), dates.clone()))
-            })
-            .collect();
-        creations.sort_by(|a, b| a.0.cmp(&b.0));
-        SavedRc {
-            certs_by_e2ld,
-            creations,
-        }
-    }
-
-    /// Rebuild from a checkpoint, re-resolving certificates by id. The
-    /// match ledger is not checkpointed; it is re-derived here, once, from
-    /// the restored join state (the full cross product of changes and
-    /// certificates, exactly the pairs ingestion would have discovered).
-    /// Refused if the checkpoint names a certificate the monitor does not
-    /// hold, lists a certificate under an e2LD it does not name, or holds
-    /// a creation date that is not one of `whois`'s for that domain on or
-    /// before `through`.
-    pub fn restore(
-        saved: &SavedRc,
-        monitor: &'w CtMonitor,
-        detector: &RegistrantChangeDetector<'_>,
-        whois: &WhoisDataset,
-        through: Date,
-    ) -> Result<Self, RestoreError> {
-        let mut state = RcIncremental::new();
-        for (domain, cert_ids) in &saved.certs_by_e2ld {
-            let mut certs = Vec::with_capacity(cert_ids.len());
-            for cert_id in cert_ids {
-                let cert = resolve(monitor, cert_id)?;
-                if !detector.names_e2ld(cert, domain) {
-                    return Err(RestoreError::Unfounded(format!(
-                        "rc.certs_by_e2ld lists certificate {cert_id} under {domain}, which it does not name"
-                    )));
-                }
-                certs.push(cert);
-            }
-            let id = state.interner.intern(domain);
-            state.certs_by_e2ld.insert(id, certs);
-        }
-        for (domain, dates) in &saved.creations {
-            let held = whois.creation_dates(domain);
-            if let Some(date) = dates.iter().find(|d| **d > through || !held.contains(d)) {
-                return Err(RestoreError::Unfounded(format!(
-                    "rc.creations holds {date} for {domain}, not a WHOIS creation date of it through {through}"
-                )));
-            }
-            let id = state.interner.intern(domain);
-            state.creations.insert(id, dates.clone());
-        }
-        for (id, dates) in &state.creations {
-            let (Some(domain), Some(certs)) =
-                (state.interner.name(*id), state.certs_by_e2ld.get(id))
-            else {
-                continue;
-            };
-            for creation in dates.iter().skip(1) {
-                for cert in certs {
-                    state
-                        .matches
-                        .extend(detector.stale_record(domain, *creation, cert));
-                }
-            }
-        }
-        Ok(state)
-    }
 }
 
 impl Default for RcIncremental<'_> {
@@ -650,27 +458,12 @@ pub struct MtdIncremental<'w> {
     /// Scan-target interner for the delegation status machine.
     interner: DomainInterner,
     /// Interned scan target → currently delegated to the provider.
-    /// Ordered so `save()` iterates deterministically.
     delegated: BTreeMap<u32, bool>,
     /// Open departure ledgers: customer → departure days (chronological),
     /// kept even before any certificate names the customer.
     departures: BTreeMap<DomainName, Vec<Date>>,
     /// Customer → managed certificates naming it (owned customers only).
     certs_by_customer: BTreeMap<DomainName, Vec<&'w DedupedCert>>,
-}
-
-/// Compact checkpoint form of [`MtdIncremental`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SavedMtd {
-    /// Scan targets currently delegated to the provider.
-    pub delegated: Vec<DomainName>,
-    /// Scan targets seen but not currently delegated (distinguishes
-    /// "observed off" from "never observed").
-    pub undelegated: Vec<DomainName>,
-    /// Customer → departure days.
-    pub departures: Vec<(DomainName, Vec<Date>)>,
-    /// Customer → managed certificate ids naming it.
-    pub certs_by_customer: Vec<(DomainName, Vec<CertId>)>,
 }
 
 impl<'w> MtdIncremental<'w> {
@@ -810,100 +603,6 @@ impl<'w> MtdIncremental<'w> {
             }
         }
         out
-    }
-
-    /// Checkpoint form.
-    pub fn save(&self) -> SavedMtd {
-        let mut delegated = Vec::new();
-        let mut undelegated = Vec::new();
-        for (id, on) in &self.delegated {
-            let Some(name) = self.interner.name(*id) else {
-                continue;
-            };
-            if *on {
-                delegated.push(name.clone());
-            } else {
-                undelegated.push(name.clone());
-            }
-        }
-        delegated.sort();
-        undelegated.sort();
-        SavedMtd {
-            delegated,
-            undelegated,
-            departures: self
-                .departures
-                .iter()
-                .map(|(d, days)| (d.clone(), days.clone()))
-                .collect(),
-            certs_by_customer: self
-                .certs_by_customer
-                .iter()
-                .map(|(d, certs)| (d.clone(), certs.iter().map(|c| c.cert_id).collect()))
-                .collect(),
-        }
-    }
-
-    /// Rebuild from a checkpoint, re-resolving certificates by id.
-    /// Refused if the checkpoint names a certificate the monitor does not
-    /// hold or one that does not carry the customer it is listed under,
-    /// records a departure that is not an undelegation day of the
-    /// target's `adns` change log inside the window, or flags a target
-    /// delegated or undelegated against its DNS state at `through`.
-    pub fn restore(
-        saved: &SavedMtd,
-        monitor: &'w CtMonitor,
-        detector: &ManagedTlsDetector<'_>,
-        adns: &DnsHistory,
-        window: DateInterval,
-        through: Date,
-    ) -> Result<Self, RestoreError> {
-        let mut state = MtdIncremental::new(window);
-        for (ledger, domains, on) in [
-            ("mtd.delegated", &saved.delegated, true),
-            ("mtd.undelegated", &saved.undelegated, false),
-        ] {
-            for domain in domains {
-                let view = adns.view_at(domain, through);
-                if view.is_none_or(|v| detector.is_delegated(v) != on) {
-                    return Err(RestoreError::Unfounded(format!(
-                        "{ledger} lists {domain}, whose DNS state on {through} says otherwise"
-                    )));
-                }
-                let id = state.interner.intern(domain);
-                state.delegated.insert(id, on);
-            }
-        }
-        for (domain, days) in &saved.departures {
-            let log = adns.change_log(domain);
-            let departed = |day: &Date| {
-                let i = log.partition_point(|(d, _)| d < day);
-                let before = i.checked_sub(1).and_then(|p| log.get(p));
-                matches!((before, log.get(i)), (Some((_, was)), Some((d, now)))
-                    if d == day && detector.is_delegated(was) && !detector.is_delegated(now))
-            };
-            let inside = |day: &Date| *day > window.start && *day < window.end && *day <= through;
-            if let Some(day) = days.iter().find(|d| !inside(d) || !departed(d)) {
-                return Err(RestoreError::Unfounded(format!(
-                    "mtd.departures holds {day} for {domain}, not an undelegation day of its DNS change log in the window through {through}"
-                )));
-            }
-            state.departures.insert(domain.clone(), days.clone());
-        }
-        for (domain, cert_ids) in &saved.certs_by_customer {
-            let mut certs = Vec::with_capacity(cert_ids.len());
-            for cert_id in cert_ids {
-                let cert = resolve(monitor, cert_id)?;
-                if !detector.carries_customer(cert, domain) {
-                    return Err(RestoreError::Unfounded(format!(
-                        "mtd.certs_by_customer lists certificate {cert_id} under {domain}, a customer it does not carry"
-                    )));
-                }
-                certs.push(cert);
-            }
-            state.certs_by_customer.insert(domain.clone(), certs);
-        }
-        Ok(state)
     }
 }
 

@@ -25,7 +25,6 @@ use ca::scraper::RevocationRecord;
 use ct::monitor::DedupedCert;
 use dns::scan::DnsView;
 use stale_types::{Date, DomainName};
-use std::collections::BTreeMap;
 
 /// Everything that became observable in one day range (inclusive).
 ///
@@ -59,13 +58,41 @@ impl DayDelta<'_> {
     }
 }
 
-/// A date-indexed view of the four datasets. Construction is one linear
-/// pass over the bundle; each [`Self::delta`] is a range query.
+/// Items tagged with the day they became observable, stable-sorted by it:
+/// within a day, items keep the order the dataset walk produced them in.
+struct Dated<T>(Vec<(Date, T)>);
+
+impl<T: Copy> Dated<T> {
+    fn new(items: impl Iterator<Item = (Date, T)>) -> Self {
+        let mut items: Vec<(Date, T)> = items.collect();
+        items.sort_by_key(|(day, _)| *day);
+        Dated(items)
+    }
+
+    /// The items dated in `[from, to]`, in feed order.
+    fn range(&self, from: Date, to: Date) -> &[(Date, T)] {
+        let lo = self.0.partition_point(|(day, _)| *day < from);
+        let hi = self.0.partition_point(|(day, _)| *day <= to);
+        self.0.get(lo..hi).unwrap_or_default()
+    }
+
+    fn earliest_day(&self) -> Option<Date> {
+        self.0.first().map(|(day, _)| *day)
+    }
+
+    fn latest_day(&self) -> Option<Date> {
+        self.0.last().map(|(day, _)| *day)
+    }
+}
+
+/// A date-indexed view of the four datasets: one flat, day-sorted vector
+/// per dataset, built by one walk over the bundle; each [`Self::delta`]
+/// is a binary search per dataset plus a copy of the range.
 pub struct DayFeed<'w> {
-    certs: BTreeMap<Date, Vec<&'w DedupedCert>>,
-    crl: BTreeMap<Date, Vec<(usize, &'w RevocationRecord)>>,
-    whois: BTreeMap<Date, Vec<(&'w DomainName, Date)>>,
-    dns: BTreeMap<Date, Vec<(&'w DomainName, &'w DnsView)>>,
+    certs: Dated<&'w DedupedCert>,
+    crl: Dated<(usize, &'w RevocationRecord)>,
+    whois: Dated<&'w DomainName>,
+    dns: Dated<(&'w DomainName, &'w DnsView)>,
     start: Date,
     end: Date,
 }
@@ -73,35 +100,38 @@ pub struct DayFeed<'w> {
 impl<'w> DayFeed<'w> {
     /// Index `data` by observability day.
     pub fn new(data: &'w WorldDatasets) -> Self {
-        let mut certs: BTreeMap<Date, Vec<&DedupedCert>> = BTreeMap::new();
-        for cert in data.monitor.corpus_unfiltered() {
-            certs.entry(cert.first_seen).or_default().push(cert);
-        }
-        let mut crl: BTreeMap<Date, Vec<(usize, &RevocationRecord)>> = BTreeMap::new();
-        for (index, rec) in data.crl.records().iter().enumerate() {
-            crl.entry(rec.observed).or_default().push((index, rec));
-        }
-        let mut whois: BTreeMap<Date, Vec<(&DomainName, Date)>> = BTreeMap::new();
-        for (domain, creation) in data.whois.observations() {
-            whois.entry(creation).or_default().push((domain, creation));
-        }
-        let mut dns: BTreeMap<Date, Vec<(&DomainName, &DnsView)>> = BTreeMap::new();
-        for (domain, log) in data.adns.change_logs() {
-            for (date, view) in log {
-                dns.entry(*date).or_default().push((domain, view));
-            }
-        }
+        let certs = Dated::new(
+            data.monitor
+                .corpus_unfiltered()
+                .map(|cert| (cert.first_seen, cert)),
+        );
+        let crl = Dated::new(
+            data.crl
+                .records()
+                .iter()
+                .enumerate()
+                .map(|(index, rec)| (rec.observed, (index, rec))),
+        );
+        let whois = Dated::new(
+            data.whois
+                .observations()
+                .map(|(domain, creation)| (creation, domain)),
+        );
+        let dns =
+            Dated::new(data.adns.change_logs().flat_map(|(domain, log)| {
+                log.iter().map(move |(date, view)| (*date, (domain, view)))
+            }));
         let first = [
-            certs.keys().next(),
-            crl.keys().next(),
-            whois.keys().next(),
-            dns.keys().next(),
+            certs.earliest_day(),
+            crl.earliest_day(),
+            whois.earliest_day(),
+            dns.earliest_day(),
         ];
         let last = [
-            certs.keys().next_back(),
-            crl.keys().next_back(),
-            whois.keys().next_back(),
-            dns.keys().next_back(),
+            certs.latest_day(),
+            crl.latest_day(),
+            whois.latest_day(),
+            dns.latest_day(),
         ];
         // An empty world still yields a well-formed (empty) feed, and the
         // feed runs at least through the last simulated day.
@@ -109,13 +139,11 @@ impl<'w> DayFeed<'w> {
             .into_iter()
             .flatten()
             .min()
-            .copied()
             .unwrap_or(data.sim_window.start);
         let end = last
             .into_iter()
             .flatten()
             .max()
-            .copied()
             .unwrap_or(data.sim_window.start)
             .max(data.sim_window.end.pred());
         DayFeed {
@@ -141,10 +169,7 @@ impl<'w> DayFeed<'w> {
     /// Total items the feed holds — the item count of its full delta,
     /// without building it.
     pub fn items(&self) -> usize {
-        self.certs.values().map(Vec::len).sum::<usize>()
-            + self.crl.values().map(Vec::len).sum::<usize>()
-            + self.whois.values().map(Vec::len).sum::<usize>()
-            + self.dns.values().map(Vec::len).sum::<usize>()
+        self.certs.0.len() + self.crl.0.len() + self.whois.0.len() + self.dns.0.len()
     }
 
     /// Number of days the feed spans.
@@ -154,24 +179,18 @@ impl<'w> DayFeed<'w> {
 
     /// Everything observable in `[from, to]`, date-major.
     pub fn delta(&self, from: Date, to: Date) -> DayDelta<'w> {
-        let mut delta = DayDelta {
+        DayDelta {
             from,
             to,
-            ..Default::default()
-        };
-        for items in self.certs.range(from..=to).map(|(_, v)| v) {
-            delta.certs.extend(items.iter().copied());
+            certs: self.certs.range(from, to).iter().map(|(_, c)| *c).collect(),
+            crl: self.crl.range(from, to).iter().map(|(_, r)| *r).collect(),
+            whois: (self.whois.range(from, to).iter())
+                .map(|(day, domain)| (*domain, *day))
+                .collect(),
+            dns: (self.dns.range(from, to).iter())
+                .map(|(day, (domain, view))| (*day, *domain, *view))
+                .collect(),
         }
-        for items in self.crl.range(from..=to).map(|(_, v)| v) {
-            delta.crl.extend(items.iter().copied());
-        }
-        for items in self.whois.range(from..=to).map(|(_, v)| v) {
-            delta.whois.extend(items.iter().copied());
-        }
-        for (date, items) in self.dns.range(from..=to) {
-            delta.dns.extend(items.iter().map(|(d, v)| (*date, *d, *v)));
-        }
-        delta
     }
 
     /// Consecutive `[from, to]` windows of `day_batch` days tiling
@@ -210,6 +229,52 @@ mod tests {
         idx.sort_unstable();
         idx.dedup();
         assert_eq!(idx.len(), data.crl.records().len());
+    }
+
+    #[test]
+    fn the_full_delta_is_each_dataset_walk_stable_sorted_by_day_and_days_concatenate_to_it() {
+        let data = World::run(ScenarioConfig::tiny());
+        let feed = DayFeed::new(&data);
+        let full = feed.delta(feed.start(), feed.end());
+        let ids = |certs: &[&DedupedCert]| certs.iter().map(|c| c.cert_id).collect::<Vec<_>>();
+
+        // Each dataset in its own walk order, stable-sorted by the day its
+        // items became observable.
+        let mut certs: Vec<&DedupedCert> = data.monitor.corpus_unfiltered().collect();
+        certs.sort_by_key(|c| c.first_seen);
+        assert_eq!(ids(&full.certs), ids(&certs));
+        let mut crl: Vec<usize> = (0..data.crl.records().len()).collect();
+        crl.sort_by_key(|i| data.crl.records()[*i].observed);
+        let full_crl: Vec<usize> = full.crl.iter().map(|(i, _)| *i).collect();
+        assert_eq!(full_crl, crl);
+        let mut whois: Vec<(&DomainName, Date)> = data.whois.observations().collect();
+        whois.sort_by_key(|(_, day)| *day);
+        assert_eq!(full.whois, whois);
+        let mut dns: Vec<(Date, &DomainName)> = (data.adns.change_logs())
+            .flat_map(|(domain, log)| log.iter().map(move |(day, _)| (*day, domain)))
+            .collect();
+        dns.sort_by_key(|(day, _)| *day);
+        let full_dns: Vec<(Date, &DomainName)> =
+            full.dns.iter().map(|(d, n, _)| (*d, *n)).collect();
+        assert_eq!(full_dns, dns);
+
+        // The single-day deltas, concatenated, are the full delta item for
+        // item.
+        let mut days = DayDelta::default();
+        for (from, to) in feed.batches(feed.start(), 1, feed.end()) {
+            let day = feed.delta(from, to);
+            days.certs.extend(day.certs);
+            days.crl.extend(day.crl);
+            days.whois.extend(day.whois);
+            days.dns.extend(day.dns);
+        }
+        assert_eq!(ids(&days.certs), ids(&full.certs));
+        let days_crl: Vec<usize> = days.crl.iter().map(|(i, _)| *i).collect();
+        assert_eq!(days_crl, full_crl);
+        assert_eq!(days.whois, full.whois);
+        let days_dns: Vec<(Date, &DomainName)> =
+            days.dns.iter().map(|(d, n, _)| (*d, *n)).collect();
+        assert_eq!(days_dns, full_dns);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! One checkpoint schema across modes, saved crash-safely, refused with a
-//! reason.
+//! One checkpoint schema across modes — a position in the day feed —
+//! saved crash-safely, refused with a reason.
 //!
-//! * A complete batch checkpoint resumes the incremental driver and boots
-//!   the daemon with nothing re-ingested; an incremental checkpoint at the
-//!   feed end makes a batch run re-run zero shards. Every path renders the
-//!   same suite and audit bytes.
-//! * Batch and incremental runs fold the same feed items in the same
-//!   order, so their checkpoints at the feed end are byte-identical.
+//! * A batch checkpoint resumes the incremental driver and boots the
+//!   daemon with nothing re-ingested, and a checkpoint taken at one width
+//!   resumes a run at another. Every path renders the same suite, audit
+//!   and table bytes as a clean batch run.
+//! * Batch and incremental runs write the same checkpoint at the feed end.
 //! * The loader refuses a real checkpoint truncated anywhere, and a save
 //!   interrupted before its rename leaves the previous file intact.
 //! * Every refusal names its reason, is counted, and leaves the results
@@ -78,12 +77,19 @@ fn batch_checkpoint_resumes_incremental_and_boots_the_daemon_with_nothing_reinge
         .run(&data, &psl)
         .expect("batch run");
     let expected = report_bytes(&batch);
-    let saved = Checkpoint::load(&path, data.fingerprint(), SHARDS)
+    let saved = Checkpoint::load(&path, data.fingerprint())
         .expect("batch checkpoint loads")
         .expect("batch checkpoint written");
-    assert!(saved.is_complete(), "every shard saved");
     assert_eq!(saved.through, end, "batch saves at the feed end");
+    // The file records a position, nothing else.
     let text = std::fs::read_to_string(&path).expect("read checkpoint");
+    assert_eq!(
+        text,
+        format!(
+            r#"{{"version":5,"fingerprint":{},"through":"{end}"}}"#,
+            data.fingerprint()
+        )
+    );
     let diags = stale_lint::preflight::preflight_str("batch checkpoint", &text);
     assert!(diags.is_empty(), "{diags:?}");
 
@@ -128,38 +134,6 @@ fn batch_checkpoint_resumes_incremental_and_boots_the_daemon_with_nothing_reinge
     assert_eq!(counters.get("served.checkpoint.restores"), Some(&1));
     assert_eq!(counters.get("served.checkpoint.rejected"), None);
     daemon.stop();
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn incremental_checkpoint_at_the_feed_end_reruns_no_batch_shard() {
-    let data = World::run(ScenarioConfig::tiny());
-    let psl = SuffixList::default_list();
-    let path = scratch("incremental.json");
-
-    let mut cfg = config(Some(&path));
-    cfg.day_batch = 30;
-    let incremental = Engine::new(cfg)
-        .run_incremental(&data, &psl)
-        .expect("incremental run");
-    let obs = obs::Obs::enabled();
-    let batch = Engine::new(config(Some(&path)))
-        .with_obs(obs.clone())
-        .run(&data, &psl)
-        .expect("batch resume");
-    assert_eq!(batch.metrics.resumed_shards, SHARDS);
-    assert_eq!(batch.metrics.shards.len(), SHARDS);
-    assert!(batch.metrics.shards.iter().all(|s| s.attempts == 0));
-    let attempts = obs
-        .trace
-        .records()
-        .iter()
-        .filter(|r| r.name.starts_with("shard ") && r.name.contains(" attempt "))
-        .count();
-    assert_eq!(attempts, 0, "no shard was folded again");
-    assert_eq!(report_bytes(&batch), report_bytes(&incremental));
-    let clean = Engine::new(config(None)).run(&data, &psl).expect("clean");
-    assert_eq!(report_bytes(&batch), report_bytes(&clean));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -211,19 +185,19 @@ fn truncated_checkpoints_are_refused_at_every_cut() {
     for k in 0..64 {
         let cut = bytes.len() * k / 64;
         std::fs::write(&cut_path, &bytes[..cut]).expect("write cut");
-        match Checkpoint::load(&cut_path, data.fingerprint(), SHARDS) {
+        match Checkpoint::load(&cut_path, data.fingerprint()) {
             Err(Rejection::Parse(_)) => {}
             other => panic!("cut at {k}/64 ({cut} bytes) gave {other:?}"),
         }
     }
 
-    // An engine handed a truncated file says so, counts it, and starts
-    // fresh with identical results.
+    // The incremental driver handed a truncated file says so, counts it,
+    // and starts fresh with identical results.
     std::fs::write(&cut_path, &bytes[..bytes.len() / 2]).expect("write cut");
     let obs = obs::Obs::enabled();
     let fresh = Engine::new(config(Some(&cut_path)))
         .with_obs(obs.clone())
-        .run(&data, &psl)
+        .run_incremental(&data, &psl)
         .expect("fresh run");
     let why = fresh.metrics.checkpoint_rejected.as_deref().unwrap_or("");
     assert!(why.contains("not a checkpoint"), "{why:?}");
@@ -258,15 +232,15 @@ fn a_save_stopped_before_the_rename_leaves_the_previous_checkpoint_intact() {
     // the target still holds the previous checkpoint, byte for byte.
     assert!(staged.temp_path().exists());
     assert_eq!(std::fs::read(&path).expect("read"), before);
-    let loaded = Checkpoint::load(&path, data.fingerprint(), SHARDS)
+    let loaded = Checkpoint::load(&path, data.fingerprint())
         .expect("previous loads")
         .expect("previous present");
     assert_eq!(loaded, previous);
-    let resumed = IncrementalState::restore(&data, &psl, &loaded).expect("restores");
+    let resumed = IncrementalState::restore(&data, &psl, SHARDS, &feed, &loaded).expect("restores");
     assert_eq!(resumed.through(), Some(mid));
 
     staged.commit().expect("commit");
-    let committed = Checkpoint::load(&path, data.fingerprint(), SHARDS)
+    let committed = Checkpoint::load(&path, data.fingerprint())
         .expect("next loads")
         .expect("next present");
     assert_eq!(committed, next);
@@ -282,66 +256,50 @@ fn refusals_name_their_reason() {
         .run(&data, &psl)
         .expect("batch run");
     let fp = data.fingerprint();
-    let saved = Checkpoint::load(&path, fp, SHARDS)
-        .expect("loads")
-        .expect("present");
 
     assert!(matches!(
-        Checkpoint::load(&path, fp ^ 1, SHARDS),
+        Checkpoint::load(&path, fp ^ 1),
         Err(Rejection::Fingerprint { .. })
-    ));
-    assert!(matches!(
-        Checkpoint::load(&path, fp, SHARDS + 1),
-        Err(Rejection::Width { .. })
     ));
     let unreadable = std::env::temp_dir().join("stale_checkpoint_modes_test");
     assert!(matches!(
-        Checkpoint::load(&unreadable, fp, SHARDS),
+        Checkpoint::load(&unreadable, fp),
         Err(Rejection::Unreadable(_))
     ));
-    let v3 = scratch("v3.json");
-    std::fs::write(
-        &v3,
-        format!(r#"{{"version": 3, "fingerprint": {fp}, "shards": {SHARDS}, "completed": []}}"#),
-    )
-    .expect("write");
-    assert_eq!(
-        Checkpoint::load(&v3, fp, SHARDS),
-        Err(Rejection::Version(Some(3)))
-    );
+    // Earlier schemas — v3 batch completions, v4 stored shard state — are
+    // refused on their version, and preflight names them so.
+    let end = DayFeed::new(&data).end();
+    let old = scratch("old.json");
+    for (version, text) in [
+        (
+            3,
+            format!(
+                r#"{{"version": 3, "fingerprint": {fp}, "shards": {SHARDS}, "completed": []}}"#
+            ),
+        ),
+        (
+            4,
+            format!(
+                r#"{{"version": 4, "fingerprint": {fp}, "shards": 1, "through": "{end}", "states": [{{"shard": 0, "kc": {{"index": [], "losers": []}}, "rc": {{"certs_by_e2ld": [], "creations": []}}, "mtd": {{"delegated": [], "undelegated": [], "departures": [], "certs_by_customer": []}}}}]}}"#
+            ),
+        ),
+    ] {
+        std::fs::write(&old, &text).expect("write");
+        assert_eq!(
+            Checkpoint::load(&old, fp),
+            Err(Rejection::Version(Some(version)))
+        );
+        let rules: Vec<&str> = stale_lint::preflight::preflight_str("old", &text)
+            .iter()
+            .map(|d| d.rule)
+            .collect();
+        assert_eq!(rules, ["checkpoint-version"], "v{version}");
+    }
 
-    let mut permuted = saved.clone();
-    permuted.states.swap(0, 1);
-    assert!(matches!(
-        IncrementalState::restore(&data, &psl, &permuted),
-        Err(Rejection::ShardOrder(_))
-    ));
-    let mut partial = saved.clone();
-    partial.states.pop();
-    assert!(matches!(
-        IncrementalState::restore(&data, &psl, &partial),
-        Err(Rejection::Incomplete { .. })
-    ));
-
-    // State over another world names certificates this corpus lacks.
-    let mut other_cfg = ScenarioConfig::tiny();
-    other_cfg.seed ^= 0x5eed;
-    let other = World::run(other_cfg);
-    let other_path = scratch("other.json");
-    Engine::new(config(Some(&other_path)))
-        .run(&other, &psl)
-        .expect("other batch run");
-    let mut foreign = Checkpoint::load(&other_path, other.fingerprint(), SHARDS)
-        .expect("loads")
-        .expect("present");
-    foreign.fingerprint = fp;
-    assert!(matches!(
-        IncrementalState::restore(&data, &psl, &foreign),
-        Err(Rejection::UnknownCertificate { .. })
-    ));
-
-    // The daemon refuses a permuted file, counts it and starts fresh.
-    permuted.save(&path).expect("save permuted");
+    // The daemon refuses another world's file, counts it and starts fresh.
+    Checkpoint::new(fp ^ 1, end)
+        .save(&path)
+        .expect("save foreign");
     let mut cfg = DaemonConfig::new("tiny", ScenarioConfig::tiny());
     cfg.shards = SHARDS;
     cfg.checkpoint = Some(path.clone());
@@ -353,7 +311,137 @@ fn refusals_name_their_reason() {
     assert_eq!(counters.get("served.checkpoint.rejected"), Some(&1));
     assert_eq!(counters.get("served.checkpoint.restores"), None);
     daemon.stop();
-    for p in [&path, &v3, &other_path] {
+    for p in [&path, &old] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn a_checkpoint_taken_at_one_width_resumes_runs_and_the_daemon_at_another() {
+    let data = World::run(ScenarioConfig::tiny());
+    let psl = SuffixList::default_list();
+    let feed = DayFeed::new(&data);
+    let (start, end) = (feed.start(), feed.end());
+    let mid = start + Duration::days((end - start).num_days() / 2);
+    let clean = Engine::new(config(None)).run(&data, &psl).expect("clean");
+    let expected = report_bytes(&clean);
+    let table4 = TableView {
+        data: &data,
+        psl: &psl,
+        suite: &clean.suite,
+    }
+    .table4();
+
+    // Two shards, through the midpoint.
+    let path = scratch("width_mid.json");
+    let mut first = EngineConfig::with_shards(2);
+    first.checkpoint = Some(path.clone());
+    first.through = Some(mid);
+    first.checkpoint_every_days = feed.day_count() + 1;
+    Engine::new(first)
+        .run_incremental(&data, &psl)
+        .expect("first half");
+    let daemon_path = scratch("width_mid_daemon.json");
+    std::fs::copy(&path, &daemon_path).expect("copy checkpoint");
+
+    // Seven shards resume from it and drain the feed.
+    let mut second = config(Some(&path));
+    second.shards = 7;
+    second.checkpoint_every_days = feed.day_count() + 1;
+    let resumed = Engine::new(second)
+        .run_incremental(&data, &psl)
+        .expect("resumed at seven shards");
+    assert_eq!(resumed.metrics.resumed_shards, 7);
+    assert_eq!(resumed.metrics.checkpoint_rejected, None);
+    let ingest = resumed.metrics.ingest.as_ref().expect("ingest metrics");
+    assert_eq!(ingest.days, (end - mid).num_days() as usize);
+    assert_eq!(report_bytes(&resumed), expected);
+    let resumed_table4 = TableView {
+        data: &data,
+        psl: &psl,
+        suite: &resumed.suite,
+    }
+    .table4();
+    assert_eq!(resumed_table4, table4);
+
+    // So does a seven-shard daemon.
+    let mut cfg = DaemonConfig::new("tiny", ScenarioConfig::tiny());
+    cfg.shards = 7;
+    cfg.checkpoint = Some(daemon_path.clone());
+    let daemon = Daemon::start(cfg, "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(daemon.addr()).expect("connect");
+    let status = ok(&mut client, "status");
+    assert!(
+        status.contains(&format!("applied-through {mid}")),
+        "{status}"
+    );
+    ok(&mut client, &format!("feed-day {end}"));
+    assert_eq!(ok(&mut client, "table4"), table4);
+    let coverage = clean.audit.as_ref().expect("audit").render_coverage();
+    assert_eq!(ok(&mut client, "report"), coverage);
+    let counters = daemon.registry().snapshot().counters;
+    assert_eq!(counters.get("served.checkpoint.restores"), Some(&1));
+    assert_eq!(counters.get("served.checkpoint.rejected"), None);
+    daemon.stop();
+    for p in [&path, &daemon_path] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn a_checkpoint_past_the_feed_end_is_refused_and_the_run_starts_fresh() {
+    let data = World::run(ScenarioConfig::tiny());
+    let psl = SuffixList::default_list();
+    let feed = DayFeed::new(&data);
+    let beyond = feed.end() + Duration::days(30);
+    let path = scratch("beyond.json");
+    let cp = Checkpoint::new(data.fingerprint(), beyond);
+    cp.save(&path).expect("save");
+
+    // The refusal names the reason.
+    match IncrementalState::restore(&data, &psl, SHARDS, &feed, &cp) {
+        Err(Rejection::Through(why)) => assert!(why.contains("outside the feed"), "{why}"),
+        Err(other) => panic!("refused for another reason: {other}"),
+        Ok(_) => panic!("a checkpoint past the feed end restored"),
+    }
+
+    // The incremental driver names it, counts it and starts fresh.
+    let clean = Engine::new(config(None)).run(&data, &psl).expect("clean");
+    let obs = obs::Obs::enabled();
+    let fresh = Engine::new(config(Some(&path)))
+        .with_obs(obs.clone())
+        .run_incremental(&data, &psl)
+        .expect("fresh run");
+    let why = fresh.metrics.checkpoint_rejected.as_deref().unwrap_or("");
+    assert!(why.contains(&format!("taken through {beyond}")), "{why:?}");
+    assert_eq!(fresh.metrics.resumed_shards, 0);
+    assert_eq!(
+        obs.registry.snapshot().counters.get("checkpoint.rejected"),
+        Some(&1)
+    );
+    assert_eq!(report_bytes(&fresh), report_bytes(&clean));
+
+    // So does the daemon: it boots with nothing applied and feeds the
+    // whole window.
+    cp.save(&path).expect("save again");
+    let mut cfg = DaemonConfig::new("tiny", ScenarioConfig::tiny());
+    cfg.shards = SHARDS;
+    cfg.checkpoint = Some(path.clone());
+    let daemon = Daemon::start(cfg, "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(daemon.addr()).expect("connect");
+    let status = ok(&mut client, "status");
+    assert!(status.contains("applied-through none"), "{status}");
+    let counters = daemon.registry().snapshot().counters;
+    assert_eq!(counters.get("served.checkpoint.rejected"), Some(&1));
+    assert_eq!(counters.get("served.checkpoint.restores"), None);
+    ok(&mut client, &format!("feed-day {}", feed.end()));
+    let table4 = TableView {
+        data: &data,
+        psl: &psl,
+        suite: &clean.suite,
+    }
+    .table4();
+    assert_eq!(ok(&mut client, "table4"), table4);
+    daemon.stop();
+    let _ = std::fs::remove_file(&path);
 }

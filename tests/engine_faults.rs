@@ -1,5 +1,5 @@
 //! Supervisor fault tolerance: panic isolation, retry, degraded-shard
-//! reporting, and checkpoint/resume.
+//! reporting, and the checkpoint a batch run leaves.
 //!
 //! Every worker folds its slice of the same shared, borrowed world (the
 //! slices are routed once, up front), so the isolation tests here also
@@ -7,8 +7,9 @@
 //! shared world or corrupt a sibling's slice — whatever the siblings
 //! produce must be exactly what they produce in a clean run.
 
-use stale_tls::engine::{Engine, EngineConfig};
+use stale_tls::engine::{Checkpoint, Engine, EngineConfig};
 use stale_tls::prelude::*;
+use stale_tls::worldsim::DayFeed;
 
 /// The comparable byte form of a suite (same shape as the equivalence
 /// tests): the full revocation join plus the three record streams.
@@ -109,6 +110,8 @@ fn transient_panic_is_retried_and_results_are_intact() {
     );
 }
 
+/// Batch reads no checkpoint: it folds the whole window whatever the
+/// file holds, and a complete run records the feed end there.
 #[test]
 fn checkpoint_resume_skips_completed_shards_and_matches() {
     let (data, psl) = world();
@@ -124,13 +127,15 @@ fn checkpoint_resume_skips_completed_shards_and_matches() {
         .expect("first run");
     assert!(first.is_complete());
     assert_eq!(first.metrics.resumed_shards, 0);
+    let saved = Checkpoint::load(&path, data.fingerprint())
+        .expect("loads")
+        .expect("written");
+    assert_eq!(saved.through, DayFeed::new(&data).end());
 
-    let second = Engine::new(cfg).run(&data, &psl).expect("resumed run");
+    let second = Engine::new(cfg).run(&data, &psl).expect("rerun");
     assert!(second.is_complete());
-    assert_eq!(
-        second.metrics.resumed_shards, 4,
-        "all shards restored from checkpoint"
-    );
+    assert_eq!(second.metrics.resumed_shards, 0, "batch resumes nothing");
+    assert_eq!(second.metrics.shards.len(), 4);
     assert_eq!(
         second
             .suite
@@ -159,14 +164,16 @@ fn degraded_shard_is_not_checkpointed_and_recovers_on_rerun() {
     failing.fail_shards = vec![0];
     let broken = Engine::new(failing).run(&data, &psl).expect("degraded run");
     assert!(!broken.is_complete());
+    assert!(!path.exists(), "a degraded run records no checkpoint");
 
-    // Re-run without the fault: shard 0 is retried (it was never saved),
-    // the other three resume from the checkpoint.
+    // Re-run without the fault: every shard folds again, and the
+    // complete run records the feed end.
     let mut healthy = EngineConfig::with_shards(4);
     healthy.checkpoint = Some(path.clone());
     let recovered = Engine::new(healthy).run(&data, &psl).expect("recovery run");
     assert!(recovered.is_complete());
-    assert_eq!(recovered.metrics.resumed_shards, 3);
+    assert_eq!(recovered.metrics.resumed_shards, 0);
+    assert!(path.exists(), "a complete run records its checkpoint");
 
     let clean = Engine::with_shards(4).run(&data, &psl).expect("clean run");
     assert_eq!(
@@ -253,10 +260,9 @@ fn transient_panics_on_multiple_view_shards_retry_to_byte_identity() {
 
 #[test]
 fn mid_failure_checkpoint_resume_is_byte_identical() {
-    // Two shards panic with checkpointing on: only the healthy shards are
-    // saved. The recovery run must resume exactly those, re-run the
-    // failed ones against the freshly routed world, and merge to the
-    // clean run's bytes — resumed states and fresh folds must agree.
+    // Two shards panic with checkpointing on: the degraded run records no
+    // checkpoint. The recovery run folds every shard against the freshly
+    // routed world and merges to the clean run's bytes.
     let (data, psl) = world();
     let dir = std::env::temp_dir().join("stale_engine_fault_tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -270,15 +276,13 @@ fn mid_failure_checkpoint_resume_is_byte_identical() {
     assert!(!broken.is_complete());
     assert_eq!(broken.degraded.len(), 2);
     assert_eq!(broken.metrics.resumed_shards, 0);
+    assert!(!path.exists(), "a degraded run records no checkpoint");
 
     let mut healthy = EngineConfig::with_shards(4);
     healthy.checkpoint = Some(path.clone());
     let recovered = Engine::new(healthy).run(&data, &psl).expect("recovery run");
     assert!(recovered.is_complete());
-    assert_eq!(
-        recovered.metrics.resumed_shards, 2,
-        "exactly the healthy shards resume from the checkpoint"
-    );
+    assert_eq!(recovered.metrics.resumed_shards, 0);
 
     let clean = Engine::with_shards(4).run(&data, &psl).expect("clean run");
     assert_eq!(suite_bytes(&recovered.suite), suite_bytes(&clean.suite));

@@ -7,8 +7,7 @@
 //!   and then `to_datasets` both accept the text;
 //! * checkpoint: every file preflight names is refused by
 //!   `Checkpoint::load`, and every refusal that does not need the run's
-//!   world (unreadable, parse, version, shard order, ledgers) is named by
-//!   preflight;
+//!   world (unreadable, parse, version) is named by preflight;
 //! * decision audit: `validate_audit_jsonl` is empty exactly when
 //!   `AuditReport::from_jsonl` and `ExplainIndex::build` accept the text,
 //!   and their refusal is its first violation;
@@ -126,7 +125,7 @@ fn snapshot() -> &'static (u64, String) {
         Engine::new(cfg)
             .run_incremental(&data, &psl)
             .expect("snapshot run");
-        let cp = Checkpoint::load(&path, data.fingerprint(), SHARDS)
+        let cp = Checkpoint::load(&path, data.fingerprint())
             .expect("snapshot loads")
             .expect("snapshot present");
         let _ = std::fs::remove_file(&path);
@@ -159,7 +158,7 @@ fn clean_exports_pass_both() {
     let path = scratch("clean.json");
     std::fs::write(&path, text).expect("write");
     assert!(preflight_path(&path).is_empty());
-    assert!(matches!(Checkpoint::load(&path, *fp, SHARDS), Ok(Some(_))));
+    assert!(matches!(Checkpoint::load(&path, *fp), Ok(Some(_))));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -192,18 +191,13 @@ proptest! {
         let (fp, text) = snapshot();
         let path = scratch("damaged.json");
         std::fs::write(&path, damage(text.as_bytes(), kind, a, b)).expect("write");
-        let loaded = Checkpoint::load(&path, *fp, SHARDS);
+        let loaded = Checkpoint::load(&path, *fp);
         let diags = preflight_path(&path);
         if !diags.is_empty() {
             prop_assert!(loaded.is_err(), "damage {} {} {}: preflight named {:?} but it loads", kind, a, b, diags);
         }
-        if let Err(
-            why @ (Rejection::Unreadable(_)
-            | Rejection::Parse(_)
-            | Rejection::Version(_)
-            | Rejection::ShardOrder(_)
-            | Rejection::Ledger(_)),
-        ) = &loaded
+        if let Err(why @ (Rejection::Unreadable(_) | Rejection::Parse(_) | Rejection::Version(_))) =
+            &loaded
         {
             prop_assert!(!diags.is_empty(), "damage {} {} {}: refused ({}) but preflight is clean", kind, a, b, why);
         }
