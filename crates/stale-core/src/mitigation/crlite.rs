@@ -94,9 +94,13 @@ impl CrliteFilter {
         // include[i] = ids the current level must match;
         // exclude = ids it must (eventually) not match.
         let mut include: Vec<CertId> = revoked.to_vec();
+        // Membership by binary search in a sorted copy: a linear scan of
+        // `revoked` per population id would be O(population × revoked).
+        let mut sorted_revoked = revoked.to_vec();
+        sorted_revoked.sort_unstable();
         let mut exclude: Vec<CertId> = population
             .iter()
-            .filter(|id| !revoked.contains(id))
+            .filter(|id| sorted_revoked.binary_search(id).is_err())
             .cloned()
             .collect();
         let mut salt = 0u32;

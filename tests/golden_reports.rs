@@ -12,7 +12,7 @@
 //!
 //! then commit the rewritten files under `tests/golden/`.
 //!
-//! One test function covers all four snapshots so the (expensive)
+//! One test function covers all five snapshots so the (expensive)
 //! paper-scale world is simulated exactly once.
 
 use stale_bench::Experiments;
@@ -28,11 +28,12 @@ fn golden_path(name: &str) -> PathBuf {
 #[test]
 fn paper2023_reports_match_goldens() {
     let experiments = Experiments::new(ScenarioConfig::paper2023());
-    let snapshots: [(&str, String); 4] = [
+    let snapshots: [(&str, String); 5] = [
         ("table3", experiments.table3()),
         ("table4", experiments.table4()),
         ("fig4", experiments.fig4()),
         ("fig6", experiments.fig6()),
+        ("mitigations", experiments.mitigations()),
     ];
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0");
     let mut failures = Vec::new();
