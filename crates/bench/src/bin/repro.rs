@@ -31,8 +31,9 @@
 //!              --through DATE   stop after ingesting DATE (catch-up runs)
 //!              --day-batch N    days per ingested delta (default 1)
 //!              --checkpoint-every N
-//!                               record progress every N ingested days
-//!                               (default 1; needs --checkpoint)
+//!                               also record progress every N ingested
+//!                               days (default: once, after the final
+//!                               delta; needs --checkpoint)
 //! preflight:   --preflight      before any detector runs, validate the
 //!                               simulated world's world-fact log (and
 //!                               the --checkpoint file, if it exists)
@@ -182,7 +183,7 @@ fn main() {
             "--checkpoint-every" => {
                 engine_cfg.checkpoint_every_days =
                     match args_iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                        Some(n) if n > 0 => n,
+                        Some(n) if n > 0 => Some(n),
                         _ => {
                             eprintln!("--checkpoint-every needs a positive integer");
                             std::process::exit(2);

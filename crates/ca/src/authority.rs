@@ -132,21 +132,22 @@ impl CertificateAuthority {
         let lifetime = self.policy.clamp(request.requested_lifetime, today);
         let serial = self.next_serial;
         self.next_serial += 1;
-        let base = || {
-            CertificateBuilder::tls_leaf(request.public_key)
-                .serial(serial)
-                .issuer(self.issuer_name())
-                .subject_cn(request.domains[0].as_str())
-                .sans(request.domains.iter().cloned())
-                .validity_days(today, lifetime)
-                .crl_url(self.crl_url.clone())
-                .ocsp_url(format!("http://ocsp.{}.example", self.id.0))
-        };
-        let precert = base().precert().sign(&self.key);
+        // One profile for both certificates: the precertificate signs a
+        // copy with the poison, the final certificate the profile itself
+        // with the SCT, so the two share every non-CT field.
+        let profile = CertificateBuilder::tls_leaf(request.public_key)
+            .serial(serial)
+            .issuer(self.issuer_name())
+            .subject_cn(request.domains[0].as_str())
+            .sans(request.domains.iter().cloned())
+            .validity_days(today, lifetime)
+            .crl_url(self.crl_url.clone())
+            .ocsp_url(format!("http://ocsp.{}.example", self.id.0));
+        let precert = profile.clone().precert().sign(&self.key);
         let (_log, sct) = ct
             .submit(precert, today)
             .ok_or(IssueError::CtSubmissionFailed)?;
-        let final_cert = base().scts(vec![sct]).sign(&self.key);
+        let final_cert = profile.scts(vec![sct]).sign(&self.key);
         self.issued
             .insert(SerialNumber(serial), final_cert.tbs.validity);
         Ok(final_cert)
@@ -281,6 +282,77 @@ mod tests {
         assert_eq!(authority.issued_count(), 1);
         // AKI matches the CA key.
         assert_eq!(cert.tbs.authority_key_id(), Some(authority.key_id()));
+    }
+
+    /// The extension kinds of `cert`, in encoding order.
+    fn extension_order(cert: &Certificate) -> Vec<&'static str> {
+        use x509::Extension::*;
+        cert.tbs
+            .extensions
+            .iter()
+            .map(|e| match e {
+                SubjectAltName(_) => "san",
+                BasicConstraints { .. } => "basic-constraints",
+                KeyUsage(_) => "key-usage",
+                ExtendedKeyUsage(_) => "eku",
+                SubjectKeyId(_) => "ski",
+                AuthorityKeyId(_) => "aki",
+                CrlDistributionPoint(_) => "crl-dp",
+                AuthorityInfoAccess(_) => "aia",
+                CertificatePolicies(_) => "policies",
+                PrecertPoison => "poison",
+                SctList(_) => "sct-list",
+                MustStaple => "must-staple",
+            })
+            .collect()
+    }
+
+    #[test]
+    fn precert_and_final_share_one_profile_in_the_pinned_extension_order() {
+        let mut ct = pool();
+        let mut authority = ca(CaPolicy::automated_90_day());
+        let final_cert = authority
+            .issue(
+                &request(&["foo.com", "www.foo.com"]),
+                d("2022-03-01"),
+                &mut ct,
+            )
+            .unwrap();
+        let logged: Vec<&Certificate> = ct
+            .logs()
+            .iter()
+            .flat_map(|log| log.entries())
+            .map(|entry| &entry.certificate)
+            .collect();
+        let [precert] = logged[..] else {
+            panic!("one logged precertificate, found {}", logged.len());
+        };
+        let shared = [
+            "san",
+            "basic-constraints",
+            "key-usage",
+            "eku",
+            "ski",
+            "aki",
+            "crl-dp",
+            "aia",
+            "policies",
+        ];
+        assert_eq!(
+            extension_order(precert),
+            [&shared[..], &["poison"]].concat()
+        );
+        assert_eq!(
+            extension_order(&final_cert),
+            [&shared[..], &["sct-list"]].concat()
+        );
+        // Every non-CT field is the same, so both collapse to one id.
+        assert_eq!(
+            precert.tbs.extensions[..shared.len()],
+            final_cert.tbs.extensions[..shared.len()]
+        );
+        assert_eq!(precert.cert_id(), final_cert.cert_id());
+        assert_ne!(precert.fingerprint(), final_cert.fingerprint());
     }
 
     #[test]

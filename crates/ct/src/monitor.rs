@@ -8,6 +8,7 @@
 
 use crate::log::LogPool;
 use stale_types::{CertId, Date, DomainName};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use x509::Certificate;
 
@@ -28,9 +29,16 @@ pub struct DedupedCert {
 }
 
 /// Monitor that aggregates log entries into a deduplicated corpus.
+///
+/// The corpus does not depend on the order entries arrive in:
+/// `first_seen` is the earliest timestamp, `entry_count` a sum, a final
+/// certificate replaces its precertificate whichever comes first, and a
+/// record's FQDNs are counted once, when it is inserted.
 #[derive(Default)]
 pub struct CtMonitor {
-    certs: BTreeMap<CertId, DedupedCert>,
+    /// Records are boxed: a B-tree insert then shifts pointers, not
+    /// whole records, and the nodes carry no record-sized slack.
+    certs: BTreeMap<CertId, Box<DedupedCert>>,
     /// FQDN → number of deduped certificates naming it.
     fqdn_counts: HashMap<DomainName, usize>,
 }
@@ -54,8 +62,9 @@ impl CtMonitor {
             return;
         }
         let id = cert.cert_id();
-        match self.certs.get_mut(&id) {
-            Some(existing) => {
+        match self.certs.entry(id) {
+            Entry::Occupied(slot) => {
+                let existing = slot.into_mut();
                 existing.entry_count = existing.entry_count.saturating_add(entries);
                 existing.first_seen = existing.first_seen.min(timestamp);
                 // Prefer keeping the final certificate over the precert.
@@ -63,19 +72,16 @@ impl CtMonitor {
                     existing.certificate = cert;
                 }
             }
-            None => {
+            Entry::Vacant(slot) => {
                 for san in cert.tbs.san() {
                     *self.fqdn_counts.entry(san.clone()).or_insert(0) += 1;
                 }
-                self.certs.insert(
-                    id,
-                    DedupedCert {
-                        cert_id: id,
-                        certificate: cert,
-                        first_seen: timestamp,
-                        entry_count: entries,
-                    },
-                );
+                slot.insert(Box::new(DedupedCert {
+                    cert_id: id,
+                    certificate: cert,
+                    first_seen: timestamp,
+                    entry_count: entries,
+                }));
             }
         }
     }
@@ -104,8 +110,7 @@ impl CtMonitor {
     /// certificates naming an anomalous FQDN are dropped.
     pub fn corpus(&self) -> Vec<&DedupedCert> {
         let anomalous = self.anomalous_fqdns();
-        self.certs
-            .values()
+        self.corpus_unfiltered()
             .filter(|c| {
                 anomalous.is_empty()
                     || !c
@@ -120,12 +125,12 @@ impl CtMonitor {
 
     /// The corpus without the outlier filter.
     pub fn corpus_unfiltered(&self) -> impl Iterator<Item = &DedupedCert> {
-        self.certs.values()
+        self.certs.values().map(|c| &**c)
     }
 
     /// Look up by dedup id.
     pub fn get(&self, id: &CertId) -> Option<&DedupedCert> {
-        self.certs.get(id)
+        self.certs.get(id).map(|c| &**c)
     }
 
     /// Deduplicated certificate count (before outlier filtering).
@@ -143,7 +148,9 @@ impl CtMonitor {
 mod tests {
     use super::*;
     use crypto::KeyPair;
+    use proptest::prelude::*;
     use stale_types::{domain::dn, Duration};
+    use std::collections::BTreeSet;
     use x509::cert::SignedCertificateTimestamp;
     use x509::CertificateBuilder;
 
@@ -228,6 +235,93 @@ mod tests {
         assert_eq!(corpus[0].certificate.tbs.san()[0], dn("normal.com"));
         // Unfiltered retains everything.
         assert_eq!(monitor.corpus_unfiltered().count(), FQDN_CERT_CAP + 11);
+    }
+
+    /// One corpus record as comparable values: id, first sighting, entry
+    /// count, precertificate flag and fingerprint.
+    type Record = (CertId, Date, usize, bool, [u8; 32]);
+
+    /// The corpus records, the per-FQDN counts and the anomalous-FQDN set.
+    fn snapshot(
+        monitor: &CtMonitor,
+    ) -> (
+        Vec<Record>,
+        BTreeMap<DomainName, usize>,
+        BTreeSet<DomainName>,
+    ) {
+        let records = monitor
+            .corpus_unfiltered()
+            .map(|c| {
+                let cert = &c.certificate;
+                let precert = cert.tbs.is_precert();
+                (
+                    c.cert_id,
+                    c.first_seen,
+                    c.entry_count,
+                    precert,
+                    cert.fingerprint(),
+                )
+            })
+            .collect();
+        let counts = monitor.fqdn_counts.clone().into_iter().collect();
+        (
+            records,
+            counts,
+            monitor.anomalous_fqdns().into_iter().collect(),
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn ingestion_order_does_not_change_the_corpus(
+            pairs in prop::collection::vec((0usize..6, 0usize..3, 0usize..3, 0i64..400), 1..20usize),
+            stamps in prop::collection::vec(0i64..400, 80),
+            keys in prop::collection::vec(any::<u64>(), 80),
+        ) {
+            const NAMES: [&str; 6] = ["a.com", "b.com", "c.net", "www.a.com", "d.org", "e.com"];
+            // Per pair: a precertificate and its final certificate from
+            // one profile (SANs drawn from a small pool, so FQDNs are
+            // shared), each logged zero to two times at random days.
+            let mut entries = Vec::new();
+            for (serial, &(name, precerts, finals, start)) in pairs.iter().enumerate() {
+                let not_before = d("2021-01-01") + Duration::days(start);
+                let profile = CertificateBuilder::tls_leaf(KeyPair::from_seed([60; 32]).public())
+                    .serial(serial as u128)
+                    .issuer_cn("Test CA")
+                    .subject_cn(NAMES[name])
+                    .san(dn(NAMES[name]))
+                    .san(dn(NAMES[(name + 1) % NAMES.len()]))
+                    .validity_days(not_before, Duration::days(90));
+                let precert = profile.clone().precert().sign(&ca());
+                let final_cert = profile
+                    .scts(vec![SignedCertificateTimestamp {
+                        log_id: [1; 32],
+                        timestamp: not_before,
+                    }])
+                    .sign(&ca());
+                entries.extend(std::iter::repeat_n(precert, precerts));
+                entries.extend(std::iter::repeat_n(final_cert, finals));
+            }
+            let entries: Vec<(Certificate, Date)> = entries
+                .into_iter()
+                .zip(&stamps)
+                .map(|(cert, &day)| (cert, d("2021-01-01") + Duration::days(day)))
+                .collect();
+            let mut shuffled: Vec<(u64, &(Certificate, Date))> =
+                keys.iter().copied().zip(&entries).collect();
+            shuffled.sort_by_key(|&(key, _)| key);
+
+            let mut in_order = CtMonitor::new();
+            for (cert, day) in &entries {
+                in_order.ingest(cert.clone(), *day);
+            }
+            let mut reordered = CtMonitor::new();
+            for (_, (cert, day)) in shuffled {
+                reordered.ingest(cert.clone(), *day);
+            }
+            prop_assert_eq!(snapshot(&in_order), snapshot(&reordered));
+            prop_assert_eq!(in_order.raw_count(), entries.len());
+        }
     }
 
     #[test]

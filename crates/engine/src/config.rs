@@ -30,10 +30,11 @@ pub struct EngineConfig {
     /// Incremental mode: stop after ingesting this day (catch-up through a
     /// cutoff). `None` drains the full feed.
     pub through: Option<Date>,
-    /// Incremental mode: write the checkpoint after at least this many
-    /// ingested days (when `checkpoint` is set). The final day is always
-    /// written.
-    pub checkpoint_every_days: usize,
+    /// Incremental mode: also write the checkpoint after at least this
+    /// many ingested days (when `checkpoint` is set). The final day is
+    /// always written; with `None` it is the only one, since a resume
+    /// re-folds the feed through the checkpoint's day anyway.
+    pub checkpoint_every_days: Option<usize>,
     /// Record per-candidate decision audits (`repro --audit-out`). The
     /// audit stream is write-only from the detectors' side and never
     /// alters results; [`crate::EngineReport::suite`] is byte-identical
@@ -50,7 +51,7 @@ impl Default for EngineConfig {
             fail_once_shards: Vec::new(),
             day_batch: 1,
             through: None,
-            checkpoint_every_days: 1,
+            checkpoint_every_days: None,
             audit: false,
         }
     }

@@ -30,9 +30,10 @@
 //! day D a pure function of the world and D, which is all a checkpoint
 //! ([`crate::checkpoint::Checkpoint`]) records: with
 //! `EngineConfig::checkpoint` set, an incremental run records the last
-//! ingested day every `checkpoint_every_days` ingested days and after the
-//! final delta, and [`IncrementalState::restore`] resumes from one by
-//! folding the feed through that day into fresh state.
+//! ingested day after the final delta (and, when
+//! `checkpoint_every_days` is set, every that many ingested days), and
+//! [`IncrementalState::restore`] resumes from one by folding the feed
+//! through that day into fresh state.
 
 // stale-lint: trusted-file(wallclock-in-detector)
 // stale-lint: scope(panic-index)
@@ -474,7 +475,11 @@ impl Engine {
             ingested_total += delta.items();
             days_since_ckpt += days;
 
-            if days_since_ckpt >= self.config.checkpoint_every_days.max(1) {
+            if self
+                .config
+                .checkpoint_every_days
+                .is_some_and(|every| days_since_ckpt >= every)
+            {
                 self.save_checkpoint(data, to, root.id())?;
                 days_since_ckpt = 0;
             }

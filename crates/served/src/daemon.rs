@@ -725,9 +725,15 @@ fn run_actor(cfg: DaemonConfig, rx: Receiver<ActorMsg>, obs: Obs, subs: Subscrib
         build_start.elapsed().as_micros() as u64,
     );
     let shards = cfg.shards.max(1);
+    let feed_start = Instant::now();
     let feed = DayFeed::new(&data);
+    obs.registry.observe_latency_us(
+        "served.boot.feed_us",
+        feed_start.elapsed().as_micros() as u64,
+    );
     let restored = cfg.checkpoint.as_deref().and_then(|path| {
-        Checkpoint::load(path, data.fingerprint())
+        let restore_start = Instant::now();
+        let restored = Checkpoint::load(path, data.fingerprint())
             .and_then(|cp| {
                 cp.map(|cp| IncrementalState::restore(&data, &psl, shards, &feed, &cp))
                     .transpose()
@@ -739,7 +745,12 @@ fn run_actor(cfg: DaemonConfig, rx: Receiver<ActorMsg>, obs: Obs, subs: Subscrib
                     path.display()
                 );
                 None
-            })
+            });
+        obs.registry.observe_latency_us(
+            "served.boot.restore_us",
+            restore_start.elapsed().as_micros() as u64,
+        );
+        restored
     });
     if restored.is_some() {
         obs.registry.add("served.checkpoint.restores", 1);

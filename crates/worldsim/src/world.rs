@@ -6,8 +6,8 @@
 //! CDN departures, key compromises, revocations), runs the automated
 //! renewal sweeps of the managed-TLS providers, and executes scripted
 //! historical events (the CDN's own-CA transition, the web-host breach).
-//! At the end it scrapes CRLs, ingests the CT logs into the monitor and
-//! packages everything into [`WorldDatasets`].
+//! At the end it scrapes CRLs on a second thread while it ingests the CT
+//! logs into the monitor, and packages everything into [`WorldDatasets`].
 
 use ca::authority::{CertificateAuthority, IssuanceRequest};
 use ca::policy::CaPolicy;
@@ -537,7 +537,6 @@ impl World {
         let Ok(cert) = self.cas[ca_idx].issue(&request, date, &mut self.pool) else {
             return;
         };
-        self.monitor.ingest(cert.clone(), date);
         self.post_issue(&cert, CaRef::SelfCa(ca_idx), date);
         // Schedule the next renewal a little before expiry.
         let jitter = Duration::days(self.rng.gen_range(3..15));
@@ -545,6 +544,10 @@ impl World {
             cert.tbs.not_after() - jitter,
             Event::RenewCert(name.clone()),
         );
+        // Nothing reads the certificate after this, so it moves into the
+        // corpus. The monitor draws no randomness, so ingesting last
+        // leaves the RNG's draw order as it was.
+        self.monitor.ingest(cert, date);
     }
 
     fn renew_self_cert(&mut self, name: &DomainName, date: Date) {
@@ -851,22 +854,6 @@ impl World {
     fn finish(mut self) -> WorldDatasets {
         let ct_raw_entries = self.pool.total_entries() as usize;
         let ct_log_count = self.pool.logs().len();
-        // Monitor ingests every log entry (precerts) and every final
-        // certificate the providers hold, exercising dedup. The pool and
-        // the providers' certificate lists are handed over, so no
-        // certificate is copied; the providers keep their CAs for the CRL
-        // scrape.
-        self.monitor.ingest_pool(self.pool);
-        for cert in self.cdn.take_issued() {
-            let seen = cert.tbs.not_before();
-            self.monitor.ingest(cert, seen);
-        }
-        for host in &mut self.hosts {
-            for cert in host.take_issued() {
-                let seen = cert.tbs.not_before();
-                self.monitor.ingest(cert, seen);
-            }
-        }
         // WHOIS feed from the registries' event logs.
         let mut whois = WhoisDataset::new();
         for r in &self.registries {
@@ -883,6 +870,11 @@ impl World {
             .with_failure_rate("Let's Encrypt X3", 0.0)
             .with_failure_rate("COMODO ECC DV Secure Server CA 2", 0.10)
             .with_failure_rate("CloudFlare ECC CA-2", 0.02);
+        // The providers hand their certificate lists over before the
+        // scrape borrows their CAs.
+        let provider_issued: Vec<Vec<Certificate>> = std::iter::once(self.cdn.take_issued())
+            .chain(self.hosts.iter_mut().map(WebHost::take_issued))
+            .collect();
         let cas: Vec<&CertificateAuthority> = self
             .cas
             .iter()
@@ -890,7 +882,24 @@ impl World {
             .chain(self.retired_cdn_cas.iter())
             .chain(self.hosts.iter().map(|h| h.ca()))
             .collect();
-        let (crl, crl_stats) = scraper.scrape(&cas, self.cfg.crl_window);
+        // The scrape reads only the CAs and its own seeded RNG, so it runs
+        // on a second thread while this one builds the corpus: every log
+        // entry (precertificates) and every final certificate the
+        // providers hold move into the monitor, exercising dedup. Neither
+        // side copies a certificate, and the corpus does not depend on
+        // the order it is fed in.
+        let (crl, crl_stats) = std::thread::scope(|s| {
+            let scrape = s.spawn(|| scraper.scrape(&cas, self.cfg.crl_window));
+            self.monitor.ingest_pool(self.pool);
+            for cert in provider_issued.into_iter().flatten() {
+                let seen = cert.tbs.not_before();
+                self.monitor.ingest(cert, seen);
+            }
+            // A panic in the scrape re-raises here with its own payload.
+            scrape
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
         WorldDatasets {
             monitor: self.monitor,
             crl,
@@ -937,15 +946,16 @@ mod tests {
 
     #[test]
     fn tiny_world_is_deterministic() {
-        let a = World::run(ScenarioConfig::tiny());
-        let b = World::run(ScenarioConfig::tiny());
-        assert_eq!(a.monitor.dedup_count(), b.monitor.dedup_count());
-        assert_eq!(a.crl.len(), b.crl.len());
-        assert_eq!(
-            a.ground_truth.registrant_changes,
-            b.ground_truth.registrant_changes
-        );
-        assert_eq!(a.ground_truth.cdn_departures, b.ground_truth.cdn_departures);
+        // The whole world-fact log byte for byte, and the scrape's
+        // coverage: the CRL scrape runs on a second thread, and nothing
+        // may depend on how the two threads are scheduled.
+        let run = || {
+            let data = World::run(ScenarioConfig::tiny());
+            let log = crate::WorldLog::from_datasets(&data).to_jsonl();
+            (log, data.crl_stats.per_ca)
+        };
+        let (a, b) = (run(), run());
+        assert!(a == b, "two tiny runs produced different worlds");
     }
 
     #[test]

@@ -193,11 +193,16 @@ impl CertificateBuilder {
         self
     }
 
-    /// Assemble the TBS.
-    pub fn build_tbs(&self) -> TbsCertificate {
-        let mut extensions = Vec::new();
+    /// Assemble the TBS, moving the builder's fields into it and stamping
+    /// `aki` as the authority key id. This is the one place the extension
+    /// order is written down: SAN, basic constraints, key usage, EKU, SKI,
+    /// AKI, CRL distribution point, AIA, policies, Must-Staple, then the
+    /// precertificate poison or the SCT list.
+    fn build_tbs(self, aki: KeyId) -> TbsCertificate {
+        // Room for every extension a profile can carry: one allocation.
+        let mut extensions = Vec::with_capacity(12);
         if !self.sans.is_empty() {
-            extensions.push(Extension::SubjectAltName(self.sans.clone()));
+            extensions.push(Extension::SubjectAltName(self.sans));
         }
         extensions.push(Extension::BasicConstraints {
             ca: self.is_ca,
@@ -205,19 +210,20 @@ impl CertificateBuilder {
         });
         extensions.push(Extension::KeyUsage(self.key_usage));
         if !self.eku.is_empty() {
-            extensions.push(Extension::ExtendedKeyUsage(self.eku.clone()));
+            extensions.push(Extension::ExtendedKeyUsage(self.eku));
         }
         extensions.push(Extension::SubjectKeyId(KeyId::from_bytes(
             self.public_key.key_id(),
         )));
-        if let Some(url) = &self.crl_url {
-            extensions.push(Extension::CrlDistributionPoint(url.clone()));
+        extensions.push(Extension::AuthorityKeyId(aki));
+        if let Some(url) = self.crl_url {
+            extensions.push(Extension::CrlDistributionPoint(url));
         }
-        if let Some(url) = &self.ocsp_url {
-            extensions.push(Extension::AuthorityInfoAccess(url.clone()));
+        if let Some(url) = self.ocsp_url {
+            extensions.push(Extension::AuthorityInfoAccess(url));
         }
         if !self.policies.is_empty() {
-            extensions.push(Extension::CertificatePolicies(self.policies.clone()));
+            extensions.push(Extension::CertificatePolicies(self.policies));
         }
         if self.must_staple {
             extensions.push(Extension::MustStaple);
@@ -226,35 +232,26 @@ impl CertificateBuilder {
             extensions.push(Extension::PrecertPoison);
         }
         if !self.scts.is_empty() {
-            extensions.push(Extension::SctList(self.scts.clone()));
+            extensions.push(Extension::SctList(self.scts));
         }
         TbsCertificate {
             version: Version::V3,
             serial: self.serial,
-            issuer: self.issuer.clone(),
+            issuer: self.issuer,
             validity: self.validity.expect("validity must be set before build"),
-            subject: self.subject.clone(),
+            subject: self.subject,
             public_key: self.public_key,
             extensions,
         }
     }
 
-    /// Build and sign with the issuer's keypair, stamping the AKI.
-    pub fn sign(mut self, issuer_key: &KeyPair) -> Certificate {
+    /// Build and sign with the issuer's keypair, stamping the AKI. The
+    /// builder's fields move into the certificate; sign a clone to issue
+    /// two certificates from one profile (a precertificate and its final
+    /// certificate).
+    pub fn sign(self, issuer_key: &KeyPair) -> Certificate {
         let aki = KeyId::from_bytes(issuer_key.public().key_id());
-        let mut tbs = {
-            // AKI must be part of the TBS; splice it in after SKI.
-            self.policies = std::mem::take(&mut self.policies);
-            self.build_tbs()
-        };
-        let ski_pos = tbs
-            .extensions
-            .iter()
-            .position(|e| matches!(e, Extension::SubjectKeyId(_)))
-            .map(|i| i + 1)
-            .unwrap_or(tbs.extensions.len());
-        tbs.extensions
-            .insert(ski_pos, Extension::AuthorityKeyId(aki));
+        let tbs = self.build_tbs(aki);
         let signature = SimSig::sign(issuer_key.private(), &tbs.encode(false));
         Certificate { tbs, signature }
     }
@@ -335,6 +332,6 @@ mod tests {
     #[should_panic(expected = "validity must be set")]
     fn missing_validity_panics() {
         let k = KeyPair::from_seed([7; 32]);
-        let _ = CertificateBuilder::tls_leaf(k.public()).build_tbs();
+        let _ = CertificateBuilder::tls_leaf(k.public()).sign(&k);
     }
 }

@@ -5,7 +5,9 @@
 //!   daemon with nothing re-ingested, and a checkpoint taken at one width
 //!   resumes a run at another. Every path renders the same suite, audit
 //!   and table bytes as a clean batch run.
-//! * Batch and incremental runs write the same checkpoint at the feed end.
+//! * Batch and incremental runs write the same checkpoint at the feed end;
+//!   an incremental run saves once, after its final delta, unless asked
+//!   to save every N days as well.
 //! * The loader refuses a real checkpoint truncated anywhere, and a save
 //!   interrupted before its rename leaves the previous file intact.
 //! * Every refusal names its reason, is counted, and leaves the results
@@ -130,9 +132,14 @@ fn batch_checkpoint_resumes_incremental_and_boots_the_daemon_with_nothing_reinge
         refeed.is_err(),
         "the restored daemon has nothing left to feed"
     );
-    let counters = daemon.registry().snapshot().counters;
-    assert_eq!(counters.get("served.checkpoint.restores"), Some(&1));
-    assert_eq!(counters.get("served.checkpoint.rejected"), None);
+    let metrics = daemon.registry().snapshot();
+    assert_eq!(metrics.counters.get("served.checkpoint.restores"), Some(&1));
+    assert_eq!(metrics.counters.get("served.checkpoint.rejected"), None);
+    // The boot times the feed build and the restore, once each.
+    for timer in ["served.boot.feed_us", "served.boot.restore_us"] {
+        let count = metrics.histograms.get(timer).map(|h| h.count);
+        assert_eq!(count, Some(1), "{timer}");
+    }
     daemon.stop();
     let _ = std::fs::remove_file(&path);
 }
@@ -147,11 +154,9 @@ fn batch_and_incremental_checkpoints_at_the_feed_end_are_byte_identical() {
     Engine::new(config(Some(&batch_path)))
         .run(&data, &psl)
         .expect("batch run");
-    // Save once, at the feed end, not after every ingested day.
-    let mut cfg = config(Some(&incremental_path));
-    cfg.checkpoint_every_days = DayFeed::new(&data).day_count() + 1;
+    // By default the run saves once, at the feed end.
     let obs = obs::Obs::enabled();
-    Engine::new(cfg)
+    Engine::new(config(Some(&incremental_path)))
         .with_obs(obs.clone())
         .run_incremental(&data, &psl)
         .expect("incremental run");
@@ -170,6 +175,41 @@ fn batch_and_incremental_checkpoints_at_the_feed_end_are_byte_identical() {
     );
     let _ = std::fs::remove_file(&batch_path);
     let _ = std::fs::remove_file(&incremental_path);
+}
+
+#[test]
+fn incremental_runs_save_after_the_final_delta_and_every_n_days_on_request() {
+    let data = World::run(ScenarioConfig::tiny());
+    let psl = SuffixList::default_list();
+    let feed = DayFeed::new(&data);
+    // (`checkpoint.saves`, the day the file records) for one run.
+    let run = |every: Option<usize>| {
+        let path = scratch(&format!("cadence_{}.json", every.unwrap_or(0)));
+        let mut cfg = config(Some(&path));
+        cfg.checkpoint_every_days = every;
+        let obs = obs::Obs::enabled();
+        Engine::new(cfg)
+            .with_obs(obs.clone())
+            .run_incremental(&data, &psl)
+            .expect("incremental run");
+        let saved = Checkpoint::load(&path, data.fingerprint())
+            .expect("checkpoint loads")
+            .expect("checkpoint written");
+        let _ = std::fs::remove_file(&path);
+        let saves = obs
+            .registry
+            .snapshot()
+            .counters
+            .get("checkpoint.saves")
+            .copied();
+        (saves, saved.through)
+    };
+    // One save after the final delta, not one per ingested day.
+    assert_eq!(run(None), (Some(1), feed.end()));
+    // `--checkpoint-every 30`: one save per 30 ingested days, and the
+    // final day on top when the window is not a multiple of 30.
+    let every_30 = feed.day_count().div_ceil(30) as u64;
+    assert_eq!(run(Some(30)), (Some(every_30), feed.end()));
 }
 
 #[test]
@@ -337,7 +377,6 @@ fn a_checkpoint_taken_at_one_width_resumes_runs_and_the_daemon_at_another() {
     let mut first = EngineConfig::with_shards(2);
     first.checkpoint = Some(path.clone());
     first.through = Some(mid);
-    first.checkpoint_every_days = feed.day_count() + 1;
     Engine::new(first)
         .run_incremental(&data, &psl)
         .expect("first half");
@@ -347,7 +386,6 @@ fn a_checkpoint_taken_at_one_width_resumes_runs_and_the_daemon_at_another() {
     // Seven shards resume from it and drain the feed.
     let mut second = config(Some(&path));
     second.shards = 7;
-    second.checkpoint_every_days = feed.day_count() + 1;
     let resumed = Engine::new(second)
         .run_incremental(&data, &psl)
         .expect("resumed at seven shards");
