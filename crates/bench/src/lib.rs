@@ -1,6 +1,5 @@
 //! Experiment runners reproducing every table and figure of the paper's
-//! evaluation, plus ablation studies for the design choices called out in
-//! DESIGN.md.
+//! evaluation, and the library behind the `repro` and `stale-bench` CLIs.
 //!
 //! [`experiments::Experiments`] bundles a simulated world with the
 //! detection suite and exposes one method per table/figure. Each method
@@ -8,7 +7,6 @@
 //! paper's reported values, so shape agreement (who wins, rough factors,
 //! crossovers) is visible at a glance. The `repro` binary drives them.
 
-pub mod ablate;
 pub mod compare;
 pub mod experiments;
 pub mod paper;

@@ -410,7 +410,7 @@ mod tests {
     use super::*;
     use ca::policy::CaPolicy;
     use stale_types::domain::dn;
-    use stale_types::CaId;
+    use stale_types::{CaId, Duration};
 
     fn d(s: &str) -> Date {
         Date::parse(s).unwrap()
@@ -561,5 +561,30 @@ mod tests {
             .is_empty());
         assert_eq!(p.all_issued().len(), 0);
         assert_eq!(dns.domain_count(), 0);
+    }
+
+    #[test]
+    fn cruise_liner_amplifies_blast_radius() {
+        // §5.3: eight customers enrol a day apart and the first departs
+        // 30 days in. Per-domain issuance leaves it one stale certificate;
+        // under cruise-liner packing it is on every bus reissue since.
+        let stale_after_departure = |config: ProviderConfig| {
+            let mut p = ManagedTlsProvider::new(config, comodo(), 1);
+            let mut ct = pool();
+            let mut dns = DnsHistory::new();
+            let start = d("2022-01-01");
+            for i in 0..8 {
+                let customer = dn(&format!("cust{i}.com"));
+                p.enroll(customer, start + Duration::days(i), &mut ct, &mut dns);
+            }
+            let when = start + Duration::days(30);
+            let away = DnsView::with_ns([dn("ns1.away.net")]);
+            assert!(p.depart(&dn("cust0.com"), when, away, &mut ct, &mut dns));
+            p.stale_certs_for(&dn("cust0.com"), when).len()
+        };
+        let per_domain = stale_after_departure(ProviderConfig::cloudflare_per_domain());
+        let cruise = stale_after_departure(ProviderConfig::cloudflare_cruise_liner());
+        assert_eq!(per_domain, 1);
+        assert!(cruise > per_domain, "cruise-liner left {cruise}");
     }
 }

@@ -25,5 +25,5 @@ pub mod zonefile;
 
 pub use record::{Ipv4Addr, RData, Record, RecordType, Ttl};
 pub use resolver::{ResolutionError, Resolver};
-pub use scan::{DailyScanner, DnsHistory, DnsSnapshot};
+pub use scan::{DailyScanner, DnsHistory};
 pub use zone::Zone;

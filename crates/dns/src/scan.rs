@@ -1,4 +1,4 @@
-//! Active DNS scanning: daily snapshots and interval-compressed history.
+//! Active DNS scanning: per-day views and interval-compressed history.
 //!
 //! The paper's aDNS dataset resolves every e2LD in the public zones once a
 //! day and keeps A/AAAA, NS and CNAME records (§4.3, Table 3). At 300M
@@ -124,18 +124,6 @@ impl DnsHistory {
         self.changes.get(domain).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Materialise the full snapshot of one day (used by the ablation
-    /// bench to compare against interval queries; expensive by design).
-    pub fn snapshot(&self, date: Date) -> DnsSnapshot {
-        let mut views = BTreeMap::new();
-        for domain in self.domains() {
-            if let Some(view) = self.view_at(domain, date) {
-                views.insert(domain.clone(), view.clone());
-            }
-        }
-        DnsSnapshot { date, views }
-    }
-
     /// Estimated record count on `date` (A + NS + CNAME across domains),
     /// the unit Table 3 reports dataset size in.
     pub fn record_count_at(&self, date: Date) -> usize {
@@ -144,15 +132,6 @@ impl DnsHistory {
             .map(|v| v.a.len() + v.ns.len() + v.cname.len())
             .sum()
     }
-}
-
-/// A fully materialised one-day scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DnsSnapshot {
-    /// Scan day.
-    pub date: Date,
-    /// Per-domain views.
-    pub views: BTreeMap<DomainName, DnsView>,
 }
 
 /// Iterates `(day, next_day)` pairs over a window, the exact access
@@ -299,15 +278,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_materialises_day() {
+    fn record_count_sums_the_views_of_the_day() {
         let mut h = DnsHistory::new();
         h.record_change(dn("a.com"), d("2022-08-01"), cf_view());
         h.record_change(dn("b.com"), d("2022-08-05"), self_view());
-        let snap = h.snapshot(d("2022-08-03"));
-        assert_eq!(snap.views.len(), 1);
-        assert!(snap.views.contains_key(&dn("a.com")));
-        let snap2 = h.snapshot(d("2022-08-05"));
-        assert_eq!(snap2.views.len(), 2);
+        assert_eq!(h.record_count_at(d("2022-07-31")), 0);
+        assert_eq!(h.record_count_at(d("2022-08-03")), 2);
         assert_eq!(h.record_count_at(d("2022-08-05")), 4);
     }
 

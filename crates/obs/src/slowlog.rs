@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Default entry capacity.
+/// Entry capacity of the daemon's slow-query log.
 pub const SLOWLOG_CAP: usize = 64;
 
 /// One captured slow query.

@@ -179,8 +179,7 @@ impl SuffixList {
     /// e2LD for names that may carry a wildcard label: the wildcard label is
     /// stripped first, since `*.foo.com` attests to children of `foo.com`.
     pub fn e2ld_of_san(&self, san: &DomainName) -> Result<DomainName> {
-        self.e2ld_of_san_str(san)
-            .map(|s| DomainName::parse(s).expect("suffix of valid name is valid"))
+        self.e2ld_of_san_str(san).and_then(DomainName::parse)
     }
 
     /// Whether `name` is exactly a public suffix.

@@ -3,8 +3,7 @@
 //! ```text
 //! stale-served [preset] [--listen ADDR] [--shards N] [--delay-days N]
 //!              [--checkpoint FILE] [--checkpoint-every N] [--http ADDR]
-//!              [--slow-query-us N] [--slow-query-log-len N]
-//!              [--worldlog FILE]
+//!              [--slow-query-us N] [--worldlog FILE]
 //!
 //! presets:      paper (default) | small | tiny
 //! --listen ADDR bind address (default 127.0.0.1:7979; use :0 for an
@@ -26,10 +25,8 @@
 //!               /tables/..., /slowlog, /window) on ADDR
 //! --slow-query-us N
 //!               capture queries at or above N µs (span tree included)
-//!               in the slow-query log (`slowlog` / GET /slowlog)
-//! --slow-query-log-len N
-//!               slow-query ring length (default obs::slowlog cap;
-//!               needs --slow-query-us)
+//!               in the slow-query log (`slowlog` / GET /slowlog), which
+//!               keeps the last 64
 //! --worldlog FILE
 //!               boot the world from an exported stale-obs-worldlog
 //!               JSONL file instead of simulating the preset
@@ -54,7 +51,6 @@ fn main() {
     let mut checkpoint: Option<std::path::PathBuf> = None;
     let mut http: Option<String> = None;
     let mut slow_query_us: Option<u64> = None;
-    let mut slow_query_log_len: Option<usize> = None;
     let mut checkpoint_every: Option<u64> = None;
     let mut worldlog: Option<std::path::PathBuf> = None;
     let mut it = args.iter();
@@ -85,10 +81,6 @@ fn main() {
                 Some(n) => slow_query_us = Some(n),
                 None => usage_error("--slow-query-us needs a non-negative integer"),
             },
-            "--slow-query-log-len" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => slow_query_log_len = Some(n),
-                _ => usage_error("--slow-query-log-len needs a positive integer"),
-            },
             "--checkpoint-every" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) if n > 0 => checkpoint_every = Some(n),
                 _ => usage_error("--checkpoint-every needs a positive integer"),
@@ -103,9 +95,6 @@ fn main() {
     if checkpoint_every.is_some() && checkpoint.is_none() {
         usage_error("--checkpoint-every needs --checkpoint for the snapshot target");
     }
-    if slow_query_log_len.is_some() && slow_query_us.is_none() {
-        usage_error("--slow-query-log-len needs --slow-query-us to arm the slowlog");
-    }
     let scenario = match preset.as_str() {
         "small" => ScenarioConfig::small(),
         "tiny" => ScenarioConfig::tiny(),
@@ -117,7 +106,6 @@ fn main() {
     cfg.checkpoint = checkpoint;
     cfg.http = http;
     cfg.slow_query_us = slow_query_us;
-    cfg.slow_query_log_len = slow_query_log_len;
     cfg.checkpoint_every = checkpoint_every;
     cfg.worldlog = worldlog;
     let daemon = match Daemon::start(cfg, &listen) {
@@ -147,7 +135,7 @@ fn usage_error(msg: &str) -> ! {
         "stale-served: {msg}\n\
          usage: stale-served [paper|small|tiny] [--listen ADDR] [--shards N] \
          [--delay-days N] [--checkpoint FILE] [--checkpoint-every N] [--http ADDR] \
-         [--slow-query-us N] [--slow-query-log-len N] [--worldlog FILE]"
+         [--slow-query-us N] [--worldlog FILE]"
     );
     std::process::exit(2);
 }

@@ -75,10 +75,9 @@ pub struct DaemonConfig {
     /// Address for the read-only HTTP telemetry plane (`None` = off).
     pub http: Option<String>,
     /// Capture queries at or above this wall time in the slow-query log
-    /// (`None` = slowlog off, no per-query tracing).
+    /// (`None` = slowlog off, no per-query tracing). The log keeps the
+    /// last [`obs::slowlog::SLOWLOG_CAP`] entries.
     pub slow_query_us: Option<u64>,
-    /// Slow-query ring length (`None` = [`obs::slowlog::SLOWLOG_CAP`]).
-    pub slow_query_log_len: Option<usize>,
     /// Auto-checkpoint: snapshot applied state to the boot checkpoint
     /// after every N ingested days (`None` = only on explicit
     /// `snapshot` commands). Needs `checkpoint`.
@@ -107,7 +106,6 @@ impl DaemonConfig {
             checkpoint: None,
             http: None,
             slow_query_us: None,
-            slow_query_log_len: None,
             checkpoint_every: None,
             worldlog: None,
         }
@@ -677,10 +675,10 @@ impl<'w> Actor<'w> {
 fn detector_counter(event: &stale_core::StaleEvent) -> &'static str {
     use obs::audit::Provenance;
     match &event.provenance {
-        Some(Provenance::CrlEntry { .. }) => "served.events.kc",
-        Some(Provenance::WhoisCreation { .. }) => "served.events.rc",
-        Some(Provenance::DnsDeparture { .. }) => "served.events.mtd",
-        _ => "served.events.other",
+        Provenance::CrlEntry { .. } => "served.events.kc",
+        Provenance::WhoisCreation { .. } => "served.events.rc",
+        Provenance::DnsDeparture { .. } => "served.events.mtd",
+        Provenance::DnsDelegated { .. } => "served.events.other",
     }
 }
 
@@ -775,10 +773,7 @@ fn run_actor(cfg: DaemonConfig, rx: Receiver<ActorMsg>, obs: Obs, subs: Subscrib
         obs: obs.clone(),
         subs,
         slowlog: match cfg.slow_query_us {
-            Some(us) => SlowLog::new(
-                us,
-                cfg.slow_query_log_len.unwrap_or(obs::slowlog::SLOWLOG_CAP),
-            ),
+            Some(us) => SlowLog::new(us, obs::slowlog::SLOWLOG_CAP),
             None => SlowLog::disabled(),
         },
         window: WindowedHistogram::latency_us(WINDOW_BATCHES),

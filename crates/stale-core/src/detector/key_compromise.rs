@@ -290,7 +290,7 @@ pub fn join_shard_audited<'m>(
 /// and a shared, pre-sorted CRL key index. Its merge loop is the one the
 /// engine's fold finishes with ([`probe_winners`]);
 /// [`join_shard_audited_hash`] survives as the independent equivalence
-/// oracle and ablation baseline.
+/// oracle.
 pub fn join_shard_audited_with<'m>(
     certs: impl IntoIterator<Item = &'m DedupedCert>,
     crl: &CrlDataset,
@@ -319,9 +319,9 @@ pub fn join_shard_audited_with<'m>(
 }
 
 /// The original hash join, kept as the independent oracle the sort-merge
-/// implementation is byte-compared against (and as the ablation
-/// baseline): `(AKI, serial)` → certificate with max `cert_id` winning
-/// ties, then a full CRL scan probing the map.
+/// implementation is byte-compared against: `(AKI, serial)` →
+/// certificate with max `cert_id` winning ties, then a full CRL scan
+/// probing the map.
 pub fn join_shard_audited_hash<'m>(
     certs: impl IntoIterator<Item = &'m DedupedCert>,
     crl: &CrlDataset,

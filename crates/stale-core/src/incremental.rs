@@ -60,9 +60,8 @@ pub struct StaleEvent {
     pub record: StaleCertRecord,
     /// The source record that revealed the pairing (CRL entry, WHOIS
     /// creation, DNS departure) — the same provenance the decision-audit
-    /// layer attaches. `Option` only for checkpoint/serde compatibility
-    /// with pre-audit event streams; new emissions always stamp it.
-    pub provenance: Option<Provenance>,
+    /// layer attaches.
+    pub provenance: Provenance,
 }
 
 /// An interning table for domain names: dense `u32` ids for hash-heavy
@@ -280,7 +279,7 @@ fn push_kc_event(
         events.push(StaleEvent {
             discovered,
             record: revoked.stale_record(),
-            provenance: Some(key_compromise::crl_provenance(crl_index, rec)),
+            provenance: key_compromise::crl_provenance(crl_index, rec),
         });
     }
 }
@@ -359,10 +358,10 @@ impl<'w> RcIncremental<'w> {
                         events.push(StaleEvent {
                             discovered,
                             record,
-                            provenance: Some(Provenance::WhoisCreation {
+                            provenance: Provenance::WhoisCreation {
                                 domain: e2ld.to_string(),
                                 created: creation.to_string(),
-                            }),
+                            },
                         });
                     }
                 }
@@ -386,10 +385,10 @@ impl<'w> RcIncremental<'w> {
                         events.push(StaleEvent {
                             discovered,
                             record,
-                            provenance: Some(Provenance::WhoisCreation {
+                            provenance: Provenance::WhoisCreation {
                                 domain: domain.to_string(),
                                 created: creation.to_string(),
-                            }),
+                            },
                         });
                     }
                 }
@@ -512,9 +511,7 @@ impl<'w> MtdIncremental<'w> {
                             events.push(StaleEvent {
                                 discovered,
                                 record,
-                                provenance: Some(managed_tls::departure_provenance(
-                                    domain, *departure,
-                                )),
+                                provenance: managed_tls::departure_provenance(domain, *departure),
                             });
                         }
                     }
@@ -538,7 +535,7 @@ impl<'w> MtdIncremental<'w> {
                             events.push(StaleEvent {
                                 discovered,
                                 record,
-                                provenance: Some(managed_tls::departure_provenance(domain, *date)),
+                                provenance: managed_tls::departure_provenance(domain, *date),
                             });
                         }
                     }

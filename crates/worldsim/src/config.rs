@@ -4,7 +4,7 @@
 //! makes the output match the paper's *shapes* is explicit and auditable.
 //! The `paper2023` preset encodes the historical timeline the paper's
 //! figures hinge on; `small`/`tiny` are scaled-down versions for tests
-//! and benches.
+//! and quick runs.
 
 use crate::distributions::Timeline;
 use stale_types::{Date, DateInterval, Duration};
@@ -169,7 +169,7 @@ impl ScenarioConfig {
     }
 
     /// A reduced preset (~1/6 the population) for integration tests and
-    /// benches that exercise the full pipeline quickly.
+    /// runs that exercise the full pipeline quickly.
     pub fn small() -> Self {
         let mut cfg = Self::paper2023();
         cfg.initial_domains = 250;

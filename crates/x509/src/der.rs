@@ -293,16 +293,14 @@ impl<'a> Decoder<'a> {
     /// Consume the next TLV, returning `(tag, content)`.
     pub fn any(&mut self) -> Result<(Tag, &'a [u8]), DerError> {
         let (tag, len) = self.read_header()?;
-        let content = self
-            .input
-            .get(self.pos..self.pos + len)
-            .ok_or(DerError::Truncated)?;
-        self.pos += len;
+        let end = self.pos.checked_add(len).ok_or(DerError::Truncated)?;
+        let content = self.input.get(self.pos..end).ok_or(DerError::Truncated)?;
+        self.pos = end;
         Ok((tag, content))
     }
 
     /// Consume a TLV, requiring `tag`.
-    pub fn expect(&mut self, tag: Tag) -> Result<&'a [u8], DerError> {
+    pub fn take(&mut self, tag: Tag) -> Result<&'a [u8], DerError> {
         let found = self.peek_tag()?;
         if found != tag {
             return Err(DerError::UnexpectedTag {
@@ -315,12 +313,12 @@ impl<'a> Decoder<'a> {
 
     /// Consume a constructed value and return a decoder over its content.
     pub fn nested(&mut self, tag: Tag) -> Result<Decoder<'a>, DerError> {
-        Ok(Decoder::new(self.expect(tag)?))
+        Ok(Decoder::new(self.take(tag)?))
     }
 
     /// Consume an INTEGER as u128.
     pub fn uint(&mut self) -> Result<u128, DerError> {
-        let content = self.expect(Tag::Integer)?;
+        let content = self.take(Tag::Integer)?;
         if content.is_empty() || content.len() > 17 {
             return Err(DerError::BadContent("integer size"));
         }
@@ -339,7 +337,7 @@ impl<'a> Decoder<'a> {
 
     /// Consume an INTEGER as i64.
     pub fn int(&mut self) -> Result<i64, DerError> {
-        let content = self.expect(Tag::Integer)?;
+        let content = self.take(Tag::Integer)?;
         if content.is_empty() || content.len() > 8 {
             return Err(DerError::BadContent("integer size"));
         }
@@ -353,7 +351,7 @@ impl<'a> Decoder<'a> {
 
     /// Consume a BOOLEAN.
     pub fn boolean(&mut self) -> Result<bool, DerError> {
-        let content = self.expect(Tag::Boolean)?;
+        let content = self.take(Tag::Boolean)?;
         match content {
             [0x00] => Ok(false),
             [_] => Ok(true),
@@ -363,18 +361,18 @@ impl<'a> Decoder<'a> {
 
     /// Consume an OCTET STRING.
     pub fn octets(&mut self) -> Result<&'a [u8], DerError> {
-        self.expect(Tag::OctetString)
+        self.take(Tag::OctetString)
     }
 
     /// Consume a UTF8String.
     pub fn utf8(&mut self) -> Result<&'a str, DerError> {
-        let content = self.expect(Tag::Utf8String)?;
+        let content = self.take(Tag::Utf8String)?;
         std::str::from_utf8(content).map_err(|_| DerError::BadContent("invalid utf-8"))
     }
 
     /// Consume NULL.
     pub fn null(&mut self) -> Result<(), DerError> {
-        let content = self.expect(Tag::Null)?;
+        let content = self.take(Tag::Null)?;
         if content.is_empty() {
             Ok(())
         } else {
@@ -546,6 +544,9 @@ mod tests {
         // Declared length exceeds input.
         let mut d = Decoder::new(&[0x04, 0x05, 0x01]);
         assert_eq!(d.octets(), Err(DerError::Truncated));
+        // A long-form length near usize::MAX: the content end overflows.
+        let huge = [0x04, 0x88, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff];
+        assert_eq!(Decoder::new(&huge).any(), Err(DerError::Truncated));
         // Wrong tag.
         let mut e = Encoder::new();
         e.uint(1);

@@ -1,6 +1,6 @@
 //! Dataset persistence: the simulator's feeds serialise to JSON and come
 //! back intact, so worlds can be generated once and analysed elsewhere
-//! (the pattern the examples and benches rely on).
+//! (the pattern the examples rely on).
 
 use dns::scan::{DnsHistory, DnsView};
 use registry::whois::WhoisDataset;
