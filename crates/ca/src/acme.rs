@@ -20,6 +20,7 @@ use crypto::PublicKey;
 use ct::log::LogPool;
 use dns::record::{RData, RecordType};
 use dns::resolver::Resolver;
+use stale_types::hex::Hex;
 use stale_types::{AccountId, Date, DomainName, Duration};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -52,8 +53,7 @@ impl Challenge {
     /// `token || '.' || hex(SHA-256(account key))`.
     pub fn key_authorization(&self, account_key: &PublicKey) -> String {
         let thumb = sha256(account_key.as_bytes());
-        let hex: String = thumb[..8].iter().map(|b| format!("{b:02x}")).collect();
-        format!("{}.{}", self.token, hex)
+        format!("{}.{}", self.token, Hex(&thumb[..8]))
     }
 
     /// Where the dns-01 record must be provisioned.

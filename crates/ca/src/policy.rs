@@ -9,14 +9,14 @@
 use serde::{Deserialize, Serialize};
 use stale_types::{Date, Duration};
 
-/// Day Ballot 193's 825-day limit took effect.
-pub fn ballot_193_effective() -> Date {
-    Date::from_ymd(2018, 3, 1).expect("fixed date")
+/// Day Ballot 193's 825-day limit took effect: 2018-03-01.
+pub const fn ballot_193_effective() -> Date {
+    Date::from_days(17_591)
 }
 
-/// Day browsers began enforcing the 398-day maximum.
-pub fn limit_398_effective() -> Date {
-    Date::from_ymd(2020, 9, 1).expect("fixed date")
+/// Day browsers began enforcing the 398-day maximum: 2020-09-01.
+pub const fn limit_398_effective() -> Date {
+    Date::from_days(18_506)
 }
 
 /// The industry-wide maximum certificate lifetime for a certificate
@@ -99,6 +99,12 @@ mod tests {
 
     fn d(s: &str) -> Date {
         Date::parse(s).unwrap()
+    }
+
+    #[test]
+    fn policy_days_are_their_calendar_dates() {
+        assert_eq!(ballot_193_effective(), Date::from_ymd(2018, 3, 1).unwrap());
+        assert_eq!(limit_398_effective(), Date::from_ymd(2020, 9, 1).unwrap());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::record::{Ipv4Addr, RData, Record, RecordType, Ttl};
 use crate::zone::Zone;
+use stale_types::hex::Hex;
 use stale_types::DomainName;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -252,10 +253,10 @@ pub fn serialize(origin: &DomainName, records: &[Record]) -> String {
                 selector,
                 matching_type,
                 association,
-            } => {
-                let hex: String = association.iter().map(|b| format!("{b:02x}")).collect();
-                format!("TLSA {usage} {selector} {matching_type} {hex}")
-            }
+            } => format!(
+                "TLSA {usage} {selector} {matching_type} {}",
+                Hex(association)
+            ),
         };
         out.push_str(&format!("{owner} {} IN {rdata}\n", record.ttl.0));
     }
@@ -375,6 +376,9 @@ _443._tcp IN TLSA 3 1 1 aabbccdd
                 association: vec![0xaa, 0xbb, 0xcc, 0xdd]
             }
         );
+        let text = serialize(&dn("foo.com"), &records);
+        assert!(text.contains(" IN TLSA 3 1 1 aabbccdd\n"), "{text}");
+        assert_eq!(parse(&text).unwrap(), records);
     }
 
     #[test]

@@ -285,6 +285,26 @@ fn bitflipped_worldlog_rejected() {
 }
 
 #[test]
+fn uppercase_der_rejected() {
+    // Uppercase digits decode to the same bytes, so accepting them would
+    // load a second file as the same world.
+    let jsonl = tiny_worldlog_jsonl();
+    let der = jsonl.find("\"der\":\"").expect("a cert") + "\"der\":\"".len();
+    let end = der + jsonl[der..].find('"').expect("closing quote");
+    let mut upper = jsonl.to_string();
+    upper[der..end].make_ascii_uppercase();
+    assert_ne!(upper, jsonl, "the DER has letter digits");
+    let diags = preflight_str("worldlog", &upper);
+    assert_eq!(rules(&diags), ["worldlog-schema"], "{diags:?}");
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.message.contains("der is not lowercase hex")),
+        "{diags:?}"
+    );
+}
+
+#[test]
 fn tampered_count_fails_fingerprint() {
     let jsonl = tiny_worldlog_jsonl();
     let key = "\"ct_raw_entries\":";

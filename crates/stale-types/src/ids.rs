@@ -6,6 +6,7 @@
 //! and by the subscriber key they certify ([`KeyId`] again — key identity is
 //! what "key compromise" and "managed TLS departure" are about).
 
+use crate::hex::Hex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -29,20 +30,13 @@ macro_rules! hex_id {
 
         impl fmt::Debug for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!(stringify!($name), "("))?;
-                for b in &self.0[..4.min($len)] {
-                    write!(f, "{b:02x}")?;
-                }
-                write!(f, "…)")
+                write!(f, concat!(stringify!($name), "({}…)"), Hex(&self.0[..4.min($len)]))
             }
         }
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                for b in &self.0 {
-                    write!(f, "{b:02x}")?;
-                }
-                Ok(())
+                fmt::Display::fmt(&Hex(&self.0), f)
             }
         }
     };
@@ -74,7 +68,7 @@ pub struct SerialNumber(pub u128);
 
 impl fmt::Display for SerialNumber {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
+        fmt::Display::fmt(&Hex(&self.0.to_be_bytes()), f)
     }
 }
 

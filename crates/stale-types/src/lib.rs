@@ -12,6 +12,7 @@
 
 pub mod domain;
 pub mod error;
+pub mod hex;
 pub mod ids;
 pub mod interval;
 pub mod time;

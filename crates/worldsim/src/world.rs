@@ -1048,37 +1048,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod scale_tests {
-    use super::*;
-    use crate::config::ScenarioConfig;
-
-    #[test]
-    #[ignore = "slow; run explicitly to inspect paper-preset scale"]
-    fn paper_preset_scale_report() {
-        let data = World::run(ScenarioConfig::paper2023());
-        eprintln!("dedup certs: {}", data.monitor.dedup_count());
-        eprintln!("raw entries: {}", data.ct_raw_entries);
-        eprintln!("whois domains: {}", data.whois.domain_count());
-        eprintln!("crl records: {}", data.crl.len());
-        eprintln!(
-            "kc records: {}",
-            data.crl
-                .with_reason(x509::revocation::RevocationReason::KeyCompromise)
-                .count()
-        );
-        eprintln!(
-            "registrant changes: {}",
-            data.ground_truth.registrant_changes.len()
-        );
-        eprintln!("cdn departures: {}", data.ground_truth.cdn_departures.len());
-        eprintln!("compromises: {}", data.ground_truth.compromises.len());
-        eprintln!("breach serials: {}", data.ground_truth.breach_serials.len());
-        eprintln!("adns domains: {}", data.adns.domain_count());
-        eprintln!("adns changes: {}", data.adns.change_count());
-    }
-}
-
-#[cfg(test)]
 mod history_tests {
     use super::*;
     use crate::config::ScenarioConfig;

@@ -48,10 +48,11 @@
 //! * the **line pass**, [`WorldLog::from_jsonl`]: a header of this
 //!   schema and version; every line parses as an event; identifiers
 //!   are lowercase hex of their fixed length (certificate 64, authority
-//!   key 40, serial 32); a CA's tally is named and has no more
-//!   successes than attempts; a delegation event resolves to something;
-//!   lines are in canonical order (refused, never re-sorted); a trailer
-//!   whose tally matches the lines and a header count that agrees;
+//!   key 40, serial 32) and DER is lowercase hex; a CA's tally is named
+//!   and has no more successes than attempts; a delegation event
+//!   resolves to something; lines are in canonical order (refused,
+//!   never re-sorted); a trailer whose tally matches the lines and a
+//!   header count that agrees;
 //! * the **world pass**, [`WorldLog::to_datasets`]: events in canonical
 //!   order before any is applied; non-degenerate windows; DER that
 //!   decodes to the named certificate, with a non-degenerate validity,
@@ -76,9 +77,8 @@ use dns::scan::{DnsHistory, DnsView};
 use registry::whois::WhoisDataset;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use stale_types::{Date, DateInterval, DomainName, Duration, KeyId, SerialNumber};
+use stale_types::{hex, Date, DateInterval, DomainName, Duration, KeyId, SerialNumber};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use x509::revocation::RevocationReason;
 use x509::Certificate;
 
@@ -111,7 +111,7 @@ pub enum WorldEvent {
         /// Dedup identity ([`Certificate::cert_id`]), 64 hex chars — the
         /// join key against audit decisions.
         cert: String,
-        /// Full DER encoding, hex. The body of record: validity, SANs,
+        /// Full DER encoding, lowercase hex. The body of record: validity, SANs,
         /// AKI and serial are all re-derivable from it.
         der: String,
         /// Raw log entries that collapsed into this certificate.
@@ -682,7 +682,7 @@ impl WorldLog {
             events.push(WorldEvent::CertIssued {
                 day: c.first_seen,
                 cert: cert.clone(),
-                der: encode_hex(&c.certificate.encode()),
+                der: hex::encode(&c.certificate.encode()),
                 entry_count: c.entry_count as u64,
             });
             events.push(WorldEvent::CertExpired {
@@ -1139,7 +1139,7 @@ impl WorldLog {
                     events.push(WorldEvent::CertIssued {
                         day: *day,
                         cert: capped_cert,
-                        der: encode_hex(&parsed.encode()),
+                        der: hex::encode(&parsed.encode()),
                         entry_count: *entry_count,
                     });
                 }
@@ -1309,9 +1309,7 @@ fn decode_lines(text: &str, faults: &mut Faults) -> Result<WorldLog, Stop> {
 }
 
 fn is_hex_id(s: &str, len: usize) -> bool {
-    s.len() == len
-        && s.bytes()
-            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+    s.len() == len && hex::is_lowercase(s)
 }
 
 /// The per-line rules of the line pass.
@@ -1322,6 +1320,11 @@ fn check_line(ev: &WorldEvent, lineno: usize, faults: &mut Faults) -> Result<(),
                 faults.report(format!(
                     "line {lineno}: cert {cert:?} is not 64 lowercase hex chars"
                 ))?;
+            }
+            if let WorldEvent::CertIssued { der, .. } = ev {
+                if !hex::is_lowercase(der) {
+                    faults.report(format!("line {lineno}: der is not lowercase hex"))?;
+                }
             }
         }
         WorldEvent::CrlPublished {
@@ -1369,7 +1372,7 @@ fn check_line(ev: &WorldEvent, lineno: usize, faults: &mut Faults) -> Result<(),
 
 /// Decode a `cert-issued` event's DER body.
 fn decode_cert(cert: &str, der: &str) -> Result<Certificate, String> {
-    let bytes = decode_hex(der).ok_or_else(|| format!("cert-issued {cert}: der is not hex"))?;
+    let bytes = hex::decode(der).ok_or_else(|| format!("cert-issued {cert}: der is not hex"))?;
     Certificate::decode(&bytes).map_err(|e| format!("cert-issued {cert}: bad DER: {e:?}"))
 }
 
@@ -1396,7 +1399,7 @@ fn revocation_key(
     serial: &str,
     reason: u8,
 ) -> Result<(KeyId, SerialNumber, RevocationReason), String> {
-    let aki = decode_hex(authority_key_id)
+    let aki = hex::decode(authority_key_id)
         .and_then(|b| <[u8; 20]>::try_from(b).ok())
         .ok_or_else(|| format!("crl-entry-added #{crl_index}: bad authority key id"))?;
     let serial = u128::from_str_radix(serial, 16)
@@ -1493,27 +1496,6 @@ pub fn validate_worldlog_jsonl(text: &str) -> Vec<String> {
         }
     }
     faults.found
-}
-
-/// Lowercase hex encoding.
-pub fn encode_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(out, "{b:02x}");
-    }
-    out
-}
-
-/// Decode lowercase/uppercase hex; `None` on odd length or a non-hex
-/// digit.
-pub fn decode_hex(s: &str) -> Option<Vec<u8>> {
-    let mut digits = s.chars().map(|c| c.to_digit(16));
-    let mut out = Vec::with_capacity(s.len() / 2);
-    while let Some(hi) = digits.next() {
-        let lo = digits.next()??;
-        out.push(((hi? << 4) | lo) as u8);
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -1725,6 +1707,19 @@ mod tests {
     }
 
     #[test]
+    fn uppercase_der_is_refused() {
+        // Uppercase digits decode to the same bytes: accepting them would
+        // load two different files as one world.
+        let mut log = tiny().clone();
+        if let WorldEvent::CertIssued { der, .. } =
+            first(&mut log, |ev| matches!(ev, WorldEvent::CertIssued { .. }))
+        {
+            der.make_ascii_uppercase();
+        }
+        refused(&log, "der is not lowercase hex");
+    }
+
+    #[test]
     fn an_empty_delegation_view_is_refused() {
         let mut log = tiny().clone();
         if let WorldEvent::DelegationAdded { ns, cname, a, .. } = first(&mut log, |ev| {
@@ -1787,7 +1782,7 @@ mod tests {
             let start = parsed.tbs.validity.start;
             parsed.tbs.validity = DateInterval { start, end: start };
             *cert = parsed.cert_id().to_string();
-            *der = encode_hex(&parsed.encode());
+            *der = hex::encode(&parsed.encode());
         }
         refused(&reseal(log), "degenerate validity");
     }
@@ -1935,16 +1930,5 @@ mod tests {
         let log = tiny();
         assert!(log.rewrite_cap_days(0).is_err());
         assert!(log.rewrite_cap_days(-3).is_err());
-    }
-
-    #[test]
-    fn hex_round_trip() {
-        let data = [0u8, 1, 0x7f, 0x80, 0xff];
-        let hex = encode_hex(&data);
-        assert_eq!(hex, "00017f80ff");
-        assert_eq!(decode_hex(&hex).unwrap(), data);
-        assert_eq!(decode_hex("0"), None);
-        assert_eq!(decode_hex("zz"), None);
-        assert_eq!(decode_hex("").unwrap(), Vec::<u8>::new());
     }
 }
